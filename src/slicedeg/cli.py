@@ -14,7 +14,9 @@ import sys
 
 from .engine import (
     ALL_OBSTRUCTIONS,
+    ClassBattery,
     EngineConfig,
+    RuleVerdict,
     beta_table,
     bound_report,
     report_table,
@@ -22,7 +24,6 @@ from .engine import (
 )
 from .knots import DatabaseError, KnotDatabase, KnotRecord, load_knot_db
 from .lattice import HomologyClass, enumerate_classes
-from .obstructions import beta_adjunction, gamma_general, vs_obstruction
 from .staircase import (
     OracleDisagreement,
     VsUnavailable,
@@ -207,42 +208,34 @@ def _cmd_check_class(args, parser: argparse.ArgumentParser) -> int:
     if cls.n == 0:
         raise DataError("the empty class is decided by the level-0 null check, not per-class rules")
 
-    from .engine import _beta_items, _vs_or_none
-
-    v = _vs_or_none(record)
-    obstructed = False
-    for label, beta in _beta_items(record, v):
-        vd = beta_adjunction(cls, beta)
-        obstructed |= vd.obstructed
-        rhs = cls.norm - sum(cls.a)
-        status = f"OBSTRUCTED ({beta} > {rhs})" if vd.obstructed else f"pass ({beta} <= {rhs})"
-        print(f"beta[{label}={beta}]: {status}")
-    if record.gamma:
-        vd = gamma_general(cls, (0,) * cls.n, record.signature, record.gamma)
-        obstructed |= vd.obstructed
-        if vd.obstructed:
-            w = vd.witness
-            print(
-                f"gamma: OBSTRUCTED (Gamma({w['i']}) = {w['gamma']} > {w['bound']}; "
-                f"kappa_min = {w['kappa_min']}, eta = {w['eta']})"
-            )
-        else:
-            print(f"gamma: pass{f' ({vd.note})' if vd.note else ''}")
-    else:
-        print("gamma: no data")
-    if v is not None:
-        vd = vs_obstruction(cls, v)
-        obstructed |= vd.obstructed
-        if vd.obstructed:
-            w = vd.witness
-            lam = ",".join(str(x) for x in w["lambda"])
-            print(f"vs: OBSTRUCTED (lambda = ({lam}), j = {w['j']}, {w['lhs']} < {w['rhs']})")
-        else:
-            print("vs: pass")
-    else:
-        print("vs: no data")
+    steps = list(ClassBattery(record, EngineConfig()).verdicts(cls))
+    for rule in ("beta", "gamma", "vs"):
+        lines = [_verdict_line(rv) for rv in steps if rv.rule.partition("[")[0] == rule]
+        if not lines and rule != "beta":
+            lines = [f"{rule}: no data"]
+        for line in lines:
+            print(line)
+    obstructed = any(rv.verdict.obstructed for rv in steps)
     print("overall: " + ("OBSTRUCTED" if obstructed else "pass"))
     return 0
+
+
+def _verdict_line(rv: RuleVerdict) -> str:
+    vd, w = rv.verdict, rv.verdict.witness
+    if rv.beta is not None:
+        label = f"{rv.rule[:-1]}={rv.beta}]"
+        if vd.obstructed:
+            return f"{label}: OBSTRUCTED ({rv.beta} > {rv.rhs})"
+        return f"{label}: pass ({rv.beta} <= {rv.rhs})"
+    if not vd.obstructed:
+        return f"{rv.rule}: pass{f' ({vd.note})' if vd.note else ''}"
+    if rv.rule == "gamma":
+        return (
+            f"gamma: OBSTRUCTED (Gamma({w['i']}) = {w['gamma']} > {w['bound']}; "
+            f"kappa_min = {w['kappa_min']}, eta = {w['eta']})"
+        )
+    lam = ",".join(str(x) for x in w["lambda"])
+    return f"vs: OBSTRUCTED (lambda = ({lam}), j = {w['j']}, {w['lhs']} < {w['rhs']})"
 
 
 def _cmd_beta_table(args) -> int:

@@ -3,10 +3,12 @@
 ``lower_bound`` ascends the self-intersection levels k = 0, 1, 2, ...,
 certifying each level obstructed until one survives: level 0 via the
 null-class check, higher levels either by a surgery-friend certificate or
-by killing every candidate class with the per-class battery (adjunction
-bounds first, then the instanton energy check, then the V_s lambda search,
-in increasing cost order).  The first unobstructed level is a sound lower
-bound because every check is a necessary condition for the disk.
+by killing every candidate class with the per-class battery
+(:class:`ClassBattery`: adjunction bounds first, then the instanton energy
+check, then the V_s lambda search, in increasing cost order).  The first
+unobstructed level is a sound lower bound because every check is a
+necessary condition for the disk.  The search is serial: classes are
+checked one at a time and each level stops at its first surviving class.
 
 ``upper_bound`` takes the minimum over the record's direct constructions
 (4 * positive clasp number, 4 * slicing number, explicit witnesses) and
@@ -14,17 +16,16 @@ closes it under concordance and connected-sum transfer across the whole
 database by a monotone fixed point.
 
 Reports are deterministic: identical inputs and configuration produce
-byte-identical serialized output regardless of the parallelism degree.
+byte-identical serialized output.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings as _warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .knots import KnotDatabase, KnotRecord, format_rational
 from .lattice import HomologyClass, enumerate_classes
@@ -52,7 +53,8 @@ class EngineConfig:
     """Search cap, enabled obstruction set, gamma c-sweep, parallelism degree.
 
     ``max_k = None`` means: cap at the record's upper bound when one is
-    known, else at ``DEFAULT_MAX_K``.
+    known, else at ``DEFAULT_MAX_K``.  ``parallelism`` is validated and
+    accepted for compatibility, but the search is serial at every value.
     """
 
     max_k: int | None = None
@@ -130,52 +132,69 @@ def display_interval(lower: int, upper: int | None) -> str:
 # --- lower bounds -----------------------------------------------------------
 
 
-def _beta_items(record: KnotRecord, v: VsSequence | None) -> list[tuple[str, int]]:
-    """All adjunction-type scalar bounds stored on the record."""
-    items = [(f"s_{p}", record.s_invariants[p]) for p in sorted(record.s_invariants)]
-    if record.tau is not None:
-        items.append(("2tau", 2 * record.tau))
-    if v is not None:
-        items.append(("2nu+", 2 * nu_plus(v)))
-    return items
-
-
 def _gamma_c_vectors(n: int, sweep: bool) -> list[tuple[int, ...]]:
     if not sweep:
         return [(0,) * n]
     return sorted(itertools.product((0, 1), repeat=n))
 
 
-def _vs_or_none(record: KnotRecord) -> VsSequence | None:
-    try:
-        return vs_of(record)
-    except VsUnavailable:
-        return None
+class RuleVerdict(NamedTuple):
+    """One battery rule's verdict on one class.
+
+    Adjunction rules also carry both sides of their inequality, ``beta``
+    and ``rhs = k - sum(a)``, so a pass can be shown with its margin.
+    """
+
+    rule: str
+    verdict: Verdict
+    beta: int | None = None
+    rhs: int | None = None
 
 
-def _kill_class(
-    record: KnotRecord,
-    cls: HomologyClass,
-    v: VsSequence | None,
-    betas: Sequence[tuple[str, int]],
-    cfg: EngineConfig,
-) -> ClassCertificate | None:
-    """First obstruction that kills the class, or None if it survives."""
-    if "s" in cfg.obstructions:
-        for label, beta in betas:
-            vd = beta_adjunction(cls, beta)
-            if vd.obstructed:
-                return ClassCertificate(cls, f"beta[{label}]", vd)
-    if "gamma" in cfg.obstructions and record.gamma:
-        for c in _gamma_c_vectors(cls.n, cfg.gamma_c_sweep):
-            vd = gamma_general(cls, c, record.signature, record.gamma)
-            if vd.obstructed:
-                return ClassCertificate(cls, "gamma", vd)
-    if "vs" in cfg.obstructions and v is not None:
-        vd = vs_obstruction(cls, v)
-        if vd.obstructed:
-            return ClassCertificate(cls, "vs", vd)
-    return None
+class ClassBattery:
+    """The per-class obstruction battery for one record and configuration.
+
+    The record's V_s sequence (``v``, None when the record has no route to
+    it; ``OracleDisagreement`` propagates) and its adjunction-type scalar
+    bounds (``betas``: each stored s_p, 2*tau, 2*nu+) are computed once,
+    here, and shared by every class checked.
+    """
+
+    def __init__(self, record: KnotRecord, cfg: EngineConfig) -> None:
+        self.record = record
+        self.cfg = cfg
+        self.v: VsSequence | None
+        try:
+            self.v = vs_of(record)
+        except VsUnavailable:
+            self.v = None
+        self.betas = [
+            (f"beta[s_{p}]", record.s_invariants[p]) for p in sorted(record.s_invariants)
+        ]
+        if record.tau is not None:
+            self.betas.append(("beta[2tau]", 2 * record.tau))
+        if self.v is not None:
+            self.betas.append(("beta[2nu+]", 2 * nu_plus(self.v)))
+
+    def verdicts(self, cls: HomologyClass) -> Iterator[RuleVerdict]:
+        """Each enabled rule's verdict on the class, in increasing cost order.
+
+        Adjunction bounds first (one per stored beta), then the instanton
+        check once per c-vector, then the V_s lambda search.  Rules without
+        data on the record (no Gamma values, no V_s) yield nothing.  The
+        class is obstructed iff some verdict is; consumers that only need
+        the first kill stop early.
+        """
+        record, cfg, v = self.record, self.cfg, self.v
+        if "s" in cfg.obstructions:
+            rhs = cls.norm - sum(cls.a)
+            for rule, beta in self.betas:
+                yield RuleVerdict(rule, beta_adjunction(cls, beta), beta, rhs)
+        if "gamma" in cfg.obstructions and record.gamma:
+            for c in _gamma_c_vectors(cls.n, cfg.gamma_c_sweep):
+                yield RuleVerdict("gamma", gamma_general(cls, c, record.signature, record.gamma))
+        if "vs" in cfg.obstructions and v is not None:
+            yield RuleVerdict("vs", vs_obstruction(cls, v))
 
 
 def _friend_coverage(record: KnotRecord, cfg: EngineConfig) -> tuple[int, Mapping | None]:
@@ -201,13 +220,13 @@ def lower_bound(record: KnotRecord, cfg: EngineConfig | None = None) -> LowerBou
 
     Level 0 is always decided by the full null-class check; levels below a
     firing friendship are covered by its certificate; any other level k is
-    obstructed only if every class of norm k is killed.  If the cap is
-    reached with everything obstructed, returns cap + 1 with
+    obstructed only if every class of norm k is killed.  Classes are
+    checked one at a time and the search stops at the first survivor.  If
+    the cap is reached with everything obstructed, returns cap + 1 with
     ``exhausted`` set.
     """
     cfg = cfg or EngineConfig()
-    v = _vs_or_none(record)
-    betas = _beta_items(record, v)
+    battery = ClassBattery(record, cfg)
     cap = cfg.max_k
     if cap is None:
         direct_upper, _ = _direct_upper(record)
@@ -221,39 +240,21 @@ def lower_bound(record: KnotRecord, cfg: EngineConfig | None = None) -> LowerBou
             certificates.append(LevelCertificate(k, "friend", witness=friend_witness))
             continue
         if k == 0:
-            vd = null_class_check(record)
+            vd = null_class_check(record, battery.v)
             if vd.obstructed:
                 certificates.append(LevelCertificate(0, "null_class", witness=vd.witness))
                 continue
             return LowerBoundSearch(0, False, HomologyClass(()), tuple(certificates))
-        classes = enumerate_classes(k)
-        kills = _map_classes(
-            classes,
-            lambda cls: _kill_class(record, cls, v, betas, cfg),
-            cfg.parallelism,
-        )
-        survivor = next((cls for cls, kill in zip(classes, kills) if kill is None), None)
-        if survivor is not None:
-            return LowerBoundSearch(k, False, survivor, tuple(certificates))
-        certificates.append(
-            LevelCertificate(k, "classes", classes=tuple(kill for kill in kills if kill))
-        )
+        kills = []
+        for cls in enumerate_classes(k):
+            for rv in battery.verdicts(cls):
+                if rv.verdict.obstructed:
+                    kills.append(ClassCertificate(cls, rv.rule, rv.verdict))
+                    break
+            else:
+                return LowerBoundSearch(k, False, cls, tuple(certificates))
+        certificates.append(LevelCertificate(k, "classes", classes=tuple(kills)))
     return LowerBoundSearch(cap + 1, True, None, tuple(certificates))
-
-
-def _map_classes(classes, fn, parallelism: int):
-    if parallelism <= 1 or len(classes) <= 1:
-        out = []
-        for cls in classes:
-            kill = fn(cls)
-            out.append(kill)
-            if kill is None:
-                # survivor found; remaining verdicts are irrelevant to the report
-                out.extend(None for _ in range(len(classes) - len(out)))
-                break
-        return out
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(fn, classes))
 
 
 # --- upper bounds -----------------------------------------------------------
@@ -402,15 +403,16 @@ class TableRow:
     error: str | None = None
 
 
-def bound_report(
-    record: KnotRecord, db: KnotDatabase | None = None, cfg: EngineConfig | None = None
+def _report(
+    record: KnotRecord, upper: int | None, upper_witness: str | None, cfg: EngineConfig
 ) -> BoundReport:
-    cfg = cfg or EngineConfig()
-    upper, upper_witness = upper_bound(record, db)
-    effective = cfg
+    """Lower-bound search capped at ``upper`` (unless cfg sets a cap), paired with it.
+
+    Raises ValueError when the certified lower bound exceeds ``upper``.
+    """
     if cfg.max_k is None:
-        effective = replace(cfg, max_k=upper if upper is not None else DEFAULT_MAX_K)
-    search = lower_bound(record, effective)
+        cfg = replace(cfg, max_k=upper if upper is not None else DEFAULT_MAX_K)
+    search = lower_bound(record, cfg)
     return BoundReport(
         knot=record.name,
         lower=search.level,
@@ -422,6 +424,12 @@ def bound_report(
     )
 
 
+def bound_report(
+    record: KnotRecord, db: KnotDatabase | None = None, cfg: EngineConfig | None = None
+) -> BoundReport:
+    return _report(record, *upper_bound(record, db), cfg or EngineConfig())
+
+
 def report_table(db: KnotDatabase, cfg: EngineConfig | None = None) -> list[TableRow]:
     """Per-record intervals over the whole database, failures reported inline."""
     cfg = cfg or EngineConfig()
@@ -429,18 +437,8 @@ def report_table(db: KnotDatabase, cfg: EngineConfig | None = None) -> list[Tabl
     rows = []
     for record in db:
         try:
-            upper, _ = uppers[record.name]
-            effective = cfg
-            if cfg.max_k is None:
-                effective = replace(cfg, max_k=upper if upper is not None else DEFAULT_MAX_K)
-            search = lower_bound(record, effective)
-            if upper is not None and search.level > upper:
-                raise ValueError(
-                    f"certified lower bound {search.level} exceeds upper bound {upper}"
-                )
-            rows.append(
-                TableRow(record.name, search.level, upper, display_interval(search.level, upper))
-            )
+            report = _report(record, *uppers[record.name], cfg)
+            rows.append(TableRow(record.name, report.lower, report.upper, report.display))
         except Exception as exc:
             rows.append(TableRow(record.name, None, None, "error", error=str(exc)))
     return rows

@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping
 
-from .staircase import NotLSpaceForm, staircase_from_alexander
+from .staircase import NotLSpaceForm, VsSequence, check_alexander, staircase_from_alexander
 
 _VS_KINDS = ("explicit", "thin", "lspace", "mirror_lspace", "unknown")
 
@@ -154,15 +154,10 @@ def validate_record(record: KnotRecord) -> list[Diagnostic]:
             err("s_invariants", f"s_{p} = {sp} must be even")
 
     if record.alexander is not None:
-        coeffs = record.alexander
-        if len(coeffs) % 2 == 0:
-            err("alexander", "coefficient list must have odd length (exponents -g..g)")
-        else:
-            g = len(coeffs) // 2
-            if any(coeffs[g + i] != coeffs[g - i] for i in range(g + 1)):
-                err("alexander", "coefficients must be palindromic")
-            if sum(coeffs) != 1:
-                err("alexander", f"polynomial evaluates to {sum(coeffs)} at t=1, expected 1")
+        try:
+            check_alexander(record.alexander)
+        except ValueError as exc:
+            err("alexander", str(exc))
 
     spec = record.vs_spec
     if spec.kind == "thin" and record.tau is None:
@@ -176,18 +171,11 @@ def validate_record(record: KnotRecord) -> list[Diagnostic]:
             except NotLSpaceForm as exc:
                 err("vs_spec", f"Alexander polynomial is not in L-space form: {exc}")
     if spec.kind == "explicit":
-        vals = spec.values
-        if any(v < 0 for v in vals):
-            err("vs_spec", "V_s values must be non-negative")
-        elif any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
-            err("vs_spec", "V_s must be non-increasing")
-        else:
-            trimmed = list(vals)
-            while trimmed and trimmed[-1] == 0:
-                trimmed.pop()
-            full = trimmed + [0]
-            if any(full[i] - full[i + 1] > 1 for i in range(len(full) - 1)):
+        try:
+            if not VsSequence.from_values(spec.values).steps_are_unit():
                 warn("vs_spec", "V_s drops by more than 1")
+        except ValueError as exc:
+            err("vs_spec", str(exc))
 
     if record.clasp_plus is not None and record.clasp_plus < 0:
         err("clasp_plus", "positive clasp number must be non-negative")

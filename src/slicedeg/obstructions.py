@@ -176,11 +176,12 @@ def double_twist_gamma(m: int, n: int) -> Fraction:
     return Fraction((2 * m - 1) * (2 * n - 1), 4 * m * n - 1)
 
 
-def null_class_check(record: "KnotRecord") -> Verdict:
+def null_class_check(record: "KnotRecord", v: VsSequence | None) -> Verdict:
     """Obstruct the k = 0 level (a null-homologous disk).
 
     Fires when the signature is negative, some stored s_p is positive, or
-    V_0 is positive (when the V_s route is available).
+    V_0 is positive.  ``v`` is the record's V_s sequence, or None when the
+    record has no route to it.
     """
     if record.signature < 0:
         return Verdict(
@@ -192,14 +193,8 @@ def null_class_check(record: "KnotRecord") -> Verdict:
                 True,
                 {"rule": "null_class", "reason": f"s_{p}", "value": record.s_invariants[p]},
             )
-    from .staircase import VsUnavailable, vs_of
-
-    try:
-        v0 = vs_of(record).v(0)
-    except VsUnavailable:
-        v0 = None
-    if v0:
-        return Verdict(True, {"rule": "null_class", "reason": "V_0", "value": v0})
+    if v is not None and v.v(0):
+        return Verdict(True, {"rule": "null_class", "reason": "V_0", "value": v.v(0)})
     return PASS
 
 

@@ -143,12 +143,16 @@ def _genus(coeffs: Sequence[int]) -> int:
     return len(coeffs) // 2
 
 
-def _check_symmetric(coeffs: Sequence[int]) -> None:
+def check_alexander(coeffs: Sequence[int]) -> None:
+    """Raise ValueError unless the list is a symmetric Alexander polynomial.
+
+    That is: odd length (exponents -g..g), palindromic, value 1 at t = 1.
+    """
     g = _genus(coeffs)
     if any(coeffs[g + i] != coeffs[g - i] for i in range(g + 1)):
         raise ValueError("coefficients must be palindromic")
     if sum(coeffs) != 1:
-        raise ValueError("polynomial must evaluate to 1 at t = 1")
+        raise ValueError(f"polynomial evaluates to {sum(coeffs)} at t=1, expected 1")
 
 
 def staircase_from_alexander(coeffs: Sequence[int]) -> Staircase:
@@ -157,7 +161,7 @@ def staircase_from_alexander(coeffs: Sequence[int]) -> Staircase:
     Requires coefficient (-1)^(m-i) at exponent n_i, (-1)^m at 0, and zero
     elsewhere, for some 0 < n_1 < ... < n_m.
     """
-    _check_symmetric(coeffs)
+    check_alexander(coeffs)
     g = _genus(coeffs)
     support = [i for i in range(1, g + 1) if coeffs[g + i] != 0]
     if not support:
@@ -178,7 +182,7 @@ def torsion_coefficients(coeffs: Sequence[int], s: int) -> int:
     """Torsion coefficient t_s = sum_{j>=1} j * a_{s+j} of the polynomial."""
     if s < 0:
         raise ValueError("s must be non-negative")
-    _check_symmetric(coeffs)
+    check_alexander(coeffs)
     g = _genus(coeffs)
     return sum(j * coeffs[g + s + j] for j in range(1, g - s + 1)) if s < g else 0
 

@@ -1,11 +1,15 @@
 """CLI behaviour tests (run in-process through main())."""
 
 import json
+import re
 
 import pytest
 
+from slicedeg import cli
 from slicedeg.cli import main
-from slicedeg.knots import bundled_database_path
+from slicedeg.engine import ClassBattery, EngineConfig, lower_bound
+from slicedeg.knots import bundled_database_path, load_knot_db
+from slicedeg.lattice import enumerate_classes
 
 KNOTS = str(bundled_database_path("knots"))
 FAMILIES = str(bundled_database_path("families"))
@@ -122,6 +126,37 @@ class TestCheckClass:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "check-class", "7_4", "2,x", "--db", KNOTS, "--quiet")
         assert exc.value.code == 2
+
+    def test_verdicts_match_engine_battery(self, capsys, monkeypatch):
+        """check-class agrees with the engine on every bundled knot and class of norm 1..10."""
+        db = load_knot_db(KNOTS)
+        monkeypatch.setattr(cli, "load_knot_db", lambda path: db)
+        engine_checked = 0
+        for record in db:
+            battery = ClassBattery(record, EngineConfig())
+            search = lower_bound(record, EngineConfig(max_k=10))
+            certified = {c.cls: c.rule for level in search.certificates for c in level.classes}
+            for k in range(1, 11):
+                for cls in enumerate_classes(k):
+                    arg = ",".join(str(x) for x in cls.a)
+                    code, out, _ = run(capsys, "check-class", record.name, arg, "--db", KNOTS)
+                    lines = out.splitlines()
+                    where = (record.name, cls)
+                    kills = [rv for rv in battery.verdicts(cls) if rv.verdict.obstructed]
+                    assert code == 0, where
+                    assert lines[-1] == ("overall: OBSTRUCTED" if kills else "overall: pass"), where
+                    if cls == search.surviving_class:
+                        assert not kills, where
+                        engine_checked += 1
+                    if kills:
+                        first = next(line for line in lines if ": OBSTRUCTED" in line)
+                        rule = re.sub(r"=[^\]]*\]", "]", first.partition(":")[0])
+                        assert rule == kills[0].rule, where
+                        if cls in certified:
+                            assert rule == certified[cls], where
+                            engine_checked += 1
+        # the engine certifies or leaves surviving 509 of the 1870 (knot, class) pairs
+        assert engine_checked >= 500
 
 
 class TestBetaTable:

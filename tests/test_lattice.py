@@ -4,6 +4,7 @@ Expected values are frozen from the brute-force oracles defined at the top
 of the file, which are deliberately dumber than the library code.
 """
 
+import functools
 from fractions import Fraction
 from itertools import product
 
@@ -20,10 +21,11 @@ from slicedeg.lattice import (
 )
 
 
-def brute_square_partitions(k: int) -> set[tuple[int, ...]]:
+@functools.lru_cache(maxsize=None)
+def brute_square_partitions(k: int) -> frozenset[tuple[int, ...]]:
     """All descending tuples of positive ints with sum of squares k, by blunt recursion."""
     if k == 0:
-        return {()}
+        return frozenset({()})
     found = set()
     for first in range(1, k + 1):
         if first * first > k:
@@ -32,7 +34,7 @@ def brute_square_partitions(k: int) -> set[tuple[int, ...]]:
             tup = tuple(sorted(rest + (first,), reverse=True))
             if all(x <= tup[0] for x in tup):
                 found.add(tup)
-    return found
+    return frozenset(found)
 
 
 def brute_odd_vectors(a: tuple[int, ...], v0: int) -> set[tuple[int, ...]]:

@@ -17,7 +17,7 @@ from slicedeg.obstructions import (
     stau_bound,
     vs_obstruction,
 )
-from slicedeg.staircase import VsSequence, vs_thin
+from slicedeg.staircase import VsSequence, vs_of, vs_thin
 
 
 def unsorted_class(values) -> HomologyClass:
@@ -198,26 +198,26 @@ class TestDoubleTwistGamma:
 class TestNullClassCheck:
     def test_negative_signature(self):
         rec = KnotRecord("9_42-ish", -2)
-        vd = null_class_check(rec)
+        vd = null_class_check(rec, None)
         assert vd.obstructed and vd.witness["reason"] == "signature"
 
     def test_positive_s(self):
         rec = KnotRecord("x", 0, s_invariants={0: 2})
-        vd = null_class_check(rec)
+        vd = null_class_check(rec, None)
         assert vd.obstructed and vd.witness["reason"] == "s_0"
 
     def test_clean_record_passes(self):
         rec = KnotRecord("x", 0, s_invariants={0: 0, 2: -2}, vs_spec=VsSpec("explicit", ()))
-        assert not null_class_check(rec).obstructed
+        assert not null_class_check(rec, vs_of(rec)).obstructed
 
     def test_positive_v0(self):
         rec = KnotRecord("x", 0, vs_spec=VsSpec("explicit", (1,)))
-        vd = null_class_check(rec)
+        vd = null_class_check(rec, vs_of(rec))
         assert vd.obstructed and vd.witness["reason"] == "V_0"
 
     def test_unknown_vs_gives_no_conclusion(self):
         rec = KnotRecord("x", 0)
-        assert not null_class_check(rec).obstructed
+        assert not null_class_check(rec, None).obstructed
 
 
 class TestFriendRule:
