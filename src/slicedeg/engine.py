@@ -12,8 +12,8 @@ checked one at a time and each level stops at its first surviving class.
 
 ``upper_bound`` takes the minimum over the record's direct constructions
 (4 * positive clasp number, 4 * slicing number, explicit witnesses) and
-closes it under concordance and connected-sum transfer across the whole
-database by a monotone fixed point.
+closes it under concordance and connected-sum transfer by a monotone
+fixed point over just the records it references, directly or not.
 
 Reports are deterministic: identical inputs and configuration produce
 byte-identical serialized output.
@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import itertools
 import warnings as _warnings
+from collections import ChainMap
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .knots import KnotDatabase, KnotRecord, format_rational
 from .lattice import HomologyClass, enumerate_classes
@@ -37,7 +38,7 @@ from .obstructions import (
     null_class_check,
     vs_obstruction,
 )
-from .staircase import VsSequence, VsUnavailable, nu_plus, vs_of
+from .staircase import OracleDisagreement, VsSequence, VsUnavailable, nu_plus, vs_of
 
 ALL_OBSTRUCTIONS = frozenset({"s", "vs", "gamma", "friend"})
 
@@ -278,52 +279,53 @@ def _direct_upper(record: KnotRecord) -> tuple[int | None, str | None]:
     return best, desc
 
 
-def _relation_cycle(records: Mapping[str, KnotRecord]) -> list[str] | None:
-    graph = {
-        name: [t for t in ((r.concordant_to,) if r.concordant_to else ()) if t in records]
-        + [t for t in (r.connected_sum_of or ()) if t in records]
-        for name, r in records.items()
-    }
-    state: dict[str, int] = {}
-    stack: list[str] = []
+def _upper_fixpoint(
+    records: Mapping[str, KnotRecord], roots: Iterable[str]
+) -> dict[str, tuple[int | None, str | None]]:
+    """Upper bounds of ``roots`` and of every record they reference, directly or not.
 
-    def visit(node: str) -> list[str] | None:
-        state[node] = 1
-        stack.append(node)
-        for nxt in graph[node]:
-            if state.get(nxt, 0) == 1:
-                return stack[stack.index(nxt):] + [nxt]
-            if state.get(nxt, 0) == 0:
-                found = visit(nxt)
-                if found:
-                    return found
-        stack.pop()
-        state[node] = 2
-        return None
+    A depth-first walk with an explicit stack lists those records, each after
+    its references, and warns on the first cycle; the relax loop sweeps that list.
+    """
 
-    for name in records:
-        if state.get(name, 0) == 0:
-            found = visit(name)
-            if found:
-                return found
-    return None
+    def refs(name: str) -> Iterator[str]:
+        r = records[name]
+        return (t for t in (r.concordant_to, *(r.connected_sum_of or ())) if t and t in records)
 
-
-def _upper_fixpoint(records: Mapping[str, KnotRecord]) -> dict[str, tuple[int | None, str | None]]:
-    best: dict[str, tuple[int | None, str | None]] = {
-        name: _direct_upper(r) for name, r in records.items()
-    }
-    cycle = _relation_cycle(records)
+    order: list[str] = []
+    listed: dict[str, bool] = {}  # False while on the walk's path, True once listed
+    cycle: list[str] | None = None
+    for root in roots:
+        if root in listed:
+            continue
+        listed[root] = False
+        stack = [(root, refs(root))]
+        while stack:
+            name, pending = stack[-1]
+            nxt = next(pending, None)
+            if nxt is None:
+                stack.pop()
+                listed[name] = True
+                order.append(name)
+            elif nxt not in listed:
+                listed[nxt] = False
+                stack.append((nxt, refs(nxt)))
+            elif not listed[nxt] and cycle is None:
+                path = [n for n, _ in stack]
+                cycle = path[path.index(nxt):] + [nxt]
     if cycle:
         _warnings.warn(
             f"concordance/connected-sum references cycle: {' -> '.join(cycle)}",
             CyclicRelationWarning,
             stacklevel=3,
         )
+
+    best = {name: _direct_upper(records[name]) for name in order}
     changed = True
     while changed:
         changed = False
-        for name, record in records.items():
+        for name in order:
+            record = records[name]
             current = best[name][0]
             if record.concordant_to and record.concordant_to in best:
                 via, _ = best[record.concordant_to]
@@ -351,12 +353,11 @@ def upper_bound(record: KnotRecord, db: KnotDatabase | None = None) -> tuple[int
 
     The minimum over 4*clasp_plus, 4*slicing_number, explicit witnesses,
     the upper bound of a concordant knot, and the sum over connected-sum
-    summands, closed under transfer across ``db`` by a monotone fixed
-    point.  Returns (None, None) when no source applies.
+    summands, closed under transfer along the records of ``db`` it depends
+    on by a monotone fixed point.  Returns (None, None) when no source applies.
     """
-    records: dict[str, KnotRecord] = dict(db.records) if db else {}
-    records[record.name] = record
-    return _upper_fixpoint(records)[record.name]
+    records = ChainMap({record.name: record}, db.records) if db else {record.name: record}
+    return _upper_fixpoint(records, [record.name])[record.name]
 
 
 # --- tables -----------------------------------------------------------------
@@ -433,13 +434,13 @@ def bound_report(
 def report_table(db: KnotDatabase, cfg: EngineConfig | None = None) -> list[TableRow]:
     """Per-record intervals over the whole database, failures reported inline."""
     cfg = cfg or EngineConfig()
-    uppers = _upper_fixpoint(dict(db.records))
+    uppers = _upper_fixpoint(db.records, db.records)
     rows = []
     for record in db:
         try:
             report = _report(record, *uppers[record.name], cfg)
             rows.append(TableRow(record.name, report.lower, report.upper, report.display))
-        except Exception as exc:
+        except (ValueError, OracleDisagreement) as exc:
             rows.append(TableRow(record.name, None, None, "error", error=str(exc)))
     return rows
 

@@ -366,15 +366,18 @@ def parse_knot_db(text: str) -> KnotDatabase:
 
     unknown_fields: dict[str, int] = {}
     records: dict[str, KnotRecord] = {}
+    diag_warnings: list[str] = []
     for index, obj in enumerate(doc):
         record = _parse_record(obj, index, unknown_fields)
         if record.name in records:
             raise DatabaseError(f"duplicate name {record.name!r}")
-        problems = [d for d in validate_record(record) if d.severity == "error"]
+        diags = validate_record(record)
+        problems = [d for d in diags if d.severity == "error"]
         if problems:
             listing = "; ".join(str(d) for d in problems)
             raise DatabaseError(f"record {record.name!r}: {listing}")
         records[record.name] = record
+        diag_warnings += [f"record {record.name!r}: {d}" for d in diags if d.severity == "warning"]
 
     warnings = [
         f"ignored unknown field {name!r} ({count} occurrence{'s' if count > 1 else ''})"
@@ -394,12 +397,7 @@ def parse_knot_db(text: str) -> KnotDatabase:
                 warnings.append(
                     f"record {record.name!r}: {fld} references unknown knot {target!r}"
                 )
-    for record in records.values():
-        for diag in validate_record(record):
-            if diag.severity == "warning":
-                warnings.append(f"record {record.name!r}: {diag}")
-
-    return KnotDatabase(records=records, warnings=tuple(warnings))
+    return KnotDatabase(records=records, warnings=tuple(warnings + diag_warnings))
 
 
 def serialize_knot_db(db: KnotDatabase) -> str:

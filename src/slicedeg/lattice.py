@@ -16,6 +16,7 @@ and energies are Fractions, never floats.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -130,7 +131,7 @@ def enumerate_classes(k: int) -> list[HomologyClass]:
         if remaining == 0:
             out.append(HomologyClass(tuple(prefix)))
             return
-        top = min(max_part, _isqrt(remaining))
+        top = min(max_part, math.isqrt(remaining))
         for part in range(top, 0, -1):
             prefix.append(part)
             descend(remaining - part * part, part, prefix)
@@ -138,12 +139,6 @@ def enumerate_classes(k: int) -> list[HomologyClass]:
 
     descend(k, k, [])
     return out
-
-
-def _isqrt(n: int) -> int:
-    import math
-
-    return math.isqrt(n)
 
 
 def enumerate_odd_vectors(cls: HomologyClass, v0: int) -> Iterator[OddVector]:
@@ -165,7 +160,7 @@ def enumerate_odd_vectors(cls: HomologyClass, v0: int) -> Iterator[OddVector]:
     k = cls.norm
     a = cls.a
     n = cls.n
-    # max positive dot-product still reachable from coordinate i onward
+
     def candidates(spent: int) -> Iterator[int]:
         mag = 1
         while mag * mag - 1 <= budget - spent:

@@ -268,6 +268,16 @@ class TestReportTable:
         assert by_name["3_1"].display == "4"
         assert by_name["bad"].error is not None
 
+    def test_programming_error_propagates(self, monkeypatch):
+        from slicedeg import engine
+
+        def broken(record, cfg=None):
+            raise TypeError("bug in the search")
+
+        monkeypatch.setattr(engine, "lower_bound", broken)
+        with pytest.raises(TypeError, match="bug in the search"):
+            report_table(db_of(TREFOIL))
+
     def test_soundness_lower_le_upper(self):
         db = db_of(UNKNOT, TREFOIL, SEVEN_FOUR)
         for row in report_table(db):

@@ -69,6 +69,27 @@ class TestParse:
         db = parse_knot_db(json.dumps([{"name": "a", "signature": 0, "concordant_to": "b"}]))
         assert any("unknown knot 'b'" in w for w in db.warnings)
 
+    def test_warning_order_and_single_validation(self, monkeypatch):
+        from slicedeg import knots
+
+        calls = []
+        real = knots.validate_record
+        monkeypatch.setattr(
+            knots, "validate_record", lambda rec: calls.append(rec.name) or real(rec)
+        )
+        text = json.dumps(
+            [
+                {"name": "a", "signature": 0, "vs_spec": {"type": "explicit", "values": [3, 1]}},
+                {"name": "b", "signature": 0, "concordant_to": "z", "sources": "x"},
+            ]
+        )
+        db = parse_knot_db(text)
+        assert calls == ["a", "b"]
+        assert len(db.warnings) == 3
+        assert "sources" in db.warnings[0]
+        assert "unknown knot 'z'" in db.warnings[1]
+        assert db.warnings[2].startswith("record 'a'") and "more than 1" in db.warnings[2]
+
     def test_missing_required_fields(self):
         with pytest.raises(DatabaseError, match="name"):
             parse_knot_db(json.dumps([{"signature": 0}]))
