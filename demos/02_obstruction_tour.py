@@ -41,7 +41,7 @@ cls = HomologyClass((1, 1, 1))
 print(f"  e.g. {cls} with beta = 2: obstructed = {beta_adjunction(cls, 2).obstructed}")
 
 print()
-print("== V_s lambda-search ==")
+print("== V_s obstruction: the first violating odd lambda ==")
 v = VsSequence((1,))
 for a in [(1, 1, 1, 1), (2,)]:
     verdict = vs_obstruction(HomologyClass(a), v)

@@ -5,7 +5,8 @@ certifying each level obstructed until one survives: level 0 via the
 null-class check, higher levels either by a surgery-friend certificate or
 by killing every candidate class with the per-class battery
 (:class:`ClassBattery`: adjunction bounds first, then the instanton energy
-check, then the V_s lambda search, in increasing cost order).  The first
+check, then the V_s check; the fixed order decides which rule a
+certificate names).  The first
 unobstructed level is a sound lower bound because every check is a
 necessary condition for the disk.  The search is serial: classes are
 checked one at a time and each level stops at its first surviving class.
@@ -178,10 +179,10 @@ class ClassBattery:
             self.betas.append(("beta[2nu+]", 2 * nu_plus(self.v)))
 
     def verdicts(self, cls: HomologyClass) -> Iterator[RuleVerdict]:
-        """Each enabled rule's verdict on the class, in increasing cost order.
+        """Each enabled rule's verdict on the class, in a fixed order.
 
         Adjunction bounds first (one per stored beta), then the instanton
-        check once per c-vector, then the V_s lambda search.  Rules without
+        check once per c-vector, then the V_s check.  Rules without
         data on the record (no Gamma values, no V_s) yield nothing.  The
         class is obstructed iff some verdict is; consumers that only need
         the first kill stop early.
@@ -281,11 +282,13 @@ def _direct_upper(record: KnotRecord) -> tuple[int | None, str | None]:
 
 def _upper_fixpoint(
     records: Mapping[str, KnotRecord], roots: Iterable[str]
-) -> dict[str, tuple[int | None, str | None]]:
+) -> tuple[dict[str, tuple[int | None, str | None]], CyclicRelationWarning | None]:
     """Upper bounds of ``roots`` and of every record they reference, directly or not.
 
     A depth-first walk with an explicit stack lists those records, each after
-    its references, and warns on the first cycle; the relax loop sweeps that list.
+    its references, and keeps the first cycle; the relax loop sweeps that list.
+    Returns the bounds and the cycle's warning (None without a cycle), which
+    the public entry point issues so that it names the entry point's caller.
     """
 
     def refs(name: str) -> Iterator[str]:
@@ -294,7 +297,7 @@ def _upper_fixpoint(
 
     order: list[str] = []
     listed: dict[str, bool] = {}  # False while on the walk's path, True once listed
-    cycle: list[str] | None = None
+    warning: CyclicRelationWarning | None = None
     for root in roots:
         if root in listed:
             continue
@@ -310,16 +313,12 @@ def _upper_fixpoint(
             elif nxt not in listed:
                 listed[nxt] = False
                 stack.append((nxt, refs(nxt)))
-            elif not listed[nxt] and cycle is None:
+            elif not listed[nxt] and warning is None:
                 path = [n for n, _ in stack]
-                cycle = path[path.index(nxt):] + [nxt]
-    if cycle:
-        _warnings.warn(
-            f"concordance/connected-sum references cycle: {' -> '.join(cycle)}",
-            CyclicRelationWarning,
-            stacklevel=3,
-        )
-
+                cycle = " -> ".join(path[path.index(nxt):] + [nxt])
+                warning = CyclicRelationWarning(
+                    f"concordance/connected-sum references cycle: {cycle}"
+                )
     best = {name: _direct_upper(records[name]) for name in order}
     changed = True
     while changed:
@@ -345,7 +344,16 @@ def _upper_fixpoint(
                             + f" (<= {total})",
                         )
                         changed = True
-    return best
+    return best, warning
+
+
+def _upper(
+    record: KnotRecord, db: KnotDatabase | None
+) -> tuple[tuple[int | None, str | None], CyclicRelationWarning | None]:
+    """``record``'s upper bound and witness, and the cycle warning to issue."""
+    records = ChainMap({record.name: record}, db.records) if db else {record.name: record}
+    best, warning = _upper_fixpoint(records, [record.name])
+    return best[record.name], warning
 
 
 def upper_bound(record: KnotRecord, db: KnotDatabase | None = None) -> tuple[int | None, str | None]:
@@ -356,8 +364,10 @@ def upper_bound(record: KnotRecord, db: KnotDatabase | None = None) -> tuple[int
     summands, closed under transfer along the records of ``db`` it depends
     on by a monotone fixed point.  Returns (None, None) when no source applies.
     """
-    records = ChainMap({record.name: record}, db.records) if db else {record.name: record}
-    return _upper_fixpoint(records, [record.name])[record.name]
+    upper, warning = _upper(record, db)
+    if warning:
+        _warnings.warn(warning, stacklevel=2)
+    return upper
 
 
 # --- tables -----------------------------------------------------------------
@@ -428,13 +438,18 @@ def _report(
 def bound_report(
     record: KnotRecord, db: KnotDatabase | None = None, cfg: EngineConfig | None = None
 ) -> BoundReport:
-    return _report(record, *upper_bound(record, db), cfg or EngineConfig())
+    upper, warning = _upper(record, db)
+    if warning:
+        _warnings.warn(warning, stacklevel=2)
+    return _report(record, *upper, cfg or EngineConfig())
 
 
 def report_table(db: KnotDatabase, cfg: EngineConfig | None = None) -> list[TableRow]:
     """Per-record intervals over the whole database, failures reported inline."""
     cfg = cfg or EngineConfig()
-    uppers = _upper_fixpoint(db.records, db.records)
+    uppers, warning = _upper_fixpoint(db.records, db.records)
+    if warning:
+        _warnings.warn(warning, stacklevel=2)
     rows = []
     for record in db:
         try:

@@ -151,6 +151,12 @@ def enumerate_odd_vectors(cls: HomologyClass, v0: int) -> Iterator[OddVector]:
 
     Coordinate values are tried in the order 1, -1, 3, -3, ... so the
     all-ones vector comes first.
+
+    This is the reference enumeration, not the engine path: the engine
+    decides the V_s check by the dot-product DP of
+    :func:`slicedeg.obstructions.vs_obstruction`, whose witness is the first
+    violating vector in this order, and the tests compare the two.  The
+    search is exponential in n and in v0, and recurses once per coordinate.
     """
     if cls.n == 0:
         raise ValueError("class must be non-empty")

@@ -12,9 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Sequence
+from functools import lru_cache
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-from .lattice import HomologyClass, LaurentPoly, enumerate_odd_vectors, eta, kappa_min
+from .lattice import HomologyClass, LaurentPoly, eta, kappa_min
+
+# The reference enumeration of vs_obstruction's domain; it stays importable
+# here because bench/tracing.py wraps it at this module.
+from .lattice import enumerate_odd_vectors  # noqa: F401
 from .staircase import VsSequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,39 +71,124 @@ def stau_bound(s_p: int) -> int:
     return k
 
 
+@dataclass(frozen=True, eq=False)
+class _SuffixTable:
+    """Least cost sum(lambda_i^2 - 1) of odd lambda on a suffix of a class, per dot product.
+
+    ``costs[i]`` is the least cost reaching d = lo + 2i (every d has the
+    parity of the suffix sum); a value above ``cap`` means no lambda within
+    ``cap`` reaches d.  Tables compare by identity: a cached table stands
+    for its (suffix, cap), so it keys the cache entry of each longer suffix.
+    """
+
+    cap: int
+    lo: int
+    costs: tuple[int, ...]
+
+
+def _odd_values(limit: int) -> Iterator[int]:
+    """Odd lambda_i with lambda_i^2 - 1 <= limit, in the order 1, -1, 3, -3, ..."""
+    mag = 1
+    while mag * mag - 1 <= limit:
+        yield mag
+        yield -mag
+        mag += 2
+
+
+@lru_cache(maxsize=64)
+def _empty_table(cap: int) -> _SuffixTable:
+    """The table of the empty suffix, one object per cap."""
+    return _SuffixTable(cap, 0, (0,))
+
+
+@lru_cache(maxsize=1024)
+def _extend(head: int, rest: _SuffixTable) -> _SuffixTable:
+    """The table of (head, *suffix) from the table ``rest`` of the suffix."""
+    cap = rest.cap
+    unreached = cap + 1
+    top = max(_odd_values(cap))
+    width = len(rest.costs) + top * head
+    rows = []
+    for mag in range(1, top + 1, 2):
+        spent = mag * mag - 1
+        moved = [c + spent if c + spent <= cap else unreached for c in rest.costs]
+        for shift in ((top - mag) * head // 2, (top + mag) * head // 2):
+            rows.append([unreached] * shift + moved + [unreached] * (width - shift - len(moved)))
+    costs = rows[0]
+    for row in rows[1:]:
+        costs = [c if c < r else r for c, r in zip(costs, row)]
+    first = next(i for i in range(width) if costs[i] <= cap)
+    last = next(i for i in range(width - 1, -1, -1) if costs[i] <= cap)
+    return _SuffixTable(cap, rest.lo - top * head + 2 * first, tuple(costs[first : last + 1]))
+
+
 def vs_obstruction(cls: HomologyClass, v: VsSequence) -> Verdict:
-    """Search the odd-vector domain for a violation of the V_s inequality.
+    """Decide the V_s inequality over all odd lambda by a min-cost DP on the dot product.
 
-    Obstructed iff some odd lambda with 0 <= sum(lambda_i a_i) <= k has
+    Obstructed iff some odd lambda with 0 <= d = sum(lambda_i a_i) <= k has
 
-        sum(lambda_i^2) - n < 8 * V_j,   j = (k - sum(lambda_i a_i)) / 2,
+        sum(lambda_i^2) - n < 8 * V_j,   j = (k - d) / 2,
 
     which j is always integral since k = sum(a_i^2) = sum(a_i) mod 2.
     An all-zero sequence can never obstruct.
+
+    The inequality sees lambda only through d and the cost
+    sum(lambda_i^2 - 1), and a violation needs cost <= cap = 8*V_0 - 1 and
+    V_j > 0.  So the check builds, for every suffix a[i:] and in one
+    explicit loop from the shortest, the least cost of each reachable d
+    within ``cap``; the class is obstructed iff the full table meets
+    8*V_j at some d = k - 2j.  Tables are cached by (suffix, cap), so
+    sorted classes that share a suffix share its table.  The witness is
+    rebuilt one coordinate at a time, taking the first value in the order
+    1, -1, 3, -3, ... whose suffix table still completes a violation: it
+    is the first violating lambda of the depth-first enumeration
+    (:func:`~slicedeg.lattice.enumerate_odd_vectors`).
+
+    Work: with M the largest odd magnitude, M^2 <= 8*V_0, a table holds at
+    most M*sum(a) + 1 <= M*k + 1 entries, and each coordinate costs that
+    times the (M + 1)/2 magnitudes; so O(n * k * V_0) time and
+    O(n * k * sqrt(V_0)) memory in all.  The witness adds, per coordinate,
+    at most M + 1 values times min(nu+, k/2 + 1) table lookups.
     """
     if cls.n == 0:
         raise ValueError("class must be non-empty")
     if v.is_zero():
         return PASS
     k = cls.norm
-    n = cls.n
-    for lam in enumerate_odd_vectors(cls, v.v(0)):
-        dot = sum(l * a for l, a in zip(lam.values, cls.a))
-        j = (k - dot) // 2
-        lhs = sum(l * l for l in lam.values) - n
-        rhs = 8 * v.v(j)
-        if lhs < rhs:
-            return Verdict(
-                True,
-                {
-                    "rule": "vs",
-                    "lambda": lam.values,
-                    "j": j,
-                    "lhs": lhs,
-                    "rhs": rhs,
-                },
-            )
-    return PASS
+    cap = 8 * v.v(0) - 1
+    targets = [(k - 2 * j, 8 * v_j) for j, v_j in enumerate(v.values[: k // 2 + 1])]
+
+    def completes(dot: int, spent: int, rest: _SuffixTable) -> bool:
+        """Whether some lambda on the suffix of ``rest`` completes a violation."""
+        lo, costs = dot + rest.lo, rest.costs
+        for d, rhs in targets:
+            i = (d - lo) // 2
+            if 0 <= i < len(costs) and spent + costs[i] < rhs:
+                return True
+        return False
+
+    tables = [_empty_table(cap)]  # tables[-1 - i] is the table of cls.a[i:]
+    for head in reversed(cls.a):
+        tables.append(_extend(head, tables[-1]))
+    if not completes(0, 0, tables.pop()):
+        return PASS
+    lam: list[int] = []
+    dot = spent = 0
+    for a_i in cls.a:
+        rest = tables.pop()
+        val = next(
+            x
+            for x in _odd_values(cap - spent)
+            if completes(dot + x * a_i, spent + x * x - 1, rest)
+        )
+        lam.append(val)
+        dot += val * a_i
+        spent += val * val - 1
+    j = (k - dot) // 2
+    return Verdict(
+        True,
+        {"rule": "vs", "lambda": tuple(lam), "j": j, "lhs": spent, "rhs": 8 * v.v(j)},
+    )
 
 
 def gamma_general(

@@ -1,11 +1,14 @@
 """Obstruction battery tests."""
 
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicedeg.knots import KnotRecord, VsSpec
-from slicedeg.lattice import HomologyClass, enumerate_classes
+from slicedeg.lattice import HomologyClass, enumerate_classes, enumerate_odd_vectors
 from slicedeg.obstructions import (
     Verdict,
     beta_adjunction,
@@ -18,6 +21,22 @@ from slicedeg.obstructions import (
     vs_obstruction,
 )
 from slicedeg.staircase import VsSequence, vs_of, vs_thin
+
+
+def reference_vs_obstruction(cls: HomologyClass, v: VsSequence) -> Verdict:
+    """The first violating lambda of the depth-first odd-vector enumeration."""
+    if v.is_zero():
+        return Verdict(False)
+    for lam in enumerate_odd_vectors(cls, v.v(0)):
+        dot = sum(l * a for l, a in zip(lam.values, cls.a))
+        j = (cls.norm - dot) // 2
+        lhs = sum(l * l for l in lam.values) - cls.n
+        rhs = 8 * v.v(j)
+        if lhs < rhs:
+            return Verdict(
+                True, {"rule": "vs", "lambda": lam.values, "j": j, "lhs": lhs, "rhs": rhs}
+            )
+    return Verdict(False)
 
 
 def unsorted_class(values) -> HomologyClass:
@@ -107,6 +126,40 @@ class TestVsObstruction:
         sorted_vd = vs_obstruction(HomologyClass((2, 1, 1)), v)
         for perm in [(1, 2, 1), (1, 1, 2)]:
             assert vs_obstruction(unsorted_class(perm), v).obstructed == sorted_vd.obstructed
+
+    def test_class_deeper_than_recursion_limit(self):
+        n = 2 * sys.getrecursionlimit()
+        vd = vs_obstruction(HomologyClass((1,) * n), VsSequence((1,)))
+        assert vd.obstructed
+        assert vd.witness == {"rule": "vs", "lambda": (1,) * n, "j": 0, "lhs": 0, "rhs": 8}
+
+
+DIFFERENTIAL_SEQUENCES = [
+    VsSequence(values) for values in ((1,), (1, 1), (2, 1), (3, 2, 1), (2, 2, 1, 1), (3, 3, 3, 3))
+] + [vs_thin(tau) for tau in range(1, 5)]
+
+
+class TestVsAgainstEnumeration:
+    """The DP against the depth-first enumeration, witness included."""
+
+    def test_every_class_up_to_norm_14(self):
+        pairs = 0
+        for v in DIFFERENTIAL_SEQUENCES:
+            for k in range(1, 15):
+                for cls in enumerate_classes(k):
+                    assert vs_obstruction(cls, v) == reference_vs_obstruction(cls, v), (cls.a, v)
+                    pairs += 1
+        assert pairs == 430
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.integers(15, 18).flatmap(lambda k: st.sampled_from(enumerate_classes(k))),
+        st.lists(st.integers(0, 2), max_size=6).map(
+            lambda values: VsSequence.from_values(sorted(values, reverse=True))
+        ),
+    )
+    def test_random_sequences_at_norms_15_to_18(self, cls, v):
+        assert vs_obstruction(cls, v) == reference_vs_obstruction(cls, v)
 
 
 class TestGammaGeneral:

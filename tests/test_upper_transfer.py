@@ -190,3 +190,14 @@ class TestCycleWarning:
             report_table(db)
             bound_report(cycle[0], db)
         assert sum(issubclass(w.category, CyclicRelationWarning) for w in caught) == 2
+
+    def test_warning_names_the_caller(self):
+        a = KnotRecord("a", 0, concordant_to="b")
+        db = db_of([a, KnotRecord("b", 0, concordant_to="a")])
+        calls = (lambda: upper_bound(a, db), lambda: bound_report(a, db), lambda: report_table(db))
+        for call in calls:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert [w.category for w in caught] == [CyclicRelationWarning]
+            assert caught[0].filename == __file__
