@@ -134,10 +134,23 @@ def display_interval(lower: int, upper: int | None) -> str:
 # --- lower bounds -----------------------------------------------------------
 
 
-def _gamma_c_vectors(n: int, sweep: bool) -> list[tuple[int, ...]]:
+def _gamma_c_vectors(a: Sequence[int], sweep: bool) -> list[tuple[int, ...]]:
+    """The c-vectors the instanton check tries on the sorted class ``a``.
+
+    Without the sweep only c = 0.  With it, one c in {0,1}^n per orbit
+    under permutations among equal entries of ``a``, which leave kappa,
+    the index and eta unchanged: the lexicographically least member, which
+    over each run of m equal entries is 0^(m-j) 1^j for j = 0..m.  That is
+    prod(m_j + 1) vectors, listed in lexicographic order, so the first
+    killing c is the first killing c of the full 2^n sweep in that order.
+    Each is decided by :func:`gamma_general` in O(n) integer operations,
+    plus O(n * sum(a)) once for the eta of a killing c's witness.
+    """
     if not sweep:
-        return [(0,) * n]
-    return sorted(itertools.product((0, 1), repeat=n))
+        return [(0,) * len(a)]
+    runs = [len(list(group)) for _, group in itertools.groupby(a)]
+    choices = [[(0,) * (m - j) + (1,) * j for j in range(m + 1)] for m in runs]
+    return [tuple(itertools.chain.from_iterable(parts)) for parts in itertools.product(*choices)]
 
 
 class RuleVerdict(NamedTuple):
@@ -182,7 +195,9 @@ class ClassBattery:
         """Each enabled rule's verdict on the class, in a fixed order.
 
         Adjunction bounds first (one per stored beta), then the instanton
-        check once per c-vector, then the V_s check.  Rules without
+        check once per c-vector (c = 0, or with the c-sweep one c per
+        orbit under permuting equal entries, see :func:`_gamma_c_vectors`),
+        then the V_s check.  Rules without
         data on the record (no Gamma values, no V_s) yield nothing.  The
         class is obstructed iff some verdict is; consumers that only need
         the first kill stop early.
@@ -193,7 +208,7 @@ class ClassBattery:
             for rule, beta in self.betas:
                 yield RuleVerdict(rule, beta_adjunction(cls, beta), beta, rhs)
         if "gamma" in cfg.obstructions and record.gamma:
-            for c in _gamma_c_vectors(cls.n, cfg.gamma_c_sweep):
+            for c in _gamma_c_vectors(cls.a, cfg.gamma_c_sweep):
                 yield RuleVerdict("gamma", gamma_general(cls, c, record.signature, record.gamma))
         if "vs" in cfg.obstructions and v is not None:
             yield RuleVerdict("vs", vs_obstruction(cls, v))

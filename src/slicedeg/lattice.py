@@ -9,8 +9,9 @@ zero coordinates dropped.
 
 This module also computes the minimal topological energy kappa_min of
 reducibles over the integer lattice, its argmin set Phi_min, and the signed
-Laurent count eta weighted by monopole number.  Everything is exact: norms
-and energies are Fractions, never floats.
+Laurent count eta weighted by monopole number, all one coordinate at a
+time.  Everything is exact: norms and energies are integers (energies
+scaled by 16) or Fractions, never floats.
 """
 
 from __future__ import annotations
@@ -203,47 +204,61 @@ def _tail_reach(a: Sequence[int], start: int, budget_left: int) -> int:
     return reach
 
 
+# The values of 4z + t nearest to 0 over integer z, by t mod 4.
+_NEAREST = ((0,), (1,), (-2, 2), (-1,))
+
+
+def _coordinate_minimizers(ai: int, ci: int) -> tuple[int, tuple[int, ...]]:
+    """16 * min over integer z of (z + ai/4 - ci/2)^2, and its argmins in increasing order.
+
+    With t = ai - 2*ci the energy is (4z + t)^2 / 16, so the minimum and
+    its argmins depend only on t mod 4 (see ``_NEAREST``): one argmin, or
+    two when t = 2 mod 4.
+    """
+    t = ai - 2 * ci
+    nearest = _NEAREST[t % 4]
+    return nearest[0] ** 2, tuple((v - t) // 4 for v in nearest)
+
+
+def kappa16(cls_signed: Sequence[int], c: Sequence[int]) -> int:
+    """16 * kappa_min(cls_signed, c), in integers and without the argmins."""
+    if len(cls_signed) != len(c):
+        raise ValueError("class and c must have the same length")
+    return sum(_NEAREST[(ai - 2 * ci) % 4][0] ** 2 for ai, ci in zip(cls_signed, c))
+
+
 def kappa_min(
     cls_signed: Sequence[int], c: Sequence[int]
 ) -> tuple[Fraction, list[tuple[int, ...]]]:
     """Minimal energy sum((z_i + a_i/4 - c_i/2)^2) over integer z, with argmins.
 
     The form is separable, so the minimum and the full argmin set Phi_min
-    are computed per coordinate.  Exact rationals throughout (denominator
-    divides 16).
+    are computed per coordinate; Phi_min is their Cartesian product, up to
+    2^n points.  Exact rationals throughout (denominator divides 16).
     """
     if len(cls_signed) != len(c):
         raise ValueError("class and c must have the same length")
-    total = Fraction(0)
-    per_coord_mins: list[list[int]] = []
-    for ai, ci in zip(cls_signed, c):
-        f = Fraction(ai, 4) - Fraction(ci, 2)
-        lo = -f
-        z0 = lo.numerator // lo.denominator  # floor(-f)
-        best: Fraction | None = None
-        argmin: list[int] = []
-        for z in (z0, z0 + 1):
-            val = (z + f) ** 2
-            if best is None or val < best:
-                best, argmin = val, [z]
-            elif val == best:
-                argmin.append(z)
-        assert best is not None
-        total += best
-        per_coord_mins.append(sorted(argmin))
-    phi = [tuple(zs) for zs in itertools.product(*per_coord_mins)] if per_coord_mins else [()]
-    return total, phi
+    minima = [_coordinate_minimizers(ai, ci) for ai, ci in zip(cls_signed, c)]
+    phi = list(itertools.product(*(zs for _, zs in minima)))
+    return Fraction(sum(m for m, _ in minima), 16), phi
 
 
 def eta(cls_signed: Sequence[int], c: Sequence[int]) -> LaurentPoly:
     """Signed Laurent count of minimal reducibles.
 
     eta = sum over z in Phi_min of (-1)^(sum z_i^2) * T^(sum a_i (c_i - 2 z_i)).
+
+    Sign and exponent factor over the coordinates, so eta is the product of
+    one factor per coordinate with one term per argmin z_i; Phi_min is never
+    expanded.  The running product spans at most 2*sum|a_i| + 1 exponents,
+    so the work is O(n * sum|a_i|).
     """
-    _, phi = kappa_min(cls_signed, c)
-    terms = []
-    for z in phi:
-        sign = -1 if sum(zi * zi for zi in z) % 2 else 1
-        exp = sum(ai * (ci - 2 * zi) for ai, ci, zi in zip(cls_signed, c, z))
-        terms.append((exp, sign))
-    return LaurentPoly.from_terms(terms)
+    if len(cls_signed) != len(c):
+        raise ValueError("class and c must have the same length")
+    count = LaurentPoly({0: 1})
+    for ai, ci in zip(cls_signed, c):
+        _, zs = _coordinate_minimizers(ai, ci)
+        count = count * LaurentPoly.from_terms(
+            (ai * (ci - 2 * z), -1 if z % 2 else 1) for z in zs
+        )
+    return count

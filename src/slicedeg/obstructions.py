@@ -10,16 +10,18 @@ obstruct.  All arithmetic is exact.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-from .lattice import HomologyClass, LaurentPoly, eta, kappa_min
+from .lattice import HomologyClass, eta, kappa16
 
-# The reference enumeration of vs_obstruction's domain; it stays importable
-# here because bench/tracing.py wraps it at this module.
-from .lattice import enumerate_odd_vectors  # noqa: F401
+# The reference enumeration of vs_obstruction's domain, and kappa_min with
+# its Phi_min expansion, stay importable here because bench/tracing.py
+# wraps them at this module.
+from .lattice import enumerate_odd_vectors, kappa_min  # noqa: F401
 from .staircase import VsSequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -101,8 +103,7 @@ def _empty_table(cap: int) -> _SuffixTable:
     return _SuffixTable(cap, 0, (0,))
 
 
-@lru_cache(maxsize=1024)
-def _extend(head: int, rest: _SuffixTable) -> _SuffixTable:
+def _build(head: int, rest: _SuffixTable) -> _SuffixTable:
     """The table of (head, *suffix) from the table ``rest`` of the suffix."""
     cap = rest.cap
     unreached = cap + 1
@@ -122,6 +123,42 @@ def _extend(head: int, rest: _SuffixTable) -> _SuffixTable:
     return _SuffixTable(cap, rest.lo - top * head + 2 * first, tuple(costs[first : last + 1]))
 
 
+class _TableCache:
+    """Least-recently-used memo of suffix tables, bounded by the costs it keeps alive.
+
+    An entry maps (head, table of the suffix) to the table of the longer
+    suffix, so it holds two tables and is charged both lengths.  Entries
+    are evicted, oldest use first, until the charge is at most ``budget``;
+    so one long class cannot keep more than that many costs resident,
+    however many coordinates it has.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.charge = 0
+        self.entries: OrderedDict[tuple[int, _SuffixTable], _SuffixTable] = OrderedDict()
+
+    def extend(self, head: int, rest: _SuffixTable) -> _SuffixTable:
+        """The table of (head, *suffix) from the table ``rest`` of the suffix."""
+        key = (head, rest)
+        table = self.entries.get(key)
+        if table is not None:
+            self.entries.move_to_end(key)
+            return table
+        table = _build(head, rest)
+        self.entries[key] = table
+        self.charge += len(rest.costs) + len(table.costs)
+        while self.charge > self.budget:
+            (_, old_rest), old = self.entries.popitem(last=False)
+            self.charge -= len(old_rest.costs) + len(old.costs)
+        return table
+
+
+# 32768 costs: 256 KiB of references while costs are small ints.  The
+# torus-ladder benchmark's 276 tables are charged 8836 in all.
+_TABLES = _TableCache(budget=1 << 15)
+
+
 def vs_obstruction(cls: HomologyClass, v: VsSequence) -> Verdict:
     """Decide the V_s inequality over all odd lambda by a min-cost DP on the dot product.
 
@@ -137,11 +174,12 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence) -> Verdict:
     V_j > 0.  So the check builds, for every suffix a[i:] and in one
     explicit loop from the shortest, the least cost of each reachable d
     within ``cap``; the class is obstructed iff the full table meets
-    8*V_j at some d = k - 2j.  Tables are cached by (suffix, cap), so
-    sorted classes that share a suffix share its table.  The witness is
-    rebuilt one coordinate at a time, taking the first value in the order
-    1, -1, 3, -3, ... whose suffix table still completes a violation: it
-    is the first violating lambda of the depth-first enumeration
+    8*V_j at some d = k - 2j.  Tables are cached by (suffix, cap), up to
+    a bounded total size, so sorted classes that share a suffix share its
+    table.  The witness is rebuilt one coordinate at a time, taking the
+    first value in the order 1, -1, 3, -3, ... whose suffix table still
+    completes a violation: it is the first violating lambda of the
+    depth-first enumeration
     (:func:`~slicedeg.lattice.enumerate_odd_vectors`).
 
     Work: with M the largest odd magnitude, M^2 <= 8*V_0, a table holds at
@@ -169,7 +207,7 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence) -> Verdict:
 
     tables = [_empty_table(cap)]  # tables[-1 - i] is the table of cls.a[i:]
     for head in reversed(cls.a):
-        tables.append(_extend(head, tables[-1]))
+        tables.append(_TABLES.extend(head, tables[-1]))
     if not completes(0, 0, tables.pop()):
         return PASS
     lam: list[int] = []
@@ -203,30 +241,36 @@ def gamma_general(
     i = 4*kappa - k/4 - sigma/2: if the signed count eta is non-zero and
     i >= 0, the value Gamma_K(i) can be at most 2*kappa.  Unknown
     Gamma_K(i) gives no conclusion.
+
+    Decided in integers: 16*kappa is a sum of per-coordinate minima
+    (:func:`~slicedeg.lattice.kappa16`) and 4*i = 16*kappa - k - 2*sigma.
+    For a class, every a_i is non-zero, so each coordinate's factor of
+    eta has one term or two terms with exponents 2*a_i apart, and eta, a
+    product of non-zero Laurent polynomials, is never zero.  It is
+    computed only for an obstructing witness.  Work: O(n) integer
+    operations per call, plus O(n * sum(a)) for an obstructing witness's eta.
     """
     if len(c) != cls.n:
         raise ValueError("c must match the class length")
-    kappa, _ = kappa_min(cls.a, c)
-    count = eta(cls.a, c)
-    if count.is_zero():
+    energy16 = kappa16(cls.a, c)
+    index4 = energy16 - cls.norm - 2 * sigma
+    if index4 < 0:
         return PASS
-    index = 4 * kappa - Fraction(cls.norm, 4) - Fraction(sigma, 2)
-    if index < 0:
-        return PASS
-    if index.denominator != 1:
-        return Verdict(False, note=f"non-integral index {index}")
-    i = int(index)
+    if index4 % 4:
+        return Verdict(False, note=f"non-integral index {Fraction(index4, 4)}")
+    i = index4 // 4
     value = gamma.get(i)
     if value is None:
         return PASS
-    if value > 2 * kappa:
+    if 8 * value > energy16:
+        kappa = Fraction(energy16, 16)
         return Verdict(
             True,
             {
                 "rule": "gamma",
                 "kappa_min": kappa,
                 "i": i,
-                "eta": str(count),
+                "eta": str(eta(cls.a, c)),
                 "gamma": value,
                 "bound": 2 * kappa,
                 "c": tuple(c),

@@ -1,11 +1,13 @@
 """Engine tests: lower/upper bounds, beta table, report assembly."""
 
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
 from slicedeg.engine import (
+    ClassBattery,
     CyclicRelationWarning,
     EngineConfig,
     beta_table,
@@ -15,6 +17,7 @@ from slicedeg.engine import (
     report_table,
     report_to_jsonable,
     upper_bound,
+    _gamma_c_vectors,
 )
 from slicedeg.knots import (
     FriendshipRecord,
@@ -23,6 +26,7 @@ from slicedeg.knots import (
     UpperWitness,
     VsSpec,
 )
+from slicedeg.lattice import HomologyClass
 from slicedeg.obstructions import stau_bound
 
 TREFOIL = KnotRecord(
@@ -139,6 +143,41 @@ class TestLowerBound:
         assert swept.level == 8 and swept.surviving_class.a == (2, 2)
         killed = {c.cls.a: c.rule for cert in swept.certificates for c in cert.classes}
         assert killed.get((2,)) == "gamma"
+
+
+def least_in_orbit(a, c):
+    """The lexicographically least c' reached by permuting c among equal entries of a."""
+    n = len(a)
+    return min(
+        tuple(c[p[i]] for i in range(n))
+        for p in itertools.permutations(range(n))
+        if all(a[p[i]] == a[i] for i in range(n))
+    )
+
+
+class TestGammaCVectors:
+    def test_without_sweep_only_zero(self):
+        assert _gamma_c_vectors((3, 1, 1), False) == [(0, 0, 0)]
+
+    @pytest.mark.parametrize("a", [(1,), (2, 1), (2, 2), (3, 2, 2, 1, 1, 1), (4, 3, 3, 2, 1, 1)])
+    def test_one_least_member_per_orbit_in_lex_order(self, a):
+        orbits = {least_in_orbit(a, c) for c in itertools.product((0, 1), repeat=len(a))}
+        assert _gamma_c_vectors(a, True) == sorted(orbits)
+
+    def test_sixteen_ones(self):
+        vectors = _gamma_c_vectors((1,) * 16, True)
+        assert len(vectors) == 17
+        assert all(x < y for x, y in zip(vectors, vectors[1:]))
+        # with all entries equal, a vector is least in its orbit iff it is non-decreasing
+        assert all(list(c) == sorted(c) for c in vectors)
+
+    def test_battery_sweeps_a_long_class(self):
+        # 16*kappa = 24 = k for every c, so the index is 1 and Gamma(1) = 1 <= 2*kappa = 3
+        record = KnotRecord("g", -2, gamma={1: Fraction(1)})
+        battery = ClassBattery(record, EngineConfig(gamma_c_sweep=True))
+        verdicts = list(battery.verdicts(HomologyClass((1,) * 24)))
+        assert [rv.rule for rv in verdicts] == ["gamma"] * 25
+        assert not any(rv.verdict.obstructed for rv in verdicts)
 
 
 class TestUpperBound:

@@ -17,6 +17,7 @@ from slicedeg.lattice import (
     enumerate_classes,
     enumerate_odd_vectors,
     eta,
+    kappa16,
     kappa_min,
 )
 
@@ -183,6 +184,7 @@ class TestKappaMin:
                 val, phi = kappa_min((a,), (c,))
                 bval, bargs = brute_kappa_coord(a, c)
                 assert val == bval
+                assert kappa16((a,), (c,)) == 16 * bval
                 assert [z[0] for z in phi] == bargs
 
     def test_separable(self):
@@ -224,6 +226,25 @@ class TestEta:
     def test_nonzero_c(self):
         # a=2, c=1: f = 1/2 - 1/2 = 0, unique z = 0, nu = 2*(1-0) = 2
         assert eta((2,), (1,)) == LaurentPoly({2: 1})
+
+    def test_product_equals_phi_min_expansion(self):
+        # signed and zero entries included: a zero entry with odd c has two
+        # argmins whose terms cancel, so eta is zero there
+        zeros = 0
+        for n in (1, 2, 3):
+            for a in product(range(-3, 4), repeat=n):
+                for c in product((-1, 0, 1), repeat=n):
+                    _, phi = kappa_min(a, c)
+                    expanded = LaurentPoly.from_terms(
+                        (
+                            sum(ai * (ci - 2 * zi) for ai, ci, zi in zip(a, c, z)),
+                            -1 if sum(zi * zi for zi in z) % 2 else 1,
+                        )
+                        for z in phi
+                    )
+                    assert eta(a, c) == expanded, (a, c)
+                    zeros += expanded.is_zero()
+        assert zeros > 0
 
     def test_str_rendering(self):
         assert str(eta((2,), (0,))) == "1 - T^4"

@@ -1,14 +1,20 @@
 """Obstruction battery tests."""
 
+import gc
+import itertools
 import sys
+import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slicedeg.engine import EngineConfig, _gamma_c_vectors, lower_bound
 from slicedeg.knots import KnotRecord, VsSpec
-from slicedeg.lattice import HomologyClass, enumerate_classes, enumerate_odd_vectors
+from slicedeg.lattice import HomologyClass, LaurentPoly, enumerate_classes, enumerate_odd_vectors
+from slicedeg import obstructions
 from slicedeg.obstructions import (
     Verdict,
     beta_adjunction,
@@ -37,6 +43,69 @@ def reference_vs_obstruction(cls: HomologyClass, v: VsSequence) -> Verdict:
                 True, {"rule": "vs", "lambda": lam.values, "j": j, "lhs": lhs, "rhs": rhs}
             )
     return Verdict(False)
+
+
+@lru_cache(maxsize=None)
+def reference_kappa_eta(a: tuple, c: tuple) -> tuple[Fraction, LaurentPoly]:
+    """kappa_min in Fractions, and eta summed over the expanded argmin set Phi_min.
+
+    The library's computation before it went per coordinate in integers.
+    """
+    total = Fraction(0)
+    per_coord_mins = []
+    for ai, ci in zip(a, c):
+        f = Fraction(ai, 4) - Fraction(ci, 2)
+        z0 = (-f).numerator // (-f).denominator
+        best, argmin = None, []
+        for z in (z0, z0 + 1):
+            val = (z + f) ** 2
+            if best is None or val < best:
+                best, argmin = val, [z]
+            elif val == best:
+                argmin.append(z)
+        total += best
+        per_coord_mins.append(argmin)
+    terms = []
+    for z in itertools.product(*per_coord_mins):
+        sign = -1 if sum(zi * zi for zi in z) % 2 else 1
+        terms.append((sum(ai * (ci - 2 * zi) for ai, ci, zi in zip(a, c, z)), sign))
+    return total, LaurentPoly.from_terms(terms)
+
+
+@lru_cache(maxsize=None)
+def reference_index(kappa: Fraction, k: int, sigma: int) -> Fraction:
+    return 4 * kappa - Fraction(k, 4) - Fraction(sigma, 2)
+
+
+def reference_gamma_general(cls: HomologyClass, c, sigma: int, gamma) -> Verdict:
+    """The instanton check in Fractions, with eta from the expanded Phi_min.
+
+    The library's check before it went to integers; the index is memoised
+    only to keep the exhaustive test fast.
+    """
+    kappa, count = reference_kappa_eta(cls.a, tuple(c))
+    if count.is_zero():
+        return Verdict(False)
+    index = reference_index(kappa, cls.norm, sigma)
+    if index < 0:
+        return Verdict(False)
+    if index.denominator != 1:
+        return Verdict(False, note=f"non-integral index {index}")
+    value = gamma.get(int(index))
+    if value is None or not value > 2 * kappa:
+        return Verdict(False)
+    return Verdict(
+        True,
+        {
+            "rule": "gamma",
+            "kappa_min": kappa,
+            "i": int(index),
+            "eta": str(count),
+            "gamma": value,
+            "bound": 2 * kappa,
+            "c": tuple(c),
+        },
+    )
 
 
 def unsorted_class(values) -> HomologyClass:
@@ -133,6 +202,42 @@ class TestVsObstruction:
         assert vd.obstructed
         assert vd.witness == {"rule": "vs", "lambda": (1,) * n, "j": 0, "lhs": 0, "rhs": 8}
 
+    def test_long_class_keeps_bounded_tables(self):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            vs_obstruction(HomologyClass((1,) * 2000), VsSequence((1,)))
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept <= 2 * 1024 * 1024
+
+    def test_torus_ladder_tables_stay_resident(self, monkeypatch):
+        # the torus-ladder benchmark's searches: thin T(2,2m+1) and vs-only explicit V_s
+        ladder = [
+            KnotRecord(f"T(2,{2 * m + 1})", -2 * m, s_invariants={0: 2 * m}, tau=m,
+                       vs_spec=VsSpec("thin"), slicing_number=m)
+            for m in range(1, 9)
+        ]
+        shapes = [
+            (2, 2, 1, 1), (2, 2, 2, 1), (2, 2, 2, 2), (3, 2, 1, 1),
+            (3, 2, 2, 2), (3, 3, 2, 2), (3, 3, 3, 2), (3, 3, 3, 3),
+        ]
+        vs_only = EngineConfig(max_k=16, obstructions=frozenset({"vs"}))
+        searches = [(record, EngineConfig()) for record in ladder] + [
+            (KnotRecord(f"V{values}", 0, vs_spec=VsSpec("explicit", values)), vs_only)
+            for values in shapes
+        ]
+        first = [lower_bound(record, cfg) for record, cfg in searches]
+
+        def rebuilt(head, rest):
+            raise AssertionError("a table was evicted and rebuilt")
+
+        monkeypatch.setattr(obstructions, "_build", rebuilt)
+        assert [lower_bound(record, cfg) for record, cfg in searches] == first
+
 
 DIFFERENTIAL_SEQUENCES = [
     VsSequence(values) for values in ((1,), (1, 1), (2, 1), (3, 2, 1), (2, 2, 1, 1), (3, 3, 3, 3))
@@ -202,6 +307,64 @@ class TestGammaGeneral:
         base = gamma_general(HomologyClass((2, 1)), (0, 0), -2, gamma)
         for perm in [(1, 2)]:
             assert gamma_general(unsorted_class(perm), (0, 0), -2, gamma).obstructed == base.obstructed
+
+
+# Gamma values on the 1/8 grid of the bound 2*kappa (so ties occur), the
+# bundled double-twist values, and a sparse map.
+GAMMA_MAPS = (
+    {i: Fraction(i + 1, 4) for i in range(8)},
+    {0: Fraction(1, 3), 1: Fraction(3, 5), 2: Fraction(15, 23), 3: Fraction(12, 11), 5: Fraction(2)},
+    {1: Fraction(7, 8), 2: Fraction(1, 2), 4: Fraction(9, 4), 6: Fraction(1, 16)},
+)
+
+
+class TestGammaAgainstReference:
+    """The integer check against the Phi_min-expanding one, witness included."""
+
+    def test_every_class_and_c_up_to_norm_12(self):
+        """Every verdict matches, and so does the first kill of each sweep.
+
+        The full sweep runs over sorted({0,1}^n) with the reference check, the
+        engine's over one c per orbit (``_gamma_c_vectors``) with the integer one.
+        """
+        pairs = kills = notes = first_kills = 0
+        for k in range(1, 13):
+            for cls in enumerate_classes(k):
+                full = sorted(itertools.product((0, 1), repeat=cls.n))
+                orbits = _gamma_c_vectors(cls.a, True)
+                for sigma in range(-6, 3):
+                    for gamma in GAMMA_MAPS:
+                        first = None
+                        for c in full:
+                            got = gamma_general(cls, c, sigma, gamma)
+                            expected = reference_gamma_general(cls, c, sigma, gamma)
+                            assert got == expected, (cls.a, c, sigma, gamma)
+                            if got.obstructed and first is None:
+                                first = got
+                            pairs += 1
+                            kills += got.obstructed
+                            notes += got.note is not None
+                        swept = (gamma_general(cls, c, sigma, gamma) for c in orbits)
+                        assert next((vd for vd in swept if vd.obstructed), None) == first
+                        first_kills += first is not None
+        assert pairs == 253098
+        assert (kills, notes, first_kills) == (1670, 82245, 123)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.integers(13, 18)
+        .flatmap(lambda k: st.sampled_from(enumerate_classes(k)))
+        .flatmap(
+            lambda cls: st.tuples(
+                st.just(cls), st.lists(st.integers(0, 1), min_size=cls.n, max_size=cls.n)
+            )
+        ),
+        st.integers(-6, 2),
+        st.sampled_from(GAMMA_MAPS),
+    )
+    def test_random_pairs_at_norms_13_to_18(self, cls_c, sigma, gamma):
+        cls, c = cls_c
+        assert gamma_general(cls, c, sigma, gamma) == reference_gamma_general(cls, c, sigma, gamma)
 
 
 class TestGamma21:
