@@ -23,7 +23,7 @@ from .engine import (
     report_to_jsonable,
 )
 from .knots import DatabaseError, KnotDatabase, KnotRecord, load_knot_db
-from .lattice import HomologyClass, enumerate_classes
+from .lattice import HomologyClass, iter_classes
 from .staircase import (
     OracleDisagreement,
     VsUnavailable,
@@ -183,7 +183,7 @@ def _cmd_classes(args, parser: argparse.ArgumentParser) -> int:
     if args.k < 0:
         parser.error("k must be non-negative")
     _load_db(args)
-    for cls in enumerate_classes(args.k):
+    for cls in iter_classes(args.k):
         print(cls)
     return 0
 

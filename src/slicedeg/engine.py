@@ -8,8 +8,9 @@ by killing every candidate class with the per-class battery
 check, then the V_s check; the fixed order decides which rule a
 certificate names).  The first
 unobstructed level is a sound lower bound because every check is a
-necessary condition for the disk.  The search is serial: classes are
-checked one at a time and each level stops at its first surviving class.
+necessary condition for the disk.  The search is serial and lazy: each
+level streams its classes from :func:`~slicedeg.lattice.iter_classes` and
+stops at its first surviving class, as ``beta_table`` does.
 
 ``upper_bound`` takes the minimum over the record's direct constructions
 (4 * positive clasp number, 4 * slicing number, explicit witnesses) and
@@ -30,7 +31,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .knots import KnotDatabase, KnotRecord, format_rational
-from .lattice import HomologyClass, enumerate_classes
+# enumerate_classes stays importable here because bench/tracing.py wraps it at this module.
+from .lattice import HomologyClass, enumerate_classes, iter_classes  # noqa: F401
 from .obstructions import (
     Verdict,
     beta_adjunction,
@@ -140,16 +142,18 @@ def _gamma_c_vectors(a: Sequence[int], sweep: bool) -> list[tuple[int, ...]]:
     Without the sweep only c = 0.  With it, one c in {0,1}^n per orbit
     under permutations among equal entries of ``a``, which leave kappa,
     the index and eta unchanged: the lexicographically least member, which
-    over each run of m equal entries is 0^(m-j) 1^j for j = 0..m.  That is
-    prod(m_j + 1) vectors, listed in lexicographic order, so the first
-    killing c is the first killing c of the full 2^n sweep in that order.
+    over each run of m equal even entries is 0^(m-j) 1^j for j = 0..m.  Odd
+    entries keep c_i = 0: a_i - 2*c_i is odd either way, so kappa, the index
+    and the verdict do not depend on c_i.  That is prod(m_j + 1) vectors
+    over the even runs, in lexicographic order, so the first killing c is
+    the first killing c of the full 2^n sweep in that order.
     Each is decided by :func:`gamma_general` in O(n) integer operations,
     plus O(n * sum(a)) once for the eta of a killing c's witness.
     """
     if not sweep:
         return [(0,) * len(a)]
-    runs = [len(list(group)) for _, group in itertools.groupby(a)]
-    choices = [[(0,) * (m - j) + (1,) * j for j in range(m + 1)] for m in runs]
+    runs = [(len(list(group)), x % 2) for x, group in itertools.groupby(a)]
+    choices = [[(0,) * (m - j) + (1,) * j for j in range(1 if odd else m + 1)] for m, odd in runs]
     return [tuple(itertools.chain.from_iterable(parts)) for parts in itertools.product(*choices)]
 
 
@@ -263,7 +267,7 @@ def lower_bound(record: KnotRecord, cfg: EngineConfig | None = None) -> LowerBou
                 continue
             return LowerBoundSearch(0, False, HomologyClass(()), tuple(certificates))
         kills = []
-        for cls in enumerate_classes(k):
+        for cls in iter_classes(k):
             for rv in battery.verdicts(cls):
                 if rv.verdict.obstructed:
                     kills.append(ClassCertificate(cls, rv.rule, rv.verdict))
@@ -399,24 +403,18 @@ def beta_table(betas: Sequence[int]) -> list[BetaTableRow]:
     """For each beta, the first level with a class surviving the adjunction bound.
 
     The witness is the first surviving class in the canonical enumeration
-    order (descending tuples, lexicographically descending).
+    order (descending tuples, lexicographically descending); beta <= 0
+    gives level 0 and the empty class.
     """
     if not betas:
         raise ValueError("betas must be non-empty")
     rows = []
     for beta in betas:
-        if beta <= 0:
-            rows.append(BetaTableRow(beta, 0, HomologyClass(())))
-            continue
-        k = 1
-        while True:
-            hit = next(
-                (cls for cls in enumerate_classes(k) if beta <= cls.norm - sum(cls.a)), None
-            )
-            if hit is not None:
-                rows.append(BetaTableRow(beta, k, hit))
-                break
-            k += 1
+        k, cls = next(
+            (k, cls) for k in itertools.count() for cls in iter_classes(k)
+            if not beta_adjunction(cls, beta).obstructed
+        )
+        rows.append(BetaTableRow(beta, k, cls))
     return rows
 
 

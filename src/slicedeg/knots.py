@@ -326,10 +326,7 @@ def _parse_record(obj: Any, index: int, unknown_fields: dict[str, int]) -> KnotR
     if concordant is not None:
         concordant = _expect(concordant, str, f"{where}.concordant_to")
 
-    try:
-        vs_spec = _parse_vs_spec(data.get("vs_spec", {"type": "unknown"}), f"{where}.vs_spec")
-    except ValueError as exc:
-        raise DatabaseError(f"{where}.vs_spec: {exc}") from exc
+    vs_spec = _parse_vs_spec(data.get("vs_spec", {"type": "unknown"}), f"{where}.vs_spec")
 
     return KnotRecord(
         name=name,

@@ -5,7 +5,7 @@ multisets of positive integers (a1 >= ... >= an >= 1) with norm
 k = sum(ai^2).  Permuting coordinates and flipping signs are symmetries of
 every obstruction we apply (sign flips are absorbed by the lambda/z
 variables), so classes are stored sign-normalized, sorted descending, with
-zero coordinates dropped.
+zero coordinates dropped; :func:`iter_classes` streams a level lazily.
 
 This module also computes the minimal topological energy kappa_min of
 reducibles over the integer lattice, its argmin set Phi_min, and the signed
@@ -114,32 +114,34 @@ class LaurentPoly:
         return " ".join(parts)
 
 
-ONE = LaurentPoly({0: 1})
+def iter_classes(k: int) -> Iterator[HomologyClass]:
+    """Stream the multisets of positive integers with sum of squares k, without recursion.
 
-
-def enumerate_classes(k: int) -> list[HomologyClass]:
-    """All multisets of positive integers with sum of squares k.
-
-    Returned in lexicographic descending order on the descending-sorted
-    tuples, so the output is deterministic; k = 0 yields exactly the empty
-    class.
+    Lexicographically descending on the sorted tuples; k = 0 yields only the
+    empty class.  Each class is completed greedily (largest part that fits),
+    and the next one lowers the last part above 1 and drops the ones after it.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    out: list[HomologyClass] = []
-
-    def descend(remaining: int, max_part: int, prefix: list[int]) -> None:
-        if remaining == 0:
-            out.append(HomologyClass(tuple(prefix)))
+    parts: list[int] = []
+    rest, top = k, k
+    while True:
+        while rest:
+            top = min(top, math.isqrt(rest))
+            parts.append(top)
+            rest -= top * top
+        yield HomologyClass(tuple(parts))
+        while parts and parts[-1] == 1:
+            rest += parts.pop()
+        if not parts:
             return
-        top = min(max_part, math.isqrt(remaining))
-        for part in range(top, 0, -1):
-            prefix.append(part)
-            descend(remaining - part * part, part, prefix)
-            prefix.pop()
+        top = parts.pop()
+        rest, top = rest + top * top, top - 1
 
-    descend(k, k, [])
-    return out
+
+def enumerate_classes(k: int) -> list[HomologyClass]:
+    """All classes of norm k, as a list in :func:`iter_classes` order."""
+    return list(iter_classes(k))
 
 
 def enumerate_odd_vectors(cls: HomologyClass, v0: int) -> Iterator[OddVector]:

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,26 @@ class TestLowerBound:
         assert killed.get((2,)) == "gamma"
 
 
+class TestLazyLevels:
+    @pytest.mark.parametrize("level, survivor", [(301, (17, 3, 1, 1, 1)), (1100, (33, 3, 1, 1))])
+    def test_friend_skip_checks_only_the_first_class(self, level, survivor):
+        # the friend covers every lower level; this level has far too many classes to list
+        record = KnotRecord(
+            "skip",
+            -2,
+            s_invariants={0: 2},
+            tau=1,
+            vs_spec=VsSpec("thin"),
+            friends=(FriendshipRecord(level - 1, "f", level + level % 2),),
+            upper_witnesses=(UpperWitness(level, "w"),),
+        )
+        start = time.perf_counter()
+        search = lower_bound(record)
+        assert time.perf_counter() - start < 1.0
+        assert (search.level, search.surviving_class.a) == (level, survivor)
+        assert [c.kind for c in search.certificates] == ["friend"] * level
+
+
 def least_in_orbit(a, c):
     """The lexicographically least c' reached by permuting c among equal entries of a."""
     n = len(a)
@@ -161,21 +182,28 @@ class TestGammaCVectors:
 
     @pytest.mark.parametrize("a", [(1,), (2, 1), (2, 2), (3, 2, 2, 1, 1, 1), (4, 3, 3, 2, 1, 1)])
     def test_one_least_member_per_orbit_in_lex_order(self, a):
-        orbits = {least_in_orbit(a, c) for c in itertools.product((0, 1), repeat=len(a))}
+        # odd entries keep c_i = 0: a_i - 2*c_i is odd either way, so c_i cannot matter
+        orbits = {
+            least_in_orbit(a, c)
+            for c in itertools.product((0, 1), repeat=len(a))
+            if not any(ci and ai % 2 for ai, ci in zip(a, c))
+        }
         assert _gamma_c_vectors(a, True) == sorted(orbits)
 
     def test_sixteen_ones(self):
-        vectors = _gamma_c_vectors((1,) * 16, True)
+        assert _gamma_c_vectors((1,) * 16, True) == [(0,) * 16]
+        vectors = _gamma_c_vectors((2,) * 16, True)
         assert len(vectors) == 17
         assert all(x < y for x, y in zip(vectors, vectors[1:]))
         # with all entries equal, a vector is least in its orbit iff it is non-decreasing
         assert all(list(c) == sorted(c) for c in vectors)
 
     def test_battery_sweeps_a_long_class(self):
-        # 16*kappa = 24 = k for every c, so the index is 1 and Gamma(1) = 1 <= 2*kappa = 3
+        # with j ones in c, 16*kappa = 4*(24 - j) and k = 96, so the index is 1 - j:
+        # only j <= 1 reaches a non-negative index; Gamma(0) is unknown and Gamma(1) = 1 <= 12
         record = KnotRecord("g", -2, gamma={1: Fraction(1)})
         battery = ClassBattery(record, EngineConfig(gamma_c_sweep=True))
-        verdicts = list(battery.verdicts(HomologyClass((1,) * 24)))
+        verdicts = list(battery.verdicts(HomologyClass((2,) * 24)))
         assert [rv.rule for rv in verdicts] == ["gamma"] * 25
         assert not any(rv.verdict.obstructed for rv in verdicts)
 

@@ -145,6 +145,11 @@ class TestParse:
                 }
             )
 
+    def test_vs_spec_error_names_its_location_once(self):
+        with pytest.raises(DatabaseError) as info:
+            parse_one({"name": "x", "signature": 0, "vs_spec": {"type": "foo"}})
+        assert str(info.value) == "record 0 ('x').vs_spec: unknown vs_spec type 'foo'"
+
     def test_top_level_must_be_array(self):
         with pytest.raises(DatabaseError, match="array"):
             parse_knot_db("{}")

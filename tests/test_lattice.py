@@ -5,11 +5,15 @@ of the file, which are deliberately dumber than the library code.
 """
 
 import functools
+import gc
+import math
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from slicedeg.engine import BetaTableRow, beta_table
 from slicedeg.lattice import (
     HomologyClass,
     LaurentPoly,
@@ -17,6 +21,7 @@ from slicedeg.lattice import (
     enumerate_classes,
     enumerate_odd_vectors,
     eta,
+    iter_classes,
     kappa16,
     kappa_min,
 )
@@ -36,6 +41,50 @@ def brute_square_partitions(k: int) -> frozenset[tuple[int, ...]]:
             if all(x <= tup[0] for x in tup):
                 found.add(tup)
     return frozenset(found)
+
+
+def recursive_classes(k: int) -> list[HomologyClass]:
+    """The recursive enumerator that iter_classes replaced: one call per part."""
+    out: list[HomologyClass] = []
+
+    def descend(remaining: int, max_part: int, prefix: list[int]) -> None:
+        if remaining == 0:
+            out.append(HomologyClass(tuple(prefix)))
+            return
+        top = min(max_part, math.isqrt(remaining))
+        for part in range(top, 0, -1):
+            prefix.append(part)
+            descend(remaining - part * part, part, prefix)
+            prefix.pop()
+
+    descend(k, k, [])
+    return out
+
+
+def level_loop_beta_table(betas: list[int]) -> list[BetaTableRow]:
+    """The level loop that beta_table replaced, with its inline adjunction test."""
+    rows = []
+    for beta in betas:
+        if beta <= 0:
+            rows.append(BetaTableRow(beta, 0, HomologyClass(())))
+            continue
+        k = 1
+        while True:
+            hit = next(
+                (cls for cls in recursive_classes(k) if beta <= cls.norm - sum(cls.a)), None
+            )
+            if hit is not None:
+                rows.append(BetaTableRow(beta, k, hit))
+                break
+            k += 1
+    return rows
+
+
+def stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
 
 
 def brute_odd_vectors(a: tuple[int, ...], v0: int) -> set[tuple[int, ...]]:
@@ -132,6 +181,37 @@ class TestEnumerateClasses:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             enumerate_classes(-1)
+        with pytest.raises(ValueError):
+            next(iter_classes(-1))
+
+    def test_same_order_as_recursive_reference(self):
+        for k in range(0, 61):
+            assert list(iter_classes(k)) == recursive_classes(k), k
+
+    def test_beta_table_matches_level_loop(self):
+        betas = list(range(-3, 41))
+        assert beta_table(betas) == level_loop_beta_table(betas)
+
+    def test_deep_level_needs_no_recursion(self):
+        # the recursive enumerator needs a call per part: 80 frames for (1^80)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + 50)
+        try:
+            classes = enumerate_classes(80)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(classes) == 476
+        assert classes[-1].a == (1,) * 80
+
+    def test_leaves_no_reference_cycles(self):
+        gc.collect()
+        gc.disable()
+        try:
+            for k in range(1, 31):
+                enumerate_classes(k)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestEnumerateOddVectors:
