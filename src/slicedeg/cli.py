@@ -25,7 +25,10 @@ from .engine import (
 from .knots import DatabaseError, KnotDatabase, KnotRecord, load_knot_db
 from .lattice import HomologyClass, iter_classes
 from .staircase import (
+    NotLSpaceForm,
     OracleDisagreement,
+    Staircase,
+    VsSequence,
     VsUnavailable,
     nu_plus,
     staircase_from_alexander,
@@ -107,11 +110,7 @@ def _find_record(db: KnotDatabase, name: str) -> KnotRecord:
 def _parse_obstructions(text: str | None) -> frozenset[str]:
     if text is None:
         return ALL_OBSTRUCTIONS
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    unknown = set(parts) - ALL_OBSTRUCTIONS
-    if unknown:
-        raise DataError(f"unknown obstructions: {', '.join(sorted(unknown))}")
-    return frozenset(parts)
+    return frozenset(p.strip() for p in text.split(",") if p.strip())
 
 
 def _vs_display(seq, max_s: int | None) -> str:
@@ -126,7 +125,10 @@ def _cmd_bound(args, parser: argparse.ArgumentParser) -> int:
         parser.error("--max-k must be non-negative")
     db = _load_db(args)
     record = _find_record(db, args.name)
-    cfg = EngineConfig(max_k=args.max_k, obstructions=_parse_obstructions(args.obstructions))
+    try:
+        cfg = EngineConfig(max_k=args.max_k, obstructions=_parse_obstructions(args.obstructions))
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
     report = bound_report(record, db, cfg)
     if args.json:
         print(json.dumps(report_to_jsonable(report), indent=2))
@@ -142,40 +144,47 @@ def _cmd_bound(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
+def _staircase_of(record: KnotRecord) -> Staircase:
+    """The record's staircase: torsion and homology equal V_s only for one."""
+    if record.alexander is None:
+        raise VsUnavailable(f"{record.name}: no Alexander polynomial in the record")
+    try:
+        return staircase_from_alexander(record.alexander)
+    except NotLSpaceForm as exc:
+        raise NotLSpaceForm(f"{record.name}: no L-space-form Alexander polynomial: {exc}") from exc
+
+
+def _torsion_route(record: KnotRecord) -> VsSequence:
+    _staircase_of(record)
+    return torsion_sequence(record.alexander)
+
+
+_VS_ROUTES = {
+    "formula": vs_of,
+    "torsion": _torsion_route,
+    "staircase": lambda record: vs_staircase_oracle(_staircase_of(record)),
+}
+
+
 def _cmd_vs(args) -> int:
     db = _load_db(args)
     record = _find_record(db, args.name)
-    results = {}
-    if args.oracle in ("formula", "all"):
+    labels = list(_VS_ROUTES) if args.oracle == "all" else [args.oracle]
+    results = []
+    for label in labels:
         try:
-            results["formula"] = vs_of(record)
-        except (VsUnavailable, OracleDisagreement) as exc:
-            if args.oracle == "formula":
+            seq = _VS_ROUTES[label](record)
+        except (VsUnavailable, OracleDisagreement, NotLSpaceForm) as exc:
+            if args.oracle != "all":
                 raise DataError(str(exc)) from exc
-            results["formula"] = None
-    if args.oracle in ("torsion", "all"):
-        if record.alexander is None:
-            if args.oracle == "torsion":
-                raise DataError(f"{record.name}: no Alexander polynomial in the record")
-            results["torsion"] = None
-        else:
-            results["torsion"] = torsion_sequence(record.alexander)
-    if args.oracle in ("staircase", "all"):
-        if record.alexander is None:
-            if args.oracle == "staircase":
-                raise DataError(f"{record.name}: no Alexander polynomial in the record")
-            results["staircase"] = None
-        else:
-            st = staircase_from_alexander(record.alexander)
-            results["staircase"] = vs_staircase_oracle(st, st.n[-1])
-    for label, seq in results.items():
+            seq = None
         print(f"{label}: {_vs_display(seq, args.max_s) if seq is not None else 'unavailable'}")
+        results.append(seq)
     if args.oracle == "all":
-        present = [seq for seq in results.values() if seq is not None]
-        agree = all(seq == present[0] for seq in present) if present else False
-        print("agreement: " + ("ok" if present and agree else "DISAGREE" if present else "n/a"))
-        if present and not agree:
-            return DATA_ERROR
+        present = [seq for seq in results if seq is not None]
+        agree = all(seq == present[0] for seq in present)
+        print("agreement: " + ("n/a" if not present else "ok" if agree else "DISAGREE"))
+        return 0 if agree else DATA_ERROR
     return 0
 
 

@@ -71,7 +71,7 @@ class EngineConfig:
             raise ValueError("max_k must be non-negative")
         unknown = set(self.obstructions) - ALL_OBSTRUCTIONS
         if unknown:
-            raise ValueError(f"unknown obstructions: {sorted(unknown)}")
+            raise ValueError(f"unknown obstructions: {', '.join(sorted(unknown))}")
         if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
 

@@ -205,7 +205,7 @@ def validate_record(record: KnotRecord) -> list[Diagnostic]:
 
 
 def parse_rational(text: Any, where: str) -> Fraction:
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, str):
         try:

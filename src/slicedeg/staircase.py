@@ -4,20 +4,22 @@ Three independent routes produce the non-increasing sequence V_0, V_1, ...
 for a knot whose full knot Floer complex is a single staircase:
 
 * ``vs_thin``          -- closed formula in tau for Floer thin knots;
-* ``vs_lspace_formula``-- piecewise closed formulas in the stair lengths
-                          l_k read off the Alexander polynomial;
+* ``vs_lspace_formula``-- one max-min over the stair lengths l_k read off
+                          an L-space-form Alexander polynomial;
 * ``vs_staircase_oracle`` -- explicit mod-2 homology of the truncated
                           staircase complex, used as the ground truth.
 
 The torsion coefficients t_s = sum_{j>=1} j*a_{s+j} of the Alexander
 polynomial give a fourth cross-check: they equal V_s whenever the complex
-is a single staircase.  Disagreement between routes is surfaced as
+is a single staircase, that is, whenever ``staircase_from_alexander``
+accepts the polynomial.  Disagreement between routes is surfaced as
 ``OracleDisagreement``, never resolved silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,19 +52,18 @@ class VsSequence:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(not isinstance(x, int) or x <= 0 for x in self.values):
-            raise ValueError(f"stored prefix must be positive integers: {self.values}")
-        if any(self.values[i] < self.values[i + 1] for i in range(len(self.values) - 1)):
-            raise ValueError(f"sequence must be non-increasing: {self.values}")
+        vals = self.values
+        if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
+            raise ValueError(f"V_s must be non-increasing: {list(vals)}")
+        if any(not isinstance(x, int) or x <= 0 for x in vals):
+            raise ValueError(f"stored prefix must be positive integers: {vals}")
 
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "VsSequence":
-        """Build from a raw list, validating monotonicity and trimming the zero tail."""
+        """Build from a raw list of non-negative entries, trimming the zero tail."""
         vals = list(values)
         if any(v < 0 for v in vals):
             raise ValueError(f"V_s entries must be non-negative: {vals}")
-        if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
-            raise ValueError(f"V_s must be non-increasing: {vals}")
         while vals and vals[-1] == 0:
             vals.pop()
         return cls(tuple(vals))
@@ -129,12 +130,7 @@ class Staircase:
 
     def stair_lengths(self) -> tuple[int, ...]:
         """l_k = n_k - n_{k-1} with n_0 = 0, for k = 1..m."""
-        prev = 0
-        out = []
-        for x in self.n:
-            out.append(x - prev)
-            prev = x
-        return tuple(out)
+        return tuple(b - a for a, b in zip((0,) + self.n, self.n))
 
 
 def _genus(coeffs: Sequence[int]) -> int:
@@ -203,66 +199,33 @@ def vs_thin(tau: int) -> VsSequence:
 
 
 def vs_lspace_formula(st: Staircase) -> VsSequence:
-    """Piecewise closed formula for V_s in the stair lengths.
+    """Closed formula for V_s in the stair lengths, as one max-min.
 
-    With l_0 = 0, l_{m+1} = +infinity and w the staircase width:
+    The paper states it piecewise.  With l_0 = 0, l_{m+1} = +infinity and w
+    the staircase width (indices of l are 0-based over l_0..l_{m+1}; empty
+    sums are 0):
 
     * m odd:  on s in [sum_{k<N} l_{2k}, sum_{k<=N} l_{2k}), 1 <= N <= ceil(m/2):
         V_s = w - max_{1<=i<=N} min(sum_{k<i} l_{2k+1}, s - sum_{k<i} l_{2k})
     * m even: on s in [sum_{k<N} l_{2k+1}, sum_{k<=N} l_{2k+1}), 0 <= N <= m/2:
         V_s = w - max_{0<=i<=N} min(sum_{k<=i} l_{2k}, s - sum_{k<i} l_{2k+1})
 
-    (indices of l are 0-based over l_0..l_{m+1}; empty sums are 0).
+    Both cases are the odd one over ln = (0,) * (2 - m % 2) + (l_1, ..., l_m):
+
+    * for m even, a leading stair of length 0 shifts every index by one and
+      turns the even statement into the odd one;
+    * the max may run over every i = 1 .. len(ln) // 2 rather than only up to
+      the interval N containing s: a term with i > N has
+      s - sum_{k<i} l_{2k} < 0, while the i = 1 term is min(l_1, s) >= 0.
+
+    Work: O(n_m * m) for s = 0 .. n_m.
     """
-    m = st.m
-    ln = (0,) + st.stair_lengths()  # l_0..l_m; l_{m+1} handled as infinity
-    width = st.width
-
-    def l(idx: int) -> int | None:
-        return ln[idx] if idx <= m else None  # None = +infinity
-
-    def sum_l(indices: Iterable[int]) -> int:
-        total = 0
-        for idx in indices:
-            li = l(idx)
-            assert li is not None, "infinite stair inside a finite sum"
-            total += li
-        return total
-
-    def value(s: int) -> int:
-        if m % 2 == 1:
-            n_top = (m + 1) // 2  # ceil(m/2)
-            for big_n in range(1, n_top + 1):
-                lo = sum_l(2 * k for k in range(big_n))
-                hi_l = l(2 * big_n)
-                hi = None if hi_l is None else lo + hi_l
-                if s >= lo and (hi is None or s < hi):
-                    best = max(
-                        min(
-                            sum_l(2 * k + 1 for k in range(i)),
-                            s - sum_l(2 * k for k in range(i)),
-                        )
-                        for i in range(1, big_n + 1)
-                    )
-                    return width - best
-        else:
-            for big_n in range(0, m // 2 + 1):
-                lo = sum_l(2 * k + 1 for k in range(big_n))
-                hi_l = l(2 * big_n + 1)
-                hi = None if hi_l is None else lo + hi_l
-                if s >= lo and (hi is None or s < hi):
-                    best = max(
-                        min(
-                            sum_l(2 * k for k in range(i + 1)),
-                            s - sum_l(2 * k + 1 for k in range(i)),
-                        )
-                        for i in range(0, big_n + 1)
-                    )
-                    return width - best
-        raise AssertionError(f"s = {s} not covered by the stair intervals")
-
-    top = st.n[-1]
-    return VsSequence.from_values([value(s) for s in range(top + 1)])
+    ln = (0,) * (2 - st.m % 2) + st.stair_lengths()
+    # (sum_{k<i} l_{2k+1}, sum_{k<i} l_{2k}) for i = 1 .. len(ln) // 2
+    corners = list(zip(accumulate(ln[1::2]), accumulate(ln[0::2])))
+    return VsSequence.from_values(
+        [st.width - max(min(a, s - b) for a, b in corners) for s in range(st.n[-1] + 1)]
+    )
 
 
 # --- staircase homology oracle ---------------------------------------------

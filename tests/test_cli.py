@@ -56,6 +56,12 @@ class TestBound:
         code, _, err = run(capsys, "bound", "7_4", "--db", KNOTS, "--quiet", "--obstructions", "zeta")
         assert code == 1 and "unknown obstructions" in err
 
+    def test_bad_obstruction_names_listed_once(self, capsys):
+        code, _, err = run(
+            capsys, "bound", "7_4", "--db", KNOTS, "--quiet", "--obstructions", "s,zeta,alpha"
+        )
+        assert (code, err) == (1, "error: unknown obstructions: alpha, zeta\n")
+
     def test_negative_max_k_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "bound", "7_4", "--db", KNOTS, "--quiet", "--max-k", "-3")
@@ -89,6 +95,20 @@ class TestVs:
     def test_unknown_vs_spec_is_data_error(self, capsys):
         code, _, err = run(capsys, "vs", "9_49", "--db", KNOTS, "--quiet")
         assert code == 1 and "unknown" in err
+
+    def test_non_lspace_alexander_is_data_error(self, capsys, tmp_path):
+        db = tmp_path / "db.json"
+        db.write_text(json.dumps([{"name": "x", "signature": 0, "alexander": [-1, 1, 1, 1, -1]}]))
+        for oracle in ("torsion", "staircase"):
+            code, out, err = run(capsys, "vs", "x", "--db", str(db), "--oracle", oracle)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: x: no L-space-form Alexander polynomial")
+        code, out, err = run(capsys, "vs", "x", "--db", str(db), "--oracle", "all")
+        assert code == 0 and err == ""
+        assert out == (
+            "formula: unavailable\ntorsion: unavailable\nstaircase: unavailable\n"
+            "agreement: n/a\n"
+        )
 
 
 class TestClasses:

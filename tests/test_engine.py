@@ -362,6 +362,10 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(parallelism=0)
 
+    def test_unknown_obstructions_named_once(self):
+        with pytest.raises(ValueError, match="^unknown obstructions: a, nope$"):
+            EngineConfig(obstructions=frozenset({"nope", "a", "s"}))
+
 
 class TestBundledDatabases:
     def test_beta_only_bound_dominates_sqrt_bound(self):

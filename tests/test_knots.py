@@ -264,3 +264,9 @@ class TestRationals:
             parse_rational("1/0", "t")
         with pytest.raises(DatabaseError):
             parse_rational(1.5, "t")
+
+    def test_booleans_rejected_like_int_fields(self):
+        with pytest.raises(DatabaseError, match="True"):
+            parse_rational(True, "t")
+        with pytest.raises(DatabaseError, match=r"gamma\[1\]"):
+            parse_one(dict(TREFOIL, gamma={"1": True}))

@@ -9,6 +9,8 @@ the library code under test.
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from slicedeg.staircase import (
     NotLSpaceForm,
@@ -91,6 +93,63 @@ def staircase_coeffs(st):
         coeffs[g + ni] = (-1) ** (m - idx)
         coeffs[g - ni] = (-1) ** (m - idx)
     return coeffs
+
+
+def reference_vs_lspace_formula(st):
+    """The paper's piecewise statement of V_s, one branch per parity of m.
+
+    With l_0 = 0, l_{m+1} = +infinity and w the staircase width:
+
+    * m odd:  on s in [sum_{k<N} l_{2k}, sum_{k<=N} l_{2k}), 1 <= N <= ceil(m/2):
+        V_s = w - max_{1<=i<=N} min(sum_{k<i} l_{2k+1}, s - sum_{k<i} l_{2k})
+    * m even: on s in [sum_{k<N} l_{2k+1}, sum_{k<=N} l_{2k+1}), 0 <= N <= m/2:
+        V_s = w - max_{0<=i<=N} min(sum_{k<=i} l_{2k}, s - sum_{k<i} l_{2k+1})
+
+    Kept as the differential reference for ``vs_lspace_formula``.
+    """
+    m = st.m
+    ln = (0,) + st.stair_lengths()  # l_0..l_m; l_{m+1} handled as infinity
+    width = st.width
+
+    def l(idx):
+        return ln[idx] if idx <= m else None  # None = +infinity
+
+    def sum_l(indices):
+        total = 0
+        for idx in indices:
+            li = l(idx)
+            assert li is not None, "infinite stair inside a finite sum"
+            total += li
+        return total
+
+    def value(s):
+        if m % 2 == 1:
+            for big_n in range(1, (m + 1) // 2 + 1):
+                lo = sum_l(2 * k for k in range(big_n))
+                hi_l = l(2 * big_n)
+                if s >= lo and (hi_l is None or s < lo + hi_l):
+                    return width - max(
+                        min(
+                            sum_l(2 * k + 1 for k in range(i)),
+                            s - sum_l(2 * k for k in range(i)),
+                        )
+                        for i in range(1, big_n + 1)
+                    )
+        else:
+            for big_n in range(0, m // 2 + 1):
+                lo = sum_l(2 * k + 1 for k in range(big_n))
+                hi_l = l(2 * big_n + 1)
+                if s >= lo and (hi_l is None or s < lo + hi_l):
+                    return width - max(
+                        min(
+                            sum_l(2 * k for k in range(i + 1)),
+                            s - sum_l(2 * k + 1 for k in range(i)),
+                        )
+                        for i in range(0, big_n + 1)
+                    )
+        raise AssertionError(f"s = {s} not covered by the stair intervals")
+
+    return VsSequence.from_values([value(s) for s in range(st.n[-1] + 1)])
 
 
 class TestAlexanderFixtures:
@@ -202,6 +261,26 @@ class TestVsLspaceFormula:
             st = Staircase(tuple(range(1, m + 1)))
             assert vs_lspace_formula(st) == vs_thin(m)
 
+    def test_matches_reference_and_torsion_exhaustive(self):
+        count = 0
+        for st in all_staircases(10):
+            formula = vs_lspace_formula(st)
+            assert formula == reference_vs_lspace_formula(st), f"n = {st.n}"
+            assert formula == torsion_sequence(staircase_coeffs(st)), f"n = {st.n}"
+            count += 1
+        assert count == 1023
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        hst.integers(11, 48).flatmap(
+            lambda top: hst.sets(hst.integers(1, top - 1)).map(
+                lambda rest: Staircase(tuple(sorted(rest)) + (top,))
+            )
+        )
+    )
+    def test_matches_torsion_deep(self, st):
+        assert vs_lspace_formula(st) == torsion_sequence(staircase_coeffs(st))
+
 
 class TestStaircaseOracle:
     def test_trefoil_levels(self):
@@ -252,6 +331,14 @@ class TestVsSequence:
     def test_rejects_increasing(self):
         with pytest.raises(ValueError):
             VsSequence.from_values([0, 1])
+
+    def test_order_checked_once_before_positivity(self):
+        with pytest.raises(ValueError, match=r"V_s must be non-increasing: \[2, 0, 1\]"):
+            VsSequence.from_values([2, 0, 1])
+        with pytest.raises(ValueError, match=r"V_s must be non-increasing: \[2, 0, 1\]"):
+            VsSequence((2, 0, 1))
+        with pytest.raises(ValueError, match="positive integers"):
+            VsSequence((1, 0))
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
