@@ -166,7 +166,9 @@ _VS_ROUTES = {
 }
 
 
-def _cmd_vs(args) -> int:
+def _cmd_vs(args, parser: argparse.ArgumentParser) -> int:
+    if args.max_s is not None and args.max_s < 0:
+        parser.error("--max-s must be non-negative")
     db = _load_db(args)
     record = _find_record(db, args.name)
     labels = list(_VS_ROUTES) if args.oracle == "all" else [args.oracle]
@@ -292,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "bound":
             return _cmd_bound(args, parser)
         if args.command == "vs":
-            return _cmd_vs(args)
+            return _cmd_vs(args, parser)
         if args.command == "classes":
             return _cmd_classes(args, parser)
         if args.command == "check-class":

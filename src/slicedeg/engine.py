@@ -15,7 +15,8 @@ stops at its first surviving class, as ``beta_table`` does.
 ``upper_bound`` takes the minimum over the record's direct constructions
 (4 * positive clasp number, 4 * slicing number, explicit witnesses) and
 closes it under concordance and connected-sum transfer by a monotone
-fixed point over just the records it references, directly or not.
+fixed point over just the records it references, directly or not: one
+relax sweep in walk order, repeated only on a reference cycle.
 
 Reports are deterministic: identical inputs and configuration produce
 byte-identical serialized output.
@@ -25,10 +26,10 @@ from __future__ import annotations
 
 import itertools
 import warnings as _warnings
-from collections import ChainMap
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .knots import KnotDatabase, KnotRecord, format_rational
 # enumerate_classes stays importable here because bench/tracing.py wraps it at this module.
@@ -292,11 +293,7 @@ def _direct_upper(record: KnotRecord) -> tuple[int | None, str | None]:
         )
     for w in record.upper_witnesses:
         candidates.append((w.k, f"witness: {w.description}" if w.description else "witness"))
-    if not candidates:
-        return None, None
-    best = min(c[0] for c in candidates)
-    desc = next(d for val, d in candidates if val == best)
-    return best, desc
+    return min(candidates, key=lambda c: c[0]) if candidates else (None, None)
 
 
 def _upper_fixpoint(
@@ -305,64 +302,62 @@ def _upper_fixpoint(
     """Upper bounds of ``roots`` and of every record they reference, directly or not.
 
     A depth-first walk with an explicit stack lists those records, each after
-    its references, and keeps the first cycle; the relax loop sweeps that list.
-    Returns the bounds and the cycle's warning (None without a cycle), which
-    the public entry point issues so that it names the entry point's caller.
+    its references, and keeps the first cycle.  One relax sweep over that list
+    is final unless the walk met a back edge; only a cycle repeats it until
+    nothing changes.  Returns the bounds and the cycle's warning (None without
+    a cycle), which the public entry point issues so that it names its caller.
     """
 
-    def refs(name: str) -> Iterator[str]:
-        r = records[name]
-        return (t for t in (r.concordant_to, *(r.connected_sum_of or ())) if t and t in records)
+    def refs(r: KnotRecord) -> Iterator[str]:
+        if r.connected_sum_of:
+            return iter([t for t in (r.concordant_to, *r.connected_sum_of) if t and t in records])
+        return iter((r.concordant_to,) if r.concordant_to and r.concordant_to in records else ())
 
-    order: list[str] = []
+    order: list[KnotRecord] = []
     listed: dict[str, bool] = {}  # False while on the walk's path, True once listed
     warning: CyclicRelationWarning | None = None
     for root in roots:
         if root in listed:
             continue
         listed[root] = False
-        stack = [(root, refs(root))]
+        stack = [(root, records[root], refs(records[root]))]
         while stack:
-            name, pending = stack[-1]
+            name, record, pending = stack[-1]
             nxt = next(pending, None)
             if nxt is None:
                 stack.pop()
                 listed[name] = True
-                order.append(name)
+                order.append(record)
             elif nxt not in listed:
                 listed[nxt] = False
-                stack.append((nxt, refs(nxt)))
+                stack.append((nxt, records[nxt], refs(records[nxt])))
             elif not listed[nxt] and warning is None:
-                path = [n for n, _ in stack]
+                path = [n for n, _, _ in stack]
                 cycle = " -> ".join(path[path.index(nxt):] + [nxt])
                 warning = CyclicRelationWarning(
                     f"concordance/connected-sum references cycle: {cycle}"
                 )
-    best = {name: _direct_upper(records[name]) for name in order}
+    best = {record.name: _direct_upper(record) for record in order}
     changed = True
     while changed:
         changed = False
-        for name in order:
-            record = records[name]
+        for record in order:
+            name, to, summands = record.name, record.concordant_to, record.connected_sum_of
             current = best[name][0]
-            if record.concordant_to and record.concordant_to in best:
-                via, _ = best[record.concordant_to]
+            if to and to in best:
+                via = best[to][0]
                 if via is not None and (current is None or via < current):
-                    best[name] = (via, f"concordant to {record.concordant_to} (<= {via})")
+                    best[name] = (via, f"concordant to {to} (<= {via})")
                     current = via
                     changed = True
-            if record.connected_sum_of:
-                parts = [best.get(n, (None, None))[0] for n in record.connected_sum_of]
+            if summands:
+                parts = [best.get(n, (None, None))[0] for n in summands]
                 if all(p is not None for p in parts):
                     total = sum(parts)  # type: ignore[arg-type]
                     if current is None or total < current:
-                        best[name] = (
-                            total,
-                            "connected sum "
-                            + " + ".join(record.connected_sum_of)
-                            + f" (<= {total})",
-                        )
+                        best[name] = (total, f"connected sum {' + '.join(summands)} (<= {total})")
                         changed = True
+        changed = changed and warning is not None  # acyclic: the first sweep is final
     return best, warning
 
 
@@ -370,7 +365,10 @@ def _upper(
     record: KnotRecord, db: KnotDatabase | None
 ) -> tuple[tuple[int | None, str | None], CyclicRelationWarning | None]:
     """``record``'s upper bound and witness, and the cycle warning to issue."""
-    records = ChainMap({record.name: record}, db.records) if db else {record.name: record}
+    if db is not None and db.records.get(record.name) is record:
+        records = db.records
+    else:  # outside the db, or shadowing its namesake: merge it in
+        records = {**(db.records if db is not None else {}), record.name: record}
     best, warning = _upper_fixpoint(records, [record.name])
     return best[record.name], warning
 
@@ -477,10 +475,10 @@ def report_table(db: KnotDatabase, cfg: EngineConfig | None = None) -> list[Tabl
 
 
 def _jsonable(value):
+    if value is None or isinstance(value, (int, str)):
+        return value
     if isinstance(value, Fraction):
         return format_rational(value)
-    if isinstance(value, HomologyClass):
-        return list(value.a)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, Mapping):

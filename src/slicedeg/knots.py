@@ -5,8 +5,9 @@ whose field names match :class:`KnotRecord`.  Rationals are encoded as
 strings ``"num/den"``; the V_s specification is an object
 ``{"type": "thin"|"lspace"|"mirror_lspace"|"explicit"|"unknown",
 "values": [...]}``; Alexander coefficients are the dense symmetric list
-indexed by exponent -g..g (ascending).  Unknown fields are ignored with a
-warning so data files can carry per-field provenance annotations.
+indexed by exponent -g..g (ascending).  ``sources``, a citation string,
+is checked and not kept.  Unknown fields are ignored with a warning so data
+files can carry per-field provenance annotations.
 
 Databases are immutable after load and safe for concurrent reads.
 """
@@ -37,6 +38,7 @@ _RECORD_FIELDS = (
     "upper_witnesses",
     "concordant_to",
     "connected_sum_of",
+    "sources",
 )
 
 
@@ -232,6 +234,13 @@ def _expect(obj: Any, typ: type, where: str) -> Any:
     return obj
 
 
+def _int_key(key: str) -> int:
+    """The integer a key spells as str does ("1", not "01", "+1" or " 1"): keys never collide."""
+    if str(value := int(key)) != key:
+        raise ValueError(f"non-canonical integer {key!r}")
+    return value
+
+
 def _parse_vs_spec(obj: Any, where: str) -> VsSpec:
     data = _expect(obj, dict, where)
     kind = _expect(data.get("type", "unknown"), str, f"{where}.type")
@@ -261,7 +270,7 @@ def _parse_record(obj: Any, index: int, unknown_fields: dict[str, int]) -> KnotR
     s_invariants: dict[int, int] = {}
     for key, value in _expect(data.get("s_invariants", {}), dict, f"{where}.s_invariants").items():
         try:
-            p = int(key)
+            p = _int_key(key)
         except ValueError as exc:
             raise DatabaseError(f"{where}.s_invariants: bad characteristic {key!r}") from exc
         s_invariants[p] = _expect(value, int, f"{where}.s_invariants[{key}]")
@@ -269,7 +278,7 @@ def _parse_record(obj: Any, index: int, unknown_fields: dict[str, int]) -> KnotR
     gamma: dict[int, Fraction] = {}
     for key, value in _expect(data.get("gamma", {}), dict, f"{where}.gamma").items():
         try:
-            s = int(key)
+            s = _int_key(key)
         except ValueError as exc:
             raise DatabaseError(f"{where}.gamma: bad argument {key!r}") from exc
         gamma[s] = parse_rational(value, f"{where}.gamma[{key}]")
@@ -325,6 +334,8 @@ def _parse_record(obj: Any, index: int, unknown_fields: dict[str, int]) -> KnotR
     concordant = data.get("concordant_to")
     if concordant is not None:
         concordant = _expect(concordant, str, f"{where}.concordant_to")
+    if data.get("sources") is not None:
+        _expect(data["sources"], str, f"{where}.sources")
 
     vs_spec = _parse_vs_spec(data.get("vs_spec", {"type": "unknown"}), f"{where}.vs_spec")
 

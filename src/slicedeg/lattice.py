@@ -27,16 +27,26 @@ from typing import Iterable, Iterator, Sequence
 class HomologyClass:
     """A normalized disk homology class: positive entries, sorted descending.
 
-    The empty class (n = 0) is the null-homologous disk with k = 0.
+    The empty class (n = 0) is the null-homologous disk with k = 0.  The
+    stored norm k = sum(a_i^2) takes no part in equality, hash or repr.
     """
 
     a: tuple[int, ...]
+    norm: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if any(not isinstance(x, int) or x < 1 for x in self.a):
             raise ValueError(f"class entries must be positive integers: {self.a}")
         if any(self.a[i] < self.a[i + 1] for i in range(len(self.a) - 1)):
             raise ValueError(f"class entries must be sorted descending: {self.a}")
+        object.__setattr__(self, "norm", sum(x * x for x in self.a))
+
+    @classmethod
+    def _trusted(cls, a: tuple[int, ...], norm: int) -> "HomologyClass":
+        """A class its caller built valid, with its norm, skipping the two scans."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(a=a, norm=norm)
+        return obj
 
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "HomologyClass":
@@ -46,10 +56,6 @@ class HomologyClass:
     @property
     def n(self) -> int:
         return len(self.a)
-
-    @property
-    def norm(self) -> int:
-        return sum(x * x for x in self.a)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(x) for x in self.a) + ")"
@@ -130,7 +136,7 @@ def iter_classes(k: int) -> Iterator[HomologyClass]:
             top = min(top, math.isqrt(rest))
             parts.append(top)
             rest -= top * top
-        yield HomologyClass(tuple(parts))
+        yield HomologyClass._trusted(tuple(parts), k)
         while parts and parts[-1] == 1:
             rest += parts.pop()
         if not parts:

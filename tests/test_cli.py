@@ -84,6 +84,11 @@ class TestVs:
         assert code == 0
         assert out.count("[1, 1, 1]") == 3 and "agreement: ok" in out
 
+    def test_negative_max_s_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "vs", "3_1", "--db", KNOTS, "--quiet", "--max-s", "-2", "--oracle", "all")
+        assert exc.value.code == 2
+
     def test_max_s(self, capsys):
         code, out, _ = run(capsys, "vs", "9_1", "--db", KNOTS, "--quiet", "--max-s", "5")
         assert code == 0 and "[2, 2, 1, 1, 0, 0]" in out
@@ -222,9 +227,11 @@ class TestGlobals:
         code, _, err = run(capsys, "table", "--db", "/nonexistent.json", "--quiet")
         assert code == 1 and "cannot read database" in err
 
-    def test_warnings_printed_without_quiet(self, capsys):
-        code, _, err = run(capsys, "classes", "0", "--db", KNOTS)
-        assert code == 0 and "ignored unknown field 'sources'" in err
+    def test_warnings_printed_without_quiet(self, capsys, tmp_path):
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps([{"name": "a", "signature": 0, "provenance": "x"}]))
+        code, _, err = run(capsys, "classes", "0", "--db", str(path))
+        assert code == 0 and "ignored unknown field 'provenance'" in err
 
     def test_quiet_suppresses_warnings(self, capsys):
         code, _, err = run(capsys, "classes", "0", "--db", KNOTS, "--quiet")

@@ -1,6 +1,7 @@
 """Knot record / database format tests."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from slicedeg.knots import (
     KnotRecord,
     UpperWitness,
     VsSpec,
+    bundled_database_path,
+    load_knot_db,
     parse_knot_db,
     parse_rational,
     serialize_knot_db,
@@ -62,8 +65,24 @@ class TestParse:
             parse_knot_db(text)
 
     def test_unknown_field_warns(self):
-        db = parse_knot_db(json.dumps([dict(TREFOIL, sources="KnotInfo")]))
-        assert any("sources" in w for w in db.warnings)
+        db = parse_knot_db(json.dumps([dict(TREFOIL, provenance="KnotInfo")]))
+        assert any("provenance" in w for w in db.warnings)
+
+    def test_sources_is_a_checked_string(self):
+        assert parse_knot_db(json.dumps([dict(TREFOIL, sources="KnotInfo")])).warnings == ()
+        with pytest.raises(DatabaseError, match=r"\.sources: expected str"):
+            parse_one(dict(TREFOIL, sources=["KnotInfo"]))
+
+    def test_bundled_knots_load_without_warnings(self):
+        assert load_knot_db(bundled_database_path("knots")).warnings == ()
+
+    @pytest.mark.parametrize("field", ["s_invariants", "gamma"])
+    @pytest.mark.parametrize("keys", [("1", "01"), ("1_0",), (" 0",), ("+1",)])
+    def test_integer_keys_must_be_canonical(self, field, keys):
+        """Only "1" spells 1: "01" must not overwrite "1", nor "1_0" read as 10."""
+        value = "2" if field == "gamma" else 2
+        with pytest.raises(DatabaseError, match=f"{field}: bad .*{re.escape(repr(keys[-1]))}"):
+            parse_one({"name": "x", "signature": 0, field: dict.fromkeys(keys, value)})
 
     def test_dangling_reference_flagged(self):
         db = parse_knot_db(json.dumps([{"name": "a", "signature": 0, "concordant_to": "b"}]))
@@ -80,13 +99,13 @@ class TestParse:
         text = json.dumps(
             [
                 {"name": "a", "signature": 0, "vs_spec": {"type": "explicit", "values": [3, 1]}},
-                {"name": "b", "signature": 0, "concordant_to": "z", "sources": "x"},
+                {"name": "b", "signature": 0, "concordant_to": "z", "provenance": "x"},
             ]
         )
         db = parse_knot_db(text)
         assert calls == ["a", "b"]
         assert len(db.warnings) == 3
-        assert "sources" in db.warnings[0]
+        assert "provenance" in db.warnings[0]
         assert "unknown knot 'z'" in db.warnings[1]
         assert db.warnings[2].startswith("record 'a'") and "more than 1" in db.warnings[2]
 

@@ -192,6 +192,13 @@ class TestEnumerateClasses:
         betas = list(range(-3, 41))
         assert beta_table(betas) == level_loop_beta_table(betas)
 
+    def test_streamed_classes_equal_validated_ones(self):
+        for k in range(41):
+            for cls in iter_classes(k):
+                ref = HomologyClass(cls.a)
+                assert cls == ref and hash(cls) == hash(ref) and repr(cls) == repr(ref)
+                assert cls.norm == ref.norm == k
+
     def test_deep_level_needs_no_recursion(self):
         # the recursive enumerator needs a call per part: 80 frames for (1^80)
         limit = sys.getrecursionlimit()

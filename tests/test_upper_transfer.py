@@ -8,6 +8,7 @@ reference chains deeper than the interpreter's recursion limit.
 
 import sys
 import warnings
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -168,6 +169,25 @@ class TestAgainstWholeDatabaseSweep:
             assert bound_report(record, db).upper_witness == want[record.name][1]
 
 
+class TestOwnRecordAndCopy:
+    """The db's own record walks ``db.records``; an equal copy walks a merged mapping."""
+
+    @staticmethod
+    def upper_and_warnings(record, db):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            upper = upper_bound(record, db)
+        return upper, [(w.category, str(w.message)) for w in caught]
+
+    @settings(max_examples=60, deadline=None)
+    @given(any_db())
+    def test_same_value_witness_and_warning(self, db):
+        for record in db:
+            copy = replace(record)
+            assert copy == record and copy is not record
+            assert self.upper_and_warnings(copy, db) == self.upper_and_warnings(record, db)
+
+
 class TestCycleWarning:
     @settings(max_examples=60, deadline=None)
     @given(acyclic_db("a"), st.booleans(), st.data())
@@ -190,6 +210,17 @@ class TestCycleWarning:
             report_table(db)
             bound_report(cycle[0], db)
         assert sum(issubclass(w.category, CyclicRelationWarning) for w in caught) == 2
+
+    def test_cycle_needs_a_second_sweep(self):
+        # Walking from a lists b, d, a; b sees a's bound only on the second sweep.
+        db = db_of([
+            KnotRecord("a", 0, concordant_to="b", connected_sum_of=("d",)),
+            KnotRecord("b", 0, concordant_to="a"),
+            KnotRecord("d", 0, clasp_plus=1),
+        ])
+        rows = quiet(report_table, db)
+        assert [(row.name, row.upper) for row in rows] == [("a", 4), ("b", 4), ("d", 4)]
+        assert quiet(upper_bound, db.get("b"), db) == (4, "concordant to a (<= 4)")
 
     def test_warning_names_the_caller(self):
         a = KnotRecord("a", 0, concordant_to="b")
