@@ -16,7 +16,12 @@ stops at its first surviving class, as ``beta_table`` does.
 (4 * positive clasp number, 4 * slicing number, explicit witnesses) and
 closes it under concordance and connected-sum transfer by a monotone
 fixed point over just the records it references, directly or not: one
-relax sweep in walk order, repeated only on a reference cycle.
+relax sweep in walk order, repeated only on a reference cycle.  Only the
+queried record's witness is formatted as text.
+
+``report_table`` runs one lower-bound search per distinct set of search
+inputs: records that agree on every field the search reads and on the upper
+bound that caps it share one search within the call.
 
 Reports are deterministic: identical inputs and configuration produce
 byte-identical serialized output.
@@ -27,8 +32,9 @@ from __future__ import annotations
 import itertools
 import warnings as _warnings
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from operator import attrgetter
 from typing import NamedTuple
 
 from .knots import KnotDatabase, KnotRecord, format_rational
@@ -296,16 +302,23 @@ def _direct_upper(record: KnotRecord) -> tuple[int | None, str | None]:
     return min(candidates, key=lambda c: c[0]) if candidates else (None, None)
 
 
+# Where an upper bound comes from: a direct construction's witness text (None
+# without one), or a transfer as (relation, referenced names), formatted only
+# for the queried record.
+_Source = str | None | tuple[str, tuple[str, ...]]
+
+
 def _upper_fixpoint(
     records: Mapping[str, KnotRecord], roots: Iterable[str]
-) -> tuple[dict[str, tuple[int | None, str | None]], CyclicRelationWarning | None]:
+) -> tuple[dict[str, tuple[int | None, _Source]], CyclicRelationWarning | None]:
     """Upper bounds of ``roots`` and of every record they reference, directly or not.
 
     A depth-first walk with an explicit stack lists those records, each after
     its references, and keeps the first cycle.  One relax sweep over that list
     is final unless the walk met a back edge; only a cycle repeats it until
-    nothing changes.  Returns the bounds and the cycle's warning (None without
-    a cycle), which the public entry point issues so that it names its caller.
+    nothing changes.  Returns each bound with its :data:`_Source` and the
+    cycle's warning (None without a cycle), which the public entry point
+    issues so that it names its caller.
     """
 
     def refs(r: KnotRecord) -> Iterator[str]:
@@ -337,7 +350,7 @@ def _upper_fixpoint(
                 warning = CyclicRelationWarning(
                     f"concordance/connected-sum references cycle: {cycle}"
                 )
-    best = {record.name: _direct_upper(record) for record in order}
+    best: dict[str, tuple[int | None, _Source]] = {r.name: _direct_upper(r) for r in order}
     changed = True
     while changed:
         changed = False
@@ -347,7 +360,7 @@ def _upper_fixpoint(
             if to and to in best:
                 via = best[to][0]
                 if via is not None and (current is None or via < current):
-                    best[name] = (via, f"concordant to {to} (<= {via})")
+                    best[name] = (via, ("concordant to", (to,)))
                     current = via
                     changed = True
             if summands:
@@ -355,7 +368,7 @@ def _upper_fixpoint(
                 if all(p is not None for p in parts):
                     total = sum(parts)  # type: ignore[arg-type]
                     if current is None or total < current:
-                        best[name] = (total, f"connected sum {' + '.join(summands)} (<= {total})")
+                        best[name] = (total, ("connected sum", summands))
                         changed = True
         changed = changed and warning is not None  # acyclic: the first sweep is final
     return best, warning
@@ -370,7 +383,11 @@ def _upper(
     else:  # outside the db, or shadowing its namesake: merge it in
         records = {**(db.records if db is not None else {}), record.name: record}
     best, warning = _upper_fixpoint(records, [record.name])
-    return best[record.name], warning
+    upper, source = best[record.name]
+    if isinstance(source, tuple):
+        relation, names = source
+        source = f"{relation} {' + '.join(names)} (<= {upper})"
+    return (upper, source), warning
 
 
 def upper_bound(record: KnotRecord, db: KnotDatabase | None = None) -> tuple[int | None, str | None]:
@@ -425,16 +442,48 @@ class TableRow:
     error: str | None = None
 
 
+# KnotRecord fields that only the upper bound reads.  Every other field, one
+# added later included, is a search input: a new field can cost memo hits in
+# ``report_table`` but never share a search between records it tells apart.
+_UPPER_ONLY_FIELDS = frozenset(
+    {"name", "clasp_plus", "slicing_number", "upper_witnesses", "concordant_to", "connected_sum_of"}
+)
+# Fields annotated ``Mapping[...]`` hold unhashable dicts; the key holds their sorted items.
+_SEARCH_FIELDS = [f for f in fields(KnotRecord) if f.name not in _UPPER_ONLY_FIELDS]
+_search_values = attrgetter(*(f.name for f in _SEARCH_FIELDS if "Mapping" not in str(f.type)))
+_SEARCH_MAPPINGS = [f.name for f in _SEARCH_FIELDS if "Mapping" in str(f.type)]
+
+
+def _search_key(record: KnotRecord) -> tuple:
+    """The record's search inputs as one hashable tuple."""
+    mappings = [tuple(sorted(getattr(record, f).items())) for f in _SEARCH_MAPPINGS]
+    return _search_values(record), *mappings
+
+
 def _report(
-    record: KnotRecord, upper: int | None, upper_witness: str | None, cfg: EngineConfig
+    record: KnotRecord,
+    upper: int | None,
+    upper_witness: str | None,
+    cfg: EngineConfig,
+    searches: dict[tuple, LowerBoundSearch] | None = None,
 ) -> BoundReport:
     """Lower-bound search capped at ``upper`` (unless cfg sets a cap), paired with it.
 
+    ``searches``, when given, memoises successful searches by their inputs:
+    the record's search fields, ``upper`` and ``cfg``.  A failed search is
+    not stored, so it fails again for the next record with the same inputs.
     Raises ValueError when the certified lower bound exceeds ``upper``.
     """
-    if cfg.max_k is None:
-        cfg = replace(cfg, max_k=upper if upper is not None else DEFAULT_MAX_K)
-    search = lower_bound(record, cfg)
+    key = search = None
+    if searches is not None:
+        key = (_search_key(record), upper, cfg)
+        search = searches.get(key)
+    if search is None:
+        if cfg.max_k is None:
+            cfg = replace(cfg, max_k=upper if upper is not None else DEFAULT_MAX_K)
+        search = lower_bound(record, cfg)
+        if key is not None:
+            searches[key] = search  # type: ignore[index]
     return BoundReport(
         knot=record.name,
         lower=search.level,
@@ -456,15 +505,21 @@ def bound_report(
 
 
 def report_table(db: KnotDatabase, cfg: EngineConfig | None = None) -> list[TableRow]:
-    """Per-record intervals over the whole database, failures reported inline."""
+    """Per-record intervals over the whole database, failures reported inline.
+
+    Records with the same search inputs (every field but the upper-only ones)
+    and the same upper bound share one lower-bound search within the call;
+    a failing search or report still fails, and is reported, for each record.
+    """
     cfg = cfg or EngineConfig()
     uppers, warning = _upper_fixpoint(db.records, db.records)
     if warning:
         _warnings.warn(warning, stacklevel=2)
+    searches: dict[tuple, LowerBoundSearch] = {}
     rows = []
     for record in db:
-        try:
-            report = _report(record, *uppers[record.name], cfg)
+        try:  # a TableRow has no witness, so none is formatted
+            report = _report(record, uppers[record.name][0], None, cfg, searches)
             rows.append(TableRow(record.name, report.lower, report.upper, report.display))
         except (ValueError, OracleDisagreement) as exc:
             rows.append(TableRow(record.name, None, None, "error", error=str(exc)))

@@ -1,0 +1,262 @@
+"""``report_table`` runs one lower-bound search per distinct set of search inputs.
+
+The table memoises searches within one call, keyed by every record field
+the search reads, the record's upper bound (the cap) and the configuration.
+These tests compare it with a per-record reference that searches every
+record afresh, check which fields split or share a search, and count the
+searches it runs.
+"""
+
+import json
+import warnings
+from dataclasses import fields, replace
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_upper_transfer import acyclic_db, any_db
+
+from slicedeg import engine
+from slicedeg.cli import main
+from slicedeg.engine import (
+    CyclicRelationWarning,
+    EngineConfig,
+    TableRow,
+    _report,
+    report_table,
+    upper_bound,
+)
+from slicedeg.knots import (
+    FriendshipRecord,
+    KnotDatabase,
+    KnotRecord,
+    UpperWitness,
+    VsSpec,
+    bundled_database_path,
+    load_knot_db,
+)
+from slicedeg.staircase import OracleDisagreement
+
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+KNOTS = load_knot_db(bundled_database_path("knots"))
+FAMILIES = load_knot_db(bundled_database_path("families"))
+
+# The fields the lower-bound search reads, listed here independently of the engine.
+SEARCH_FIELDS = ("signature", "s_invariants", "tau", "vs_spec", "alexander", "gamma", "friends")
+UPPER_ONLY = ("name", "clasp_plus", "slicing_number", "upper_witnesses", "concordant_to",
+              "connected_sum_of")
+
+TREFOIL = KnotRecord("3_1", -2, s_invariants={0: 2}, tau=1, vs_spec=VsSpec("thin"), clasp_plus=1)
+T34_ALEXANDER = (1, -1, 0, 1, 0, -1, 1)
+
+
+def db_of(*records):
+    return KnotDatabase({r.name: r for r in records})
+
+
+def reference_table(db, cfg=None):
+    """One uncached search per record, with the record's own upper bound."""
+    cfg = cfg or EngineConfig()
+    rows = []
+    for record in db:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CyclicRelationWarning)
+            upper = upper_bound(record, db)
+        try:
+            report = _report(record, *upper, cfg)
+            rows.append(TableRow(record.name, report.lower, report.upper, report.display))
+        except (ValueError, OracleDisagreement) as exc:
+            rows.append(TableRow(record.name, None, None, "error", error=str(exc)))
+    return rows
+
+
+def table(db, cfg=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CyclicRelationWarning)
+        return report_table(db, cfg)
+
+
+def projection(record, upper):
+    """The test's own key: search fields (mappings as sorted items) plus the cap."""
+    values = [getattr(record, f) for f in SEARCH_FIELDS]
+    return tuple(tuple(sorted(v.items())) if isinstance(v, dict) else v for v in values), upper
+
+
+def chain(head, links):
+    """``head`` and ``links`` records concordant to it in turn, each repeating its search fields."""
+    records = [head]
+    for i in range(1, links + 1):
+        records.append(replace(
+            head, name=f"{head.name}-link{i}", clasp_plus=None, slicing_number=None,
+            upper_witnesses=(), concordant_to=records[-1].name, connected_sum_of=None,
+        ))
+    return db_of(*records)
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Count the calls of ``engine.lower_bound``, the global the table searches through."""
+    calls = []
+    real = engine.lower_bound
+
+    def counting(record, cfg=None):
+        calls.append(record.name)
+        return real(record, cfg)
+
+    monkeypatch.setattr(engine, "lower_bound", counting)
+    return calls
+
+
+def test_projection_covers_every_record_field():
+    assert set(SEARCH_FIELDS) | set(UPPER_ONLY) == {f.name for f in fields(KnotRecord)}
+
+
+# Search inputs of bundled records with different lower bounds (0 to 9; friends,
+# gamma, explicit, thin and L-space V_s), laid over the upper-bound databases so
+# that records share inputs and some lower bounds exceed their upper bounds.
+PROFILES = [KnotRecord("", 0)] + [
+    db.get(name) for db, name in (
+        (KNOTS, "0_1"), (KNOTS, "3_1"), (KNOTS, "7_4"), (KNOTS, "9_42"), (KNOTS, "9_10"),
+        (KNOTS, "8_19"), (FAMILIES, "K_B(1)"),
+    )
+]
+
+
+@st.composite
+def profiled(draw, records):
+    out = []
+    for record in records:
+        profile = draw(st.sampled_from(PROFILES))
+        out.append(replace(record, **{f: getattr(profile, f) for f in SEARCH_FIELDS}))
+    return db_of(*out)
+
+
+class TestAgainstPerRecordReference:
+    @settings(max_examples=60, deadline=None)
+    @given(any_db())
+    def test_upper_transfer_databases(self, db):
+        assert table(db) == reference_table(db)
+
+    @settings(max_examples=60, deadline=None)
+    @given(any_db().flatmap(lambda db: profiled(list(db))))
+    def test_shared_search_inputs(self, db):
+        assert table(db) == reference_table(db)
+
+    @settings(max_examples=30, deadline=None)
+    @given(acyclic_db().flatmap(profiled), st.booleans())
+    def test_with_configured_cap(self, db, sweep):
+        cfg = EngineConfig(max_k=6, gamma_c_sweep=sweep)
+        assert table(db, cfg) == reference_table(db, cfg)
+
+    @pytest.mark.parametrize("db", [KNOTS, FAMILIES], ids=["knots", "families"])
+    def test_bundled(self, db):
+        assert table(db) == reference_table(db)
+
+    def test_chain(self):
+        db = chain(KNOTS.get("3_1"), 240)
+        assert table(db) == reference_table(db)
+
+
+class TestKey:
+    @pytest.mark.parametrize("field, value", [
+        ("signature", 0),
+        ("s_invariants", {0: 2, 2: 2}),
+        ("tau", 0),
+        ("vs_spec", VsSpec("explicit", (1, 0))),
+        ("alexander", (1, -1, 1)),
+        ("gamma", {1: Fraction(3, 5)}),
+        ("friends", (FriendshipRecord(1, "K_G", 2),)),
+    ])
+    def test_one_search_field_apart_do_not_share(self, searches, field, value):
+        a = replace(TREFOIL, name="a")
+        b = replace(a, name="b", **{field: value})
+        assert getattr(b, field) != getattr(a, field)
+        db = db_of(a, b)
+        assert table(db) == reference_table(db)
+        assert searches == ["a", "b", "a", "b"]  # the table's two, then the reference's
+
+    def test_upper_only_fields_apart_share(self, searches):
+        db = db_of(
+            replace(TREFOIL, name="a", s_invariants={2: 2, 0: 2}),
+            replace(TREFOIL, name="b", s_invariants={0: 2, 2: 2}, clasp_plus=None,
+                    slicing_number=1),
+            replace(TREFOIL, name="c", s_invariants={0: 2, 2: 2}, clasp_plus=None,
+                    upper_witnesses=(UpperWitness(4, "a construction"),)),
+            replace(TREFOIL, name="d", s_invariants={0: 2, 2: 2}, clasp_plus=None,
+                    concordant_to="a"),
+            KnotRecord("u", 0, upper_witnesses=(UpperWitness(4, "u"),)),
+            replace(TREFOIL, name="e", s_invariants={0: 2, 2: 2}, clasp_plus=None,
+                    connected_sum_of=("u",)),
+        )
+        rows = table(db)
+        assert searches == ["a", "u"]
+        assert rows == reference_table(db)
+
+    def test_other_upper_does_not_share(self, searches):
+        db = db_of(TREFOIL, replace(TREFOIL, name="b", clasp_plus=2))
+        assert [r.display for r in table(db)] == ["4", "[4,8]"]
+        assert searches == ["3_1", "b"]
+
+    def test_failed_report_names_each_record(self, searches):
+        # Capped at upper bound 2, the shared search certifies 3: it succeeds, each report fails.
+        low = (UpperWitness(2, "too low"),)
+        db = db_of(replace(TREFOIL, name="a", clasp_plus=None, upper_witnesses=low),
+                   replace(TREFOIL, name="b", clasp_plus=None, upper_witnesses=low))
+        rows = table(db)
+        assert searches == ["a"]
+        assert [r.error.split(":")[0] for r in rows] == ["a", "b"]
+        assert all("exceeds upper bound 2" in r.error for r in rows)
+        assert rows == reference_table(db)
+
+    def test_failed_search_names_each_record(self, searches, monkeypatch):
+        import slicedeg.staircase as sc
+
+        monkeypatch.setattr(sc, "torsion_sequence", lambda coeffs: sc.VsSequence((9,)))
+        lspace = replace(TREFOIL, vs_spec=VsSpec("lspace"), alexander=T34_ALEXANDER)
+        db = db_of(replace(lspace, name="a"), replace(lspace, name="b"))
+        rows = table(db)
+        assert searches == ["a", "b"]  # a failed search is not stored
+        assert [r.error.split(":")[0] for r in rows] == ["a", "b"]
+        assert all("stair formula" in r.error for r in rows)
+        assert rows == reference_table(db)
+
+
+class TestSearchCount:
+    def test_chain_searches_once(self, searches):
+        db = chain(KNOTS.get("3_1"), 240)
+        rows = table(db)
+        assert len(rows) == 241 and all(r.display == "4" for r in rows)
+        assert searches == ["3_1"]
+
+    def test_bundled_once_per_distinct_key(self, searches):
+        keys = {projection(r, upper_bound(r, KNOTS)[0]) for r in KNOTS}
+        table(KNOTS)
+        assert len(searches) == len(keys) < len(KNOTS)
+
+
+class TestCliTable:
+    # families.json cites a friend outside the file, which the loader reports
+    # on stderr unless --quiet; the table itself must add nothing there.
+    CASES = [("knots", []), ("families", ["--quiet"])]
+
+    @pytest.mark.parametrize("name, extra", CASES, ids=[c[0] for c in CASES])
+    def test_json_matches_reference_intervals(self, capsys, name, extra):
+        path = str(bundled_database_path(name))
+        assert main(["table", "--db", path, "--format", "json", *extra]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        want = json.loads(REFERENCE.read_text(encoding="utf-8"))["intervals"][name]
+        assert {row["name"]: row["display"] for row in json.loads(out)} == want
+
+    @pytest.mark.parametrize("name, extra", CASES, ids=[c[0] for c in CASES])
+    def test_md_one_row_per_record(self, capsys, name, extra):
+        path = bundled_database_path(name)
+        assert main(["table", "--db", str(path), *extra]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        lines = out.splitlines()
+        assert lines[:2] == ["| knot | sd+ |", "| --- | --- |"]
+        names = [line.split(" | ")[0].removeprefix("| ") for line in lines[2:]]
+        assert names == list(load_knot_db(path).records)
