@@ -56,12 +56,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", parents=[common], help="bound report for one knot")
+    p.set_defaults(run=_cmd_bound)
     p.add_argument("name")
     p.add_argument("--max-k", type=int, default=None)
     p.add_argument("--obstructions", default=None, help="comma subset of s,vs,gamma,friend")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("vs", parents=[common], help="V_s sequence of one knot")
+    p.set_defaults(run=_cmd_vs)
     p.add_argument("name")
     p.add_argument("--max-s", type=int, default=None)
     p.add_argument(
@@ -71,16 +73,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("classes", parents=[common], help="homology classes of norm k")
+    p.set_defaults(run=_cmd_classes)
     p.add_argument("k", type=int)
 
     p = sub.add_parser("check-class", parents=[common], help="per-obstruction verdicts")
+    p.set_defaults(run=_cmd_check_class)
     p.add_argument("name")
     p.add_argument("cls", metavar="a1,a2,...")
 
     p = sub.add_parser("beta-table", parents=[common], help="adjunction lower-bound table")
+    p.set_defaults(run=_cmd_beta_table)
     p.add_argument("--max", type=int, default=16)
 
     p = sub.add_parser("table", parents=[common], help="interval table for the whole database")
+    p.set_defaults(run=_cmd_table)
     p.add_argument("--format", choices=["md", "json"], default="md")
     return parser
 
@@ -249,7 +255,7 @@ def _verdict_line(rv: RuleVerdict) -> str:
     return f"vs: OBSTRUCTED (lambda = ({lam}), j = {w['j']}, {w['lhs']} < {w['rhs']})"
 
 
-def _cmd_beta_table(args) -> int:
+def _cmd_beta_table(args, parser: argparse.ArgumentParser) -> int:
     _load_db(args)
     betas = list(range(2, args.max + 1, 2))
     if not betas:
@@ -260,7 +266,7 @@ def _cmd_beta_table(args) -> int:
     return 0
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args, parser: argparse.ArgumentParser) -> int:
     db = _load_db(args)
     rows = report_table(db)
     if args.format == "json":
@@ -291,26 +297,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "bound":
-            return _cmd_bound(args, parser)
-        if args.command == "vs":
-            return _cmd_vs(args, parser)
-        if args.command == "classes":
-            return _cmd_classes(args, parser)
-        if args.command == "check-class":
-            return _cmd_check_class(args, parser)
-        if args.command == "beta-table":
-            return _cmd_beta_table(args)
-        if args.command == "table":
-            return _cmd_table(args)
-        parser.error(f"unknown command {args.command!r}")
-    except DataError as exc:
+        return args.run(args, parser)
+    except (DataError, DatabaseError, OracleDisagreement) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except (DatabaseError, OracleDisagreement) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    return 0
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import NamedTuple
 
-from .knots import KnotDatabase, KnotRecord, format_rational
+from .knots import INT_KEYED_FIELDS, KnotDatabase, KnotRecord, format_rational
 # enumerate_classes stays importable here because bench/tracing.py wraps it at this module.
 from .lattice import HomologyClass, enumerate_classes, iter_classes  # noqa: F401
 from .obstructions import (
@@ -448,10 +448,10 @@ class TableRow:
 _UPPER_ONLY_FIELDS = frozenset(
     {"name", "clasp_plus", "slicing_number", "upper_witnesses", "concordant_to", "connected_sum_of"}
 )
-# Fields annotated ``Mapping[...]`` hold unhashable dicts; the key holds their sorted items.
-_SEARCH_FIELDS = [f for f in fields(KnotRecord) if f.name not in _UPPER_ONLY_FIELDS]
-_search_values = attrgetter(*(f.name for f in _SEARCH_FIELDS if "Mapping" not in str(f.type)))
-_SEARCH_MAPPINGS = [f.name for f in _SEARCH_FIELDS if "Mapping" in str(f.type)]
+# Int-keyed map fields hold unhashable dicts; the key holds their sorted items.
+_SEARCH_FIELDS = [f.name for f in fields(KnotRecord) if f.name not in _UPPER_ONLY_FIELDS]
+_search_values = attrgetter(*(f for f in _SEARCH_FIELDS if f not in INT_KEYED_FIELDS))
+_SEARCH_MAPPINGS = [f for f in _SEARCH_FIELDS if f in INT_KEYED_FIELDS]
 
 
 def _search_key(record: KnotRecord) -> tuple:

@@ -7,7 +7,10 @@ strings ``"num/den"``; the V_s specification is an object
 "values": [...]}``; Alexander coefficients are the dense symmetric list
 indexed by exponent -g..g (ascending).  ``sources``, a citation string,
 is checked and not kept.  Unknown fields are ignored with a warning so data
-files can carry per-field provenance annotations.
+files can carry per-field provenance annotations.  ``concordant_to`` and
+``connected_sum_of`` are references to other records (warned about when
+absent); ``friends[].friend_name`` is a label, since a friendship carries
+its own ``friend_s``.
 
 Databases are immutable after load and safe for concurrent reads.
 """
@@ -15,31 +18,14 @@ Databases are immutable after load and safe for concurrent reads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .staircase import NotLSpaceForm, VsSequence, check_alexander, staircase_from_alexander
 
 _VS_KINDS = ("explicit", "thin", "lspace", "mirror_lspace", "unknown")
-
-_RECORD_FIELDS = (
-    "name",
-    "signature",
-    "s_invariants",
-    "tau",
-    "vs_spec",
-    "alexander",
-    "clasp_plus",
-    "slicing_number",
-    "gamma",
-    "friends",
-    "upper_witnesses",
-    "concordant_to",
-    "connected_sum_of",
-    "sources",
-)
 
 
 class DatabaseError(ValueError):
@@ -203,10 +189,14 @@ def validate_record(record: KnotRecord) -> list[Diagnostic]:
     return out
 
 
-# --- JSON parsing -----------------------------------------------------------
+# --- JSON codec -------------------------------------------------------------
+#
+# One parser and one encoder per field kind.  A parser takes the raw JSON
+# value, the record's location ``where`` and the path ``at`` inside it
+# (".gamma[1]"); the two are joined only when an error is raised.
 
 
-def parse_rational(text: Any, where: str) -> Fraction:
+def parse_rational(text: Any, where: str, at: str = "") -> Fraction:
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, str):
@@ -216,8 +206,8 @@ def parse_rational(text: Any, where: str) -> Fraction:
                 return Fraction(int(num), int(den))
             return Fraction(int(text))
         except (ValueError, ZeroDivisionError) as exc:
-            raise DatabaseError(f"{where}: bad rational {text!r}: {exc}") from exc
-    raise DatabaseError(f"{where}: rationals must be 'num/den' strings, got {text!r}")
+            raise DatabaseError(f"{where}{at}: bad rational {text!r}: {exc}") from exc
+    raise DatabaseError(f"{where}{at}: rationals must be 'num/den' strings, got {text!r}")
 
 
 def format_rational(value: Fraction) -> str:
@@ -226,12 +216,15 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _expect(obj: Any, typ: type, where: str) -> Any:
-    if typ is int and isinstance(obj, bool):
-        raise DatabaseError(f"{where}: expected {typ.__name__}, got bool")
-    if not isinstance(obj, typ):
-        raise DatabaseError(f"{where}: expected {typ.__name__}, got {type(obj).__name__}")
-    return obj
+def _expect(obj: Any, typ: type, where: str, at: str = "") -> Any:
+    """``obj`` if it is a ``typ``; a JSON boolean is never one, though Python's bool is an int."""
+    if isinstance(obj, typ) and not isinstance(obj, bool):
+        return obj
+    raise DatabaseError(f"{where}{at}: expected {typ.__name__}, got {type(obj).__name__}")
+
+
+def _expect_all(items: list, typ: type, where: str, at: str) -> tuple:
+    return tuple(_expect(v, typ, where, at) for v in items)
 
 
 def _int_key(key: str) -> int:
@@ -241,16 +234,113 @@ def _int_key(key: str) -> int:
     return value
 
 
-def _parse_vs_spec(obj: Any, where: str) -> VsSpec:
-    data = _expect(obj, dict, where)
-    kind = _expect(data.get("type", "unknown"), str, f"{where}.type")
-    if kind not in _VS_KINDS:
-        raise DatabaseError(f"{where}: unknown vs_spec type {kind!r}")
+def _same(value: Any) -> Any:
+    return value
+
+
+class _Codec(NamedTuple):
+    parse: Callable[[Any, str, str], Any]
+    encode: Callable[[Any], Any] = _same
+
+
+def _scalar(typ: type, nullable: bool = True) -> _Codec:
+    """A ``typ`` value; ``null`` means absent unless the field is required."""
+
+    def parse(raw: Any, where: str, at: str) -> Any:
+        return None if raw is None and nullable else _expect(raw, typ, where, at)
+
+    return _Codec(parse)
+
+
+def _optional_list(typ: type) -> _Codec:
+    """A list of ``typ`` kept as a tuple; ``null`` means absent, ``[]`` is kept."""
+
+    def parse(raw: Any, where: str, at: str) -> tuple | None:
+        return None if raw is None else _expect_all(_expect(raw, list, where, at), typ, where, at)
+
+    return _Codec(parse, list)
+
+
+def _int_map(key_label: str, parse_value: Callable, encode_value: Callable = _same) -> _Codec:
+    """An object with canonical integer keys; each key is checked before its value."""
+
+    def parse(raw: Any, where: str, at: str) -> dict:
+        out = {}
+        for key, value in _expect(raw, dict, where, at).items():
+            try:
+                k = _int_key(key)
+            except ValueError as exc:
+                raise DatabaseError(f"{where}{at}: bad {key_label} {key!r}") from exc
+            out[k] = parse_value(value, where, f"{at}[{key}]")
+        return out
+
+    return _Codec(parse, lambda m: {str(k): encode_value(v) for k, v in sorted(m.items())})
+
+
+def _objects(cls: type, *attrs: tuple) -> _Codec:
+    """A list of ``cls``, each an object of ``attrs`` ``(name, type[, default])`` in order."""
+
+    def parse(raw: Any, where: str, at: str) -> tuple:
+        out = []
+        for i, item in enumerate(_expect(raw, list, where, at)):
+            item_at = f"{at}[{i}]"
+            obj = _expect(item, dict, where, item_at)
+            args = (
+                _expect(obj.get(name, *default), typ, where, f"{item_at}.{name}")
+                for name, typ, *default in attrs
+            )
+            out.append(cls(*args))
+        return tuple(out)
+
+    names = [name for name, *_ in attrs]
+    return _Codec(parse, lambda objs: [{n: getattr(o, n) for n in names} for o in objs])
+
+
+def _parse_vs_spec(raw: Any, where: str, at: str) -> VsSpec:
+    data = _expect(raw, dict, where, at)
+    kind = _expect(data.get("type", "unknown"), str, where, f"{at}.type")
     values: tuple[int, ...] = ()
     if kind == "explicit":
-        raw = data.get("values", [])
-        values = tuple(_expect(v, int, f"{where}.values") for v in _expect(raw, list, where))
-    return VsSpec(kind, values)
+        raw_values = _expect(data.get("values", []), list, where, at)
+        values = _expect_all(raw_values, int, where, f"{at}.values")
+    try:
+        return VsSpec(kind, values)
+    except ValueError as exc:
+        raise DatabaseError(f"{where}{at}: {exc}") from exc
+
+
+def _encode_vs_spec(spec: VsSpec) -> dict[str, Any]:
+    if spec.kind == "explicit":
+        return {"type": spec.kind, "values": list(spec.values)}
+    return {"type": spec.kind}
+
+
+#: The KnotRecord fields holding int-keyed maps (unhashable dicts), with their codecs.
+INT_KEYED_FIELDS = {
+    "s_invariants": _int_map("characteristic", lambda v, where, at: _expect(v, int, where, at)),
+    "gamma": _int_map("argument", parse_rational, format_rational),
+}
+
+# Every field's codec, in parse order: of several faults in a record, the
+# first met here is reported.  ``name`` is read before the rest.
+_CODECS: dict[str, _Codec] = {
+    "name": _scalar(str, nullable=False),
+    **INT_KEYED_FIELDS,
+    "friends": _objects(FriendshipRecord, ("k", int), ("friend_name", str), ("friend_s", int)),
+    "upper_witnesses": _objects(UpperWitness, ("k", int), ("description", str, "")),
+    "alexander": _optional_list(int),
+    "connected_sum_of": _optional_list(str),
+    "tau": _scalar(int),
+    "clasp_plus": _scalar(int),
+    "slicing_number": _scalar(int),
+    "concordant_to": _scalar(str),
+    "sources": _scalar(str),
+    "vs_spec": _Codec(_parse_vs_spec, _encode_vs_spec),
+    "signature": _scalar(int, nullable=False),
+}
+_PARSERS = [(fld, codec.parse, "." + fld) for fld, codec in _CODECS.items() if fld != "name"]
+_KNOWN_FIELDS = frozenset(f.name for f in fields(KnotRecord)) | {"sources"}
+_ABSENT = object()
 
 
 def _parse_record(obj: Any, index: int, unknown_fields: dict[str, int]) -> KnotRecord:
@@ -258,110 +348,31 @@ def _parse_record(obj: Any, index: int, unknown_fields: dict[str, int]) -> KnotR
     data = _expect(obj, dict, where)
     if "name" not in data:
         raise DatabaseError(f"{where}: missing required field 'name'")
-    name = _expect(data["name"], str, f"{where}.name")
+    name = _expect(data["name"], str, where, ".name")
     where = f"record {index} ({name!r})"
     if "signature" not in data:
         raise DatabaseError(f"{where}: missing required field 'signature'")
 
     for key in data:
-        if key not in _RECORD_FIELDS:
+        if key not in _KNOWN_FIELDS:
             unknown_fields[key] = unknown_fields.get(key, 0) + 1
 
-    s_invariants: dict[int, int] = {}
-    for key, value in _expect(data.get("s_invariants", {}), dict, f"{where}.s_invariants").items():
-        try:
-            p = _int_key(key)
-        except ValueError as exc:
-            raise DatabaseError(f"{where}.s_invariants: bad characteristic {key!r}") from exc
-        s_invariants[p] = _expect(value, int, f"{where}.s_invariants[{key}]")
-
-    gamma: dict[int, Fraction] = {}
-    for key, value in _expect(data.get("gamma", {}), dict, f"{where}.gamma").items():
-        try:
-            s = _int_key(key)
-        except ValueError as exc:
-            raise DatabaseError(f"{where}.gamma: bad argument {key!r}") from exc
-        gamma[s] = parse_rational(value, f"{where}.gamma[{key}]")
-
-    friends = []
-    for i, item in enumerate(_expect(data.get("friends", []), list, f"{where}.friends")):
-        fr = _expect(item, dict, f"{where}.friends[{i}]")
-        friends.append(
-            FriendshipRecord(
-                k=_expect(fr.get("k"), int, f"{where}.friends[{i}].k"),
-                friend_name=_expect(fr.get("friend_name"), str, f"{where}.friends[{i}].friend_name"),
-                friend_s=_expect(fr.get("friend_s"), int, f"{where}.friends[{i}].friend_s"),
-            )
-        )
-
-    witnesses = []
-    for i, item in enumerate(
-        _expect(data.get("upper_witnesses", []), list, f"{where}.upper_witnesses")
-    ):
-        w = _expect(item, dict, f"{where}.upper_witnesses[{i}]")
-        witnesses.append(
-            UpperWitness(
-                k=_expect(w.get("k"), int, f"{where}.upper_witnesses[{i}].k"),
-                description=_expect(
-                    w.get("description", ""), str, f"{where}.upper_witnesses[{i}].description"
-                ),
-            )
-        )
-
-    alexander = None
-    if data.get("alexander") is not None:
-        alexander = tuple(
-            _expect(v, int, f"{where}.alexander")
-            for v in _expect(data["alexander"], list, f"{where}.alexander")
-        )
-
-    connected = None
-    if data.get("connected_sum_of") is not None:
-        connected = tuple(
-            _expect(v, str, f"{where}.connected_sum_of")
-            for v in _expect(data["connected_sum_of"], list, f"{where}.connected_sum_of")
-        )
-
-    tau = data.get("tau")
-    if tau is not None:
-        tau = _expect(tau, int, f"{where}.tau")
-    clasp = data.get("clasp_plus")
-    if clasp is not None:
-        clasp = _expect(clasp, int, f"{where}.clasp_plus")
-    slicing = data.get("slicing_number")
-    if slicing is not None:
-        slicing = _expect(slicing, int, f"{where}.slicing_number")
-    concordant = data.get("concordant_to")
-    if concordant is not None:
-        concordant = _expect(concordant, str, f"{where}.concordant_to")
-    if data.get("sources") is not None:
-        _expect(data["sources"], str, f"{where}.sources")
-
-    vs_spec = _parse_vs_spec(data.get("vs_spec", {"type": "unknown"}), f"{where}.vs_spec")
-
-    return KnotRecord(
-        name=name,
-        signature=_expect(data["signature"], int, f"{where}.signature"),
-        s_invariants=s_invariants,
-        tau=tau,
-        vs_spec=vs_spec,
-        alexander=alexander,
-        clasp_plus=clasp,
-        slicing_number=slicing,
-        gamma=gamma,
-        friends=tuple(friends),
-        upper_witnesses=tuple(witnesses),
-        concordant_to=concordant,
-        connected_sum_of=connected,
-    )
+    values = {}
+    for fld, parse, at in _PARSERS:
+        raw = data.get(fld, _ABSENT)
+        if raw is not _ABSENT:
+            values[fld] = parse(raw, where, at)
+    values.pop("sources", None)
+    return KnotRecord(name, **values)
 
 
 def parse_knot_db(text: str) -> KnotDatabase:
     """Parse a JSON knot database; every returned record satisfies its invariants.
 
     Raises :class:`DatabaseError` on syntax errors (with line/column),
-    duplicate names and invariant violations.  Unknown fields and dangling
-    cross-references are reported in ``db.warnings``.
+    duplicate names and invariant violations.  Unknown fields and references
+    (``concordant_to``, ``connected_sum_of``) to absent records are reported
+    in ``db.warnings``.
     """
     try:
         doc = json.loads(text)
@@ -391,17 +402,15 @@ def parse_knot_db(text: str) -> KnotDatabase:
         f"ignored unknown field {name!r} ({count} occurrence{'s' if count > 1 else ''})"
         for name, count in sorted(unknown_fields.items())
     ]
-    known = set(records)
+    # Only the fields the upper bound follows are references; a friend's name is a label.
     for record in records.values():
         refs: list[tuple[str, str]] = []
         if record.concordant_to is not None:
             refs.append(("concordant_to", record.concordant_to))
         for other in record.connected_sum_of or ():
             refs.append(("connected_sum_of", other))
-        for fr in record.friends:
-            refs.append(("friends", fr.friend_name))
         for fld, target in refs:
-            if target not in known:
+            if target not in records:
                 warnings.append(
                     f"record {record.name!r}: {fld} references unknown knot {target!r}"
                 )
@@ -409,41 +418,18 @@ def parse_knot_db(text: str) -> KnotDatabase:
 
 
 def serialize_knot_db(db: KnotDatabase) -> str:
-    """Inverse of :func:`parse_knot_db` up to database equality."""
-    out = []
-    for record in db:
-        item: dict[str, Any] = {"name": record.name, "signature": record.signature}
-        if record.s_invariants:
-            item["s_invariants"] = {str(p): v for p, v in sorted(record.s_invariants.items())}
-        if record.tau is not None:
-            item["tau"] = record.tau
-        if record.vs_spec.kind != "unknown":
-            spec: dict[str, Any] = {"type": record.vs_spec.kind}
-            if record.vs_spec.kind == "explicit":
-                spec["values"] = list(record.vs_spec.values)
-            item["vs_spec"] = spec
-        if record.alexander is not None:
-            item["alexander"] = list(record.alexander)
-        if record.clasp_plus is not None:
-            item["clasp_plus"] = record.clasp_plus
-        if record.slicing_number is not None:
-            item["slicing_number"] = record.slicing_number
-        if record.gamma:
-            item["gamma"] = {str(s): format_rational(v) for s, v in sorted(record.gamma.items())}
-        if record.friends:
-            item["friends"] = [
-                {"k": fr.k, "friend_name": fr.friend_name, "friend_s": fr.friend_s}
-                for fr in record.friends
-            ]
-        if record.upper_witnesses:
-            item["upper_witnesses"] = [
-                {"k": w.k, "description": w.description} for w in record.upper_witnesses
-            ]
-        if record.concordant_to is not None:
-            item["concordant_to"] = record.concordant_to
-        if record.connected_sum_of is not None:
-            item["connected_sum_of"] = list(record.connected_sum_of)
-        out.append(item)
+    """Inverse of :func:`parse_knot_db` up to database equality.
+
+    Fields are written in declaration order; one that holds its default is left out.
+    """
+    spec = []
+    for f in fields(KnotRecord):
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        spec.append((f.name, _CODECS[f.name].encode, default))
+    out = [
+        {name: enc(v) for name, enc, default in spec if (v := getattr(record, name)) != default}
+        for record in db
+    ]
     return json.dumps(out, indent=2)
 
 

@@ -3,11 +3,14 @@
 import json
 import re
 from fractions import Fraction
+from typing import Any
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slicedeg import knots
 from slicedeg.knots import (
     DatabaseError,
     FriendshipRecord,
@@ -16,12 +19,206 @@ from slicedeg.knots import (
     UpperWitness,
     VsSpec,
     bundled_database_path,
+    format_rational,
     load_knot_db,
     parse_knot_db,
     parse_rational,
     serialize_knot_db,
     validate_record,
 )
+
+# --- reference codec: the per-field parser and serializer the table-driven codec replaced ---
+
+REFERENCE_VS_KINDS = ("explicit", "thin", "lspace", "mirror_lspace", "unknown")
+
+REFERENCE_RECORD_FIELDS = (
+    "name",
+    "signature",
+    "s_invariants",
+    "tau",
+    "vs_spec",
+    "alexander",
+    "clasp_plus",
+    "slicing_number",
+    "gamma",
+    "friends",
+    "upper_witnesses",
+    "concordant_to",
+    "connected_sum_of",
+    "sources",
+)
+
+
+def reference_expect(obj: Any, typ: type, where: str) -> Any:
+    if typ is int and isinstance(obj, bool):
+        raise DatabaseError(f"{where}: expected {typ.__name__}, got bool")
+    if not isinstance(obj, typ):
+        raise DatabaseError(f"{where}: expected {typ.__name__}, got {type(obj).__name__}")
+    return obj
+
+
+def reference_int_key(key: str) -> int:
+    if str(value := int(key)) != key:
+        raise ValueError(f"non-canonical integer {key!r}")
+    return value
+
+
+def reference_parse_vs_spec(obj: Any, where: str) -> VsSpec:
+    data = reference_expect(obj, dict, where)
+    kind = reference_expect(data.get("type", "unknown"), str, f"{where}.type")
+    if kind not in REFERENCE_VS_KINDS:
+        raise DatabaseError(f"{where}: unknown vs_spec type {kind!r}")
+    values: tuple[int, ...] = ()
+    if kind == "explicit":
+        raw = data.get("values", [])
+        values = tuple(
+            reference_expect(v, int, f"{where}.values")
+            for v in reference_expect(raw, list, where)
+        )
+    return VsSpec(kind, values)
+
+
+def reference_parse_record(obj: Any, index: int, unknown_fields: dict[str, int]) -> KnotRecord:
+    expect = reference_expect
+    where = f"record {index}"
+    data = expect(obj, dict, where)
+    if "name" not in data:
+        raise DatabaseError(f"{where}: missing required field 'name'")
+    name = expect(data["name"], str, f"{where}.name")
+    where = f"record {index} ({name!r})"
+    if "signature" not in data:
+        raise DatabaseError(f"{where}: missing required field 'signature'")
+
+    for key in data:
+        if key not in REFERENCE_RECORD_FIELDS:
+            unknown_fields[key] = unknown_fields.get(key, 0) + 1
+
+    s_invariants: dict[int, int] = {}
+    for key, value in expect(data.get("s_invariants", {}), dict, f"{where}.s_invariants").items():
+        try:
+            p = reference_int_key(key)
+        except ValueError as exc:
+            raise DatabaseError(f"{where}.s_invariants: bad characteristic {key!r}") from exc
+        s_invariants[p] = expect(value, int, f"{where}.s_invariants[{key}]")
+
+    gamma: dict[int, Fraction] = {}
+    for key, value in expect(data.get("gamma", {}), dict, f"{where}.gamma").items():
+        try:
+            s = reference_int_key(key)
+        except ValueError as exc:
+            raise DatabaseError(f"{where}.gamma: bad argument {key!r}") from exc
+        gamma[s] = parse_rational(value, f"{where}.gamma[{key}]")
+
+    friends = []
+    for i, item in enumerate(expect(data.get("friends", []), list, f"{where}.friends")):
+        fr = expect(item, dict, f"{where}.friends[{i}]")
+        friends.append(
+            FriendshipRecord(
+                k=expect(fr.get("k"), int, f"{where}.friends[{i}].k"),
+                friend_name=expect(fr.get("friend_name"), str, f"{where}.friends[{i}].friend_name"),
+                friend_s=expect(fr.get("friend_s"), int, f"{where}.friends[{i}].friend_s"),
+            )
+        )
+
+    witnesses = []
+    for i, item in enumerate(
+        expect(data.get("upper_witnesses", []), list, f"{where}.upper_witnesses")
+    ):
+        w = expect(item, dict, f"{where}.upper_witnesses[{i}]")
+        witnesses.append(
+            UpperWitness(
+                k=expect(w.get("k"), int, f"{where}.upper_witnesses[{i}].k"),
+                description=expect(
+                    w.get("description", ""), str, f"{where}.upper_witnesses[{i}].description"
+                ),
+            )
+        )
+
+    alexander = None
+    if data.get("alexander") is not None:
+        alexander = tuple(
+            expect(v, int, f"{where}.alexander")
+            for v in expect(data["alexander"], list, f"{where}.alexander")
+        )
+
+    connected = None
+    if data.get("connected_sum_of") is not None:
+        connected = tuple(
+            expect(v, str, f"{where}.connected_sum_of")
+            for v in expect(data["connected_sum_of"], list, f"{where}.connected_sum_of")
+        )
+
+    tau = data.get("tau")
+    if tau is not None:
+        tau = expect(tau, int, f"{where}.tau")
+    clasp = data.get("clasp_plus")
+    if clasp is not None:
+        clasp = expect(clasp, int, f"{where}.clasp_plus")
+    slicing = data.get("slicing_number")
+    if slicing is not None:
+        slicing = expect(slicing, int, f"{where}.slicing_number")
+    concordant = data.get("concordant_to")
+    if concordant is not None:
+        concordant = expect(concordant, str, f"{where}.concordant_to")
+    if data.get("sources") is not None:
+        expect(data["sources"], str, f"{where}.sources")
+
+    vs_spec = reference_parse_vs_spec(data.get("vs_spec", {"type": "unknown"}), f"{where}.vs_spec")
+
+    return KnotRecord(
+        name=name,
+        signature=expect(data["signature"], int, f"{where}.signature"),
+        s_invariants=s_invariants,
+        tau=tau,
+        vs_spec=vs_spec,
+        alexander=alexander,
+        clasp_plus=clasp,
+        slicing_number=slicing,
+        gamma=gamma,
+        friends=tuple(friends),
+        upper_witnesses=tuple(witnesses),
+        concordant_to=concordant,
+        connected_sum_of=connected,
+    )
+
+
+def reference_serialize_knot_db(db: KnotDatabase) -> str:
+    out = []
+    for record in db:
+        item: dict[str, Any] = {"name": record.name, "signature": record.signature}
+        if record.s_invariants:
+            item["s_invariants"] = {str(p): v for p, v in sorted(record.s_invariants.items())}
+        if record.tau is not None:
+            item["tau"] = record.tau
+        if record.vs_spec.kind != "unknown":
+            spec: dict[str, Any] = {"type": record.vs_spec.kind}
+            if record.vs_spec.kind == "explicit":
+                spec["values"] = list(record.vs_spec.values)
+            item["vs_spec"] = spec
+        if record.alexander is not None:
+            item["alexander"] = list(record.alexander)
+        if record.clasp_plus is not None:
+            item["clasp_plus"] = record.clasp_plus
+        if record.slicing_number is not None:
+            item["slicing_number"] = record.slicing_number
+        if record.gamma:
+            item["gamma"] = {str(s): format_rational(v) for s, v in sorted(record.gamma.items())}
+        if record.friends:
+            item["friends"] = [
+                {"k": fr.k, "friend_name": fr.friend_name, "friend_s": fr.friend_s}
+                for fr in record.friends
+            ]
+        if record.upper_witnesses:
+            item["upper_witnesses"] = [
+                {"k": w.k, "description": w.description} for w in record.upper_witnesses
+            ]
+        if record.concordant_to is not None:
+            item["concordant_to"] = record.concordant_to
+        if record.connected_sum_of is not None:
+            item["connected_sum_of"] = list(record.connected_sum_of)
+        out.append(item)
+    return json.dumps(out, indent=2)
+
 
 TREFOIL = {
     "name": "3_1",
@@ -31,6 +228,41 @@ TREFOIL = {
     "vs_spec": {"type": "thin"},
     "clasp_plus": 1,
 }
+
+
+# Databases the serializer must round-trip.
+RANDOM_RECORDS = st.lists(
+    st.builds(
+        KnotRecord,
+        name=st.uuids().map(str),
+        signature=st.integers(-10, 10).map(lambda n: 2 * n),
+        s_invariants=st.dictionaries(
+            st.sampled_from([0, 2, 3, 5, 7]), st.integers(-8, 8).map(lambda n: 2 * n)
+        ),
+        tau=st.one_of(st.none(), st.integers(-4, 4)),
+        vs_spec=st.one_of(
+            st.just(VsSpec("unknown")),
+            st.just(VsSpec("mirror_lspace")),
+            st.builds(
+                lambda vals: VsSpec("explicit", tuple(sorted(vals, reverse=True))),
+                st.lists(st.integers(0, 5), max_size=4),
+            ),
+        ),
+        clasp_plus=st.one_of(st.none(), st.integers(0, 5)),
+        slicing_number=st.one_of(st.none(), st.integers(0, 5)),
+        gamma=st.dictionaries(
+            st.integers(0, 4),
+            st.fractions(min_value=Fraction(1, 100), max_value=Fraction(100)),
+            max_size=3,
+        ),
+        upper_witnesses=st.lists(
+            st.builds(UpperWitness, k=st.integers(0, 9), description=st.text(max_size=10)),
+            max_size=2,
+        ).map(tuple),
+    ),
+    max_size=5,
+    unique_by=lambda r: r.name,
+)
 
 
 def parse_one(obj) -> KnotRecord:
@@ -75,6 +307,10 @@ class TestParse:
 
     def test_bundled_knots_load_without_warnings(self):
         assert load_knot_db(bundled_database_path("knots")).warnings == ()
+
+    def test_bundled_families_load_without_warnings(self):
+        """A friend's name is a label, not a reference: K_G need not be a record."""
+        assert load_knot_db(bundled_database_path("families")).warnings == ()
 
     @pytest.mark.parametrize("field", ["s_invariants", "gamma"])
     @pytest.mark.parametrize("keys", [("1", "01"), ("1_0",), (" 0",), ("+1",)])
@@ -223,40 +459,7 @@ class TestRoundTrip:
         assert again.records == db.records
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(
-            st.builds(
-                KnotRecord,
-                name=st.uuids().map(str),
-                signature=st.integers(-10, 10).map(lambda n: 2 * n),
-                s_invariants=st.dictionaries(
-                    st.sampled_from([0, 2, 3, 5, 7]), st.integers(-8, 8).map(lambda n: 2 * n)
-                ),
-                tau=st.one_of(st.none(), st.integers(-4, 4)),
-                vs_spec=st.one_of(
-                    st.just(VsSpec("unknown")),
-                    st.just(VsSpec("mirror_lspace")),
-                    st.builds(
-                        lambda vals: VsSpec("explicit", tuple(sorted(vals, reverse=True))),
-                        st.lists(st.integers(0, 5), max_size=4),
-                    ),
-                ),
-                clasp_plus=st.one_of(st.none(), st.integers(0, 5)),
-                slicing_number=st.one_of(st.none(), st.integers(0, 5)),
-                gamma=st.dictionaries(
-                    st.integers(0, 4),
-                    st.fractions(min_value=Fraction(1, 100), max_value=Fraction(100)),
-                    max_size=3,
-                ),
-                upper_witnesses=st.lists(
-                    st.builds(UpperWitness, k=st.integers(0, 9), description=st.text(max_size=10)),
-                    max_size=2,
-                ).map(tuple),
-            ),
-            max_size=5,
-            unique_by=lambda r: r.name,
-        )
-    )
+    @given(RANDOM_RECORDS)
     def test_roundtrip_random_records(self, records):
         # thin/tau pairing is the only cross-field invariant the strategy could break
         records = [r for r in records if not (r.vs_spec.kind == "thin" and r.tau is None)]
@@ -289,3 +492,138 @@ class TestRationals:
             parse_rational(True, "t")
         with pytest.raises(DatabaseError, match=r"gamma\[1\]"):
             parse_one(dict(TREFOIL, gamma={"1": True}))
+
+
+# --- differential codec test ---------------------------------------------------
+
+BUNDLED_RECORDS = [
+    record
+    for name in ("knots", "families")
+    for record in json.loads(bundled_database_path(name).read_text(encoding="utf-8"))
+]
+REMOVE = object()
+# Per field: wrong JSON types, booleans, non-canonical keys, bad rationals,
+# malformed friend and witness objects, bad vs_spec objects, and values
+# that are valid or fail only validation.  Any field may also be removed,
+# set to null or set to an arbitrary JSON value.
+_FRIEND = {"k": 1, "friend_name": "x", "friend_s": 2}
+FIELD_FAULTS = {
+    "name": [3, "", "x", True],
+    "signature": [3, -2, True, "2", 1.5],
+    "s_invariants": [
+        {"0": 3}, {"4": 2}, {"0": 2, "2": 2}, {"01": 2}, {" 0": 2}, {"1_0": 2}, {"+1": True},
+        {"1": "a"}, {"1": True}, {"2": None}, {"0": 2, "01": "x"}, [],
+    ],
+    "gamma": [
+        {"1": "3/5"}, {"1": 2}, {"1": "a/b"}, {"1": "1/0"}, {"1": "3/"}, {"1": 1.5}, {"1": True},
+        {"1": None}, {"1": "-1/2"}, {"-1": "1/2"}, {"01": "a/b"}, {"1": "a/b", "01": 2},
+        {"1": "3/5", "2": [1]},
+    ],
+    "friends": [
+        [_FRIEND], [{"k": "1"}], [{}], [1], [dict(_FRIEND, k=True)], [dict(_FRIEND, k=-1)],
+        [dict(_FRIEND, friend_name=None)], [{"k": 1, "friend_name": "x"}],
+        [dict(_FRIEND, friend_s=3)], [_FRIEND, {"k": "a"}], [dict(_FRIEND, extra=1)],
+    ],
+    "upper_witnesses": [
+        [{"k": 1, "description": "d"}], [{"k": 1}], [{"k": 1, "description": None}],
+        [{"k": -1, "description": "d"}], [{"description": "d"}], [{"k": 2, "description": 5}],
+        [1], [{"k": 1.0}],
+    ],
+    "alexander": [[1, -1, 1], [1, 0, 1], [-1, 1, 1, 1, -1], [1, -1, 0], ["a"], [True], []],
+    "connected_sum_of": [[], ["3_1", "4_1"], ["3_1", 1], ["nope"], "3_1", [None]],
+    "tau": [-1, 2, True, "1", 1.5],
+    "clasp_plus": [-1, 2, False, "1"],
+    "slicing_number": [-1, 2, True, [1]],
+    "concordant_to": ["3_1", "nope", 1, True, []],
+    "sources": ["KnotInfo", 1, False, ["x"]],
+    "vs_spec": [
+        {"type": "foo"}, {"type": 3}, {"type": None}, {}, {"values": [1]}, {"type": "thin"},
+        {"type": "lspace"}, {"type": "mirror_lspace"}, {"type": "unknown", "values": "x"},
+        {"type": "explicit"}, {"type": "explicit", "values": [2, 0]},
+        {"type": "explicit", "values": [0, 1]}, {"type": "explicit", "values": [1, "a"]},
+        {"type": "explicit", "values": "x"}, {"type": "explicit", "values": None},
+        {"type": "thin", "values": [1]}, "thin",
+    ],
+    "provenance": ["x"],
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+MUTATIONS = st.lists(
+    st.sampled_from(sorted(FIELD_FAULTS)).flatmap(
+        lambda fld: st.tuples(
+            st.just(fld),
+            st.one_of(
+                st.just(REMOVE), st.none(), st.sampled_from(FIELD_FAULTS[fld]), JSON_VALUES
+            ),
+        )
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def db_outcome(text: str, serialize=serialize_knot_db):
+    """The parsed records (by repr, so types count), warnings and serialization, or the error."""
+    try:
+        db = parse_knot_db(text)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return type(exc), str(exc)
+    return repr(db.records), db.warnings, serialize(db)
+
+
+def reference_db_outcome(text: str):
+    """:func:`db_outcome` with the reference record parser and serializer."""
+    with mock.patch.object(knots, "_parse_record", reference_parse_record):
+        return db_outcome(text, reference_serialize_knot_db)
+
+
+class TestCodecMatchesReference:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.sampled_from(BUNDLED_RECORDS), st.sampled_from(BUNDLED_RECORDS), MUTATIONS)
+    def test_mutated_records_parse_like_reference(self, record, other, mutations):
+        mutated = dict(record)
+        for fld, value in mutations:
+            if value is REMOVE:
+                mutated.pop(fld, None)
+            else:
+                mutated[fld] = value
+        text = json.dumps([mutated, other] if other["name"] != record["name"] else [mutated])
+        assert db_outcome(text) == reference_db_outcome(text)
+
+    @pytest.mark.parametrize("fld", sorted(FIELD_FAULTS))
+    def test_each_fault_like_reference(self, fld):
+        for record in (BUNDLED_RECORDS[0], BUNDLED_RECORDS[-1]):
+            for value in [*FIELD_FAULTS[fld], None, REMOVE]:
+                mutated = {k: v for k, v in record.items() if k != fld}
+                if value is not REMOVE:
+                    mutated[fld] = value
+                text = json.dumps([mutated])
+                assert db_outcome(text) == reference_db_outcome(text)
+
+    def test_first_of_two_faults_like_reference(self):
+        """Every pair of faulty fields reports the same one first."""
+        for f1 in REFERENCE_RECORD_FIELDS[1:]:
+            for f2 in REFERENCE_RECORD_FIELDS[1:]:
+                text = json.dumps([{"name": "x", "signature": 0, f1: 1.5, f2: 1.5}])
+                assert db_outcome(text) == reference_db_outcome(text)
+
+    @pytest.mark.parametrize("name", ["knots", "families"])
+    def test_bundled_parse_and_serialize_like_reference(self, name):
+        text = bundled_database_path(name).read_text(encoding="utf-8")
+        assert db_outcome(text) == reference_db_outcome(text)
+
+    @settings(max_examples=60, deadline=None)
+    @given(RANDOM_RECORDS)
+    def test_random_records_serialize_like_reference(self, records):
+        db = KnotDatabase({r.name: r for r in records})
+        assert serialize_knot_db(db) == reference_serialize_knot_db(db)
+
+    def test_empty_connected_sum_round_trips(self):
+        db = parse_knot_db(json.dumps([{"name": "x", "signature": 0, "connected_sum_of": []}]))
+        assert db.get("x").connected_sum_of == ()
+        assert parse_knot_db(serialize_knot_db(db)).records == db.records

@@ -237,23 +237,19 @@ class TestSearchCount:
 
 
 class TestCliTable:
-    # families.json cites a friend outside the file, which the loader reports
-    # on stderr unless --quiet; the table itself must add nothing there.
-    CASES = [("knots", []), ("families", ["--quiet"])]
-
-    @pytest.mark.parametrize("name, extra", CASES, ids=[c[0] for c in CASES])
-    def test_json_matches_reference_intervals(self, capsys, name, extra):
+    @pytest.mark.parametrize("name", ["knots", "families"])
+    def test_json_matches_reference_intervals(self, capsys, name):
         path = str(bundled_database_path(name))
-        assert main(["table", "--db", path, "--format", "json", *extra]) == 0
+        assert main(["table", "--db", path, "--format", "json"]) == 0
         out, err = capsys.readouterr()
         assert err == ""
         want = json.loads(REFERENCE.read_text(encoding="utf-8"))["intervals"][name]
         assert {row["name"]: row["display"] for row in json.loads(out)} == want
 
-    @pytest.mark.parametrize("name, extra", CASES, ids=[c[0] for c in CASES])
-    def test_md_one_row_per_record(self, capsys, name, extra):
+    @pytest.mark.parametrize("name", ["knots", "families"])
+    def test_md_one_row_per_record(self, capsys, name):
         path = bundled_database_path(name)
-        assert main(["table", "--db", str(path), *extra]) == 0
+        assert main(["table", "--db", str(path)]) == 0
         out, err = capsys.readouterr()
         assert err == ""
         lines = out.splitlines()
