@@ -155,7 +155,8 @@ def _gamma_c_vectors(a: Sequence[int], sweep: bool) -> list[tuple[int, ...]]:
     over the even runs, in lexicographic order, so the first killing c is
     the first killing c of the full 2^n sweep in that order.
     Each is decided by :func:`gamma_general` in O(n) integer operations,
-    plus O(n * sum(a)) once for the eta of a killing c's witness.
+    plus O(n + b * sum(a)) once for the closed-form eta of a killing c's
+    witness, with b <= n binomial factors (:func:`~slicedeg.lattice.eta`).
     """
     if not sweep:
         return [(0,) * len(a)]

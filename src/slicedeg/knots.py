@@ -6,8 +6,10 @@ strings ``"num/den"``; the V_s specification is an object
 ``{"type": "thin"|"lspace"|"mirror_lspace"|"explicit"|"unknown",
 "values": [...]}``; Alexander coefficients are the dense symmetric list
 indexed by exponent -g..g (ascending).  ``sources``, a citation string,
-is checked and not kept.  Unknown fields are ignored with a warning so data
-files can carry per-field provenance annotations.  ``concordant_to`` and
+is checked and not kept; non-empty ``values`` is rejected on a non-explicit
+V_s kind.  Unknown fields, also inside ``friends[]``, ``upper_witnesses[]``
+and ``vs_spec``, are ignored with a warning so data files can carry
+per-field provenance annotations.  ``concordant_to`` and
 ``connected_sum_of`` are references to other records (warned about when
 absent); ``friends[].friend_name`` is a label, since a friendship carries
 its own ``friend_s``.
@@ -192,8 +194,9 @@ def validate_record(record: KnotRecord) -> list[Diagnostic]:
 # --- JSON codec -------------------------------------------------------------
 #
 # One parser and one encoder per field kind.  A parser takes the raw JSON
-# value, the record's location ``where`` and the path ``at`` inside it
-# (".gamma[1]"); the two are joined only when an error is raised.
+# value, the record's location ``where``, the path ``at`` inside it
+# (".gamma[1]"; the two are joined only when an error is raised) and the
+# database's count of unknown keys, which it adds its nested objects' to.
 
 
 def parse_rational(text: Any, where: str, at: str = "") -> Fraction:
@@ -239,14 +242,14 @@ def _same(value: Any) -> Any:
 
 
 class _Codec(NamedTuple):
-    parse: Callable[[Any, str, str], Any]
+    parse: Callable[[Any, str, str, dict[str, int]], Any]
     encode: Callable[[Any], Any] = _same
 
 
 def _scalar(typ: type, nullable: bool = True) -> _Codec:
     """A ``typ`` value; ``null`` means absent unless the field is required."""
 
-    def parse(raw: Any, where: str, at: str) -> Any:
+    def parse(raw: Any, where: str, at: str, unknown: dict[str, int]) -> Any:
         return None if raw is None and nullable else _expect(raw, typ, where, at)
 
     return _Codec(parse)
@@ -255,7 +258,7 @@ def _scalar(typ: type, nullable: bool = True) -> _Codec:
 def _optional_list(typ: type) -> _Codec:
     """A list of ``typ`` kept as a tuple; ``null`` means absent, ``[]`` is kept."""
 
-    def parse(raw: Any, where: str, at: str) -> tuple | None:
+    def parse(raw: Any, where: str, at: str, unknown: dict[str, int]) -> tuple | None:
         return None if raw is None else _expect_all(_expect(raw, list, where, at), typ, where, at)
 
     return _Codec(parse, list)
@@ -264,7 +267,7 @@ def _optional_list(typ: type) -> _Codec:
 def _int_map(key_label: str, parse_value: Callable, encode_value: Callable = _same) -> _Codec:
     """An object with canonical integer keys; each key is checked before its value."""
 
-    def parse(raw: Any, where: str, at: str) -> dict:
+    def parse(raw: Any, where: str, at: str, unknown: dict[str, int]) -> dict:
         out = {}
         for key, value in _expect(raw, dict, where, at).items():
             try:
@@ -277,14 +280,29 @@ def _int_map(key_label: str, parse_value: Callable, encode_value: Callable = _sa
     return _Codec(parse, lambda m: {str(k): encode_value(v) for k, v in sorted(m.items())})
 
 
+def _count_unknown(obj: dict, known: frozenset[str], prefix: str, unknown: dict[str, int]) -> None:
+    """Count the keys of ``obj`` outside ``known`` into ``unknown``, as ``prefix + key``.
+
+    Callers test ``known.issuperset(obj)`` first, so parsing a clean
+    database costs one subset test per nested object and builds no set.
+    """
+    for key in obj.keys() - known:
+        unknown[prefix + key] = unknown.get(prefix + key, 0) + 1
+
+
 def _objects(cls: type, *attrs: tuple) -> _Codec:
     """A list of ``cls``, each an object of ``attrs`` ``(name, type[, default])`` in order."""
+    names = [name for name, *_ in attrs]
+    known = frozenset(names)
 
-    def parse(raw: Any, where: str, at: str) -> tuple:
+    def parse(raw: Any, where: str, at: str, unknown: dict[str, int]) -> tuple:
         out = []
+        prefix = f"{at[1:]}[]."
         for i, item in enumerate(_expect(raw, list, where, at)):
             item_at = f"{at}[{i}]"
             obj = _expect(item, dict, where, item_at)
+            if not known.issuperset(obj):
+                _count_unknown(obj, known, prefix, unknown)
             args = (
                 _expect(obj.get(name, *default), typ, where, f"{item_at}.{name}")
                 for name, typ, *default in attrs
@@ -292,17 +310,21 @@ def _objects(cls: type, *attrs: tuple) -> _Codec:
             out.append(cls(*args))
         return tuple(out)
 
-    names = [name for name, *_ in attrs]
     return _Codec(parse, lambda objs: [{n: getattr(o, n) for n in names} for o in objs])
 
 
-def _parse_vs_spec(raw: Any, where: str, at: str) -> VsSpec:
+_VS_SPEC_KEYS = frozenset(("type", "values"))
+
+
+def _parse_vs_spec(raw: Any, where: str, at: str, unknown: dict[str, int]) -> VsSpec:
+    """``values`` is read whenever present, so :class:`VsSpec` rejects it on other kinds."""
     data = _expect(raw, dict, where, at)
+    if not _VS_SPEC_KEYS.issuperset(data):
+        _count_unknown(data, _VS_SPEC_KEYS, f"{at[1:]}.", unknown)
     kind = _expect(data.get("type", "unknown"), str, where, f"{at}.type")
-    values: tuple[int, ...] = ()
-    if kind == "explicit":
-        raw_values = _expect(data.get("values", []), list, where, at)
-        values = _expect_all(raw_values, int, where, f"{at}.values")
+    values = ()
+    if "values" in data:
+        values = _expect_all(_expect(data["values"], list, where, at), int, where, f"{at}.values")
     try:
         return VsSpec(kind, values)
     except ValueError as exc:
@@ -361,7 +383,7 @@ def _parse_record(obj: Any, index: int, unknown_fields: dict[str, int]) -> KnotR
     for fld, parse, at in _PARSERS:
         raw = data.get(fld, _ABSENT)
         if raw is not _ABSENT:
-            values[fld] = parse(raw, where, at)
+            values[fld] = parse(raw, where, at, unknown_fields)
     values.pop("sources", None)
     return KnotRecord(name, **values)
 

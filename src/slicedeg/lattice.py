@@ -10,8 +10,11 @@ zero coordinates dropped; :func:`iter_classes` streams a level lazily.
 This module also computes the minimal topological energy kappa_min of
 reducibles over the integer lattice, its argmin set Phi_min, and the signed
 Laurent count eta weighted by monopole number, all one coordinate at a
-time.  Everything is exact: norms and energies are integers (energies
-scaled by 16) or Fractions, never floats.
+time.  eta is in closed form: a signed monomial times one binomial
+1 - T^(2*a_i) per coordinate with two argmins, with sign and shift summed
+in integers and the binomials expanded in one dict.  Everything is exact:
+norms and energies are integers (energies scaled by 16) or Fractions,
+never floats.
 """
 
 from __future__ import annotations
@@ -256,17 +259,35 @@ def eta(cls_signed: Sequence[int], c: Sequence[int]) -> LaurentPoly:
 
     eta = sum over z in Phi_min of (-1)^(sum z_i^2) * T^(sum a_i (c_i - 2 z_i)).
 
-    Sign and exponent factor over the coordinates, so eta is the product of
-    one factor per coordinate with one term per argmin z_i; Phi_min is never
-    expanded.  The running product spans at most 2*sum|a_i| + 1 exponents,
-    so the work is O(n * sum|a_i|).
+    Sign and exponent factor over the coordinates.  With t = a_i - 2*c_i and
+    z the least argmin of coordinate i, its factor is the monomial
+    (-1)^z * T^(a_i (c_i - 2z)) when t != 2 mod 4, and otherwise (argmins z
+    and z + 1) (-1)^(z+1) * T^(a_i (c_i - 2z) - 2 a_i) * (1 - T^(2 a_i)).
+    So eta = (-1)^f * T^E * prod over t_i = 2 mod 4 of (1 - T^(2 a_i)):
+    f and E are summed as integers, and each binomial is multiplied into one
+    exponent -> coefficient dict by a single update pass.  A zero entry
+    with t = 2 mod 4 contributes 1 - T^0 = 0, so eta is zero there.
+    Phi_min is never expanded; the product spans at most sum|a_i| + 1
+    exponents, so the work is O(n + b * sum|a_i|) for b binomial factors.
     """
     if len(cls_signed) != len(c):
         raise ValueError("class and c must have the same length")
-    count = LaurentPoly({0: 1})
+    flips = shift = 0
+    steps = []  # 2*a_i of each binomial factor 1 - T^(2*a_i)
     for ai, ci in zip(cls_signed, c):
-        _, zs = _coordinate_minimizers(ai, ci)
-        count = count * LaurentPoly.from_terms(
-            (ai * (ci - 2 * z), -1 if z % 2 else 1) for z in zs
-        )
-    return count
+        t = ai - 2 * ci
+        z = (_NEAREST[t % 4][0] - t) // 4
+        shift += ai * (ci - 2 * z)
+        if t % 4 == 2:
+            flips += z + 1
+            shift -= 2 * ai
+            steps.append(2 * ai)
+        else:
+            flips += z
+    coeffs = {shift: -1 if flips % 2 else 1}
+    for step in steps:
+        product = dict(coeffs)
+        for exp, coef in coeffs.items():
+            product[exp + step] = product.get(exp + step, 0) - coef
+        coeffs = product
+    return LaurentPoly({exp: coef for exp, coef in coeffs.items() if coef})

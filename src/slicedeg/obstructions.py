@@ -233,7 +233,7 @@ def gamma_general(
     cls: HomologyClass,
     c: Sequence[int],
     sigma: int,
-    gamma: Mapping[int, Fraction],
+    gamma: Mapping[int, Fraction | int],
 ) -> Verdict:
     """Instanton energy obstruction for an arbitrary class.
 
@@ -243,12 +243,15 @@ def gamma_general(
     Gamma_K(i) gives no conclusion.
 
     Decided in integers: 16*kappa is a sum of per-coordinate minima
-    (:func:`~slicedeg.lattice.kappa16`) and 4*i = 16*kappa - k - 2*sigma.
-    For a class, every a_i is non-zero, so each coordinate's factor of
-    eta has one term or two terms with exponents 2*a_i apart, and eta, a
-    product of non-zero Laurent polynomials, is never zero.  It is
-    computed only for an obstructing witness.  Work: O(n) integer
-    operations per call, plus O(n * sum(a)) for an obstructing witness's eta.
+    (:func:`~slicedeg.lattice.kappa16`), 4*i = 16*kappa - k - 2*sigma, and
+    Gamma_K(i) = p/q (a ``Fraction`` or an ``int``; it must be rational)
+    kills iff 8*p > 16*kappa * q, so the test builds no Fraction (only a
+    witness or a non-integral-index note does).  For a class, every a_i
+    is non-zero, so eta, a signed monomial times binomials 1 - T^(2*a_i),
+    is never zero; it is computed only for an obstructing witness.  Work:
+    O(n) integer operations per call, plus O(n + b * sum(a)) for an
+    obstructing witness's eta with b binomial factors
+    (:func:`~slicedeg.lattice.eta`).
     """
     if len(c) != cls.n:
         raise ValueError("c must match the class length")
@@ -262,17 +265,16 @@ def gamma_general(
     value = gamma.get(i)
     if value is None:
         return PASS
-    if 8 * value > energy16:
-        kappa = Fraction(energy16, 16)
+    if 8 * value.numerator > energy16 * value.denominator:
         return Verdict(
             True,
             {
                 "rule": "gamma",
-                "kappa_min": kappa,
+                "kappa_min": Fraction(energy16, 16),
                 "i": i,
                 "eta": str(eta(cls.a, c)),
                 "gamma": value,
-                "bound": 2 * kappa,
+                "bound": Fraction(energy16, 8),
                 "c": tuple(c),
             },
         )

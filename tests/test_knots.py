@@ -28,6 +28,8 @@ from slicedeg.knots import (
 )
 
 # --- reference codec: the per-field parser and serializer the table-driven codec replaced ---
+# (since extended by two rules: a non-explicit vs_spec rejects non-empty ``values``, and
+# unknown keys inside friends[], upper_witnesses[] and vs_spec are counted like unknown fields)
 
 REFERENCE_VS_KINDS = ("explicit", "thin", "lspace", "mirror_lspace", "unknown")
 
@@ -63,18 +65,24 @@ def reference_int_key(key: str) -> int:
     return value
 
 
-def reference_parse_vs_spec(obj: Any, where: str) -> VsSpec:
+def reference_count_unknown(obj: dict, known: tuple, path: str, unknown_fields: dict) -> None:
+    for key in obj:
+        if key not in known:
+            unknown_fields[path + key] = unknown_fields.get(path + key, 0) + 1
+
+
+def reference_parse_vs_spec(obj: Any, where: str, unknown_fields: dict[str, int]) -> VsSpec:
     data = reference_expect(obj, dict, where)
+    reference_count_unknown(data, ("type", "values"), "vs_spec.", unknown_fields)
     kind = reference_expect(data.get("type", "unknown"), str, f"{where}.type")
+    raw = data.get("values", [])
+    values = tuple(
+        reference_expect(v, int, f"{where}.values") for v in reference_expect(raw, list, where)
+    )
     if kind not in REFERENCE_VS_KINDS:
         raise DatabaseError(f"{where}: unknown vs_spec type {kind!r}")
-    values: tuple[int, ...] = ()
-    if kind == "explicit":
-        raw = data.get("values", [])
-        values = tuple(
-            reference_expect(v, int, f"{where}.values")
-            for v in reference_expect(raw, list, where)
-        )
+    if values and kind != "explicit":
+        raise DatabaseError(f"{where}: vs_spec values are only meaningful for type 'explicit'")
     return VsSpec(kind, values)
 
 
@@ -112,6 +120,7 @@ def reference_parse_record(obj: Any, index: int, unknown_fields: dict[str, int])
     friends = []
     for i, item in enumerate(expect(data.get("friends", []), list, f"{where}.friends")):
         fr = expect(item, dict, f"{where}.friends[{i}]")
+        reference_count_unknown(fr, ("k", "friend_name", "friend_s"), "friends[].", unknown_fields)
         friends.append(
             FriendshipRecord(
                 k=expect(fr.get("k"), int, f"{where}.friends[{i}].k"),
@@ -125,6 +134,7 @@ def reference_parse_record(obj: Any, index: int, unknown_fields: dict[str, int])
         expect(data.get("upper_witnesses", []), list, f"{where}.upper_witnesses")
     ):
         w = expect(item, dict, f"{where}.upper_witnesses[{i}]")
+        reference_count_unknown(w, ("k", "description"), "upper_witnesses[].", unknown_fields)
         witnesses.append(
             UpperWitness(
                 k=expect(w.get("k"), int, f"{where}.upper_witnesses[{i}].k"),
@@ -163,7 +173,9 @@ def reference_parse_record(obj: Any, index: int, unknown_fields: dict[str, int])
     if data.get("sources") is not None:
         expect(data["sources"], str, f"{where}.sources")
 
-    vs_spec = reference_parse_vs_spec(data.get("vs_spec", {"type": "unknown"}), f"{where}.vs_spec")
+    vs_spec = reference_parse_vs_spec(
+        data.get("vs_spec", {"type": "unknown"}), f"{where}.vs_spec", unknown_fields
+    )
 
     return KnotRecord(
         name=name,
@@ -404,6 +416,35 @@ class TestParse:
         with pytest.raises(DatabaseError) as info:
             parse_one({"name": "x", "signature": 0, "vs_spec": {"type": "foo"}})
         assert str(info.value) == "record 0 ('x').vs_spec: unknown vs_spec type 'foo'"
+
+    def test_vs_spec_values_rejected_on_other_kinds(self):
+        with pytest.raises(DatabaseError) as info:
+            parse_one(dict(TREFOIL, vs_spec={"type": "thin", "values": [5, 4]}))
+        assert str(info.value) == (
+            "record 0 ('3_1').vs_spec: vs_spec values are only meaningful for type 'explicit'"
+        )
+        with pytest.raises(DatabaseError, match=r"\.vs_spec: expected list"):
+            parse_one(dict(TREFOIL, vs_spec={"type": "unknown", "values": "x"}))
+        with pytest.raises(DatabaseError, match=r"\.vs_spec\.values: expected int"):
+            parse_one(dict(TREFOIL, vs_spec={"type": "thin", "values": ["a"]}))
+        assert parse_one(dict(TREFOIL, vs_spec={"type": "thin", "values": []})) == parse_one(
+            TREFOIL
+        )
+
+    def test_unknown_nested_keys_warn_with_their_path(self):
+        record = dict(
+            TREFOIL,
+            vs_spec={"type": "thin", "note": "x"},
+            friends=[{"k": 1, "friend_name": "y", "friend_s": 2, "extra": 1}],
+            upper_witnesses=[{"k": 3, "descripton": "typo"}, {"k": 4, "descripton": "t"}],
+        )
+        db = parse_knot_db(json.dumps([record, dict(record, name="3_1 copy")]))
+        assert db.warnings == (
+            "ignored unknown field 'friends[].extra' (2 occurrences)",
+            "ignored unknown field 'upper_witnesses[].descripton' (4 occurrences)",
+            "ignored unknown field 'vs_spec.note' (2 occurrences)",
+        )
+        assert db.get("3_1").upper_witnesses == (UpperWitness(3, ""), UpperWitness(4, ""))
 
     def test_top_level_must_be_array(self):
         with pytest.raises(DatabaseError, match="array"):

@@ -12,6 +12,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicedeg.engine import BetaTableRow, beta_table
 from slicedeg.lattice import (
@@ -25,6 +27,7 @@ from slicedeg.lattice import (
     kappa16,
     kappa_min,
 )
+from slicedeg.lattice import _coordinate_minimizers
 
 
 @functools.lru_cache(maxsize=None)
@@ -41,6 +44,17 @@ def brute_square_partitions(k: int) -> frozenset[tuple[int, ...]]:
             if all(x <= tup[0] for x in tup):
                 found.add(tup)
     return frozenset(found)
+
+
+def reference_eta(cls_signed, c) -> LaurentPoly:
+    """The per-coordinate LaurentPoly product that the closed-form eta replaced."""
+    count = LaurentPoly({0: 1})
+    for ai, ci in zip(cls_signed, c):
+        _, zs = _coordinate_minimizers(ai, ci)
+        count = count * LaurentPoly.from_terms(
+            (ai * (ci - 2 * z), -1 if z % 2 else 1) for z in zs
+        )
+    return count
 
 
 def recursive_classes(k: int) -> list[HomologyClass]:
@@ -332,6 +346,33 @@ class TestEta:
                     assert eta(a, c) == expanded, (a, c)
                     zeros += expanded.is_zero()
         assert zeros > 0
+
+    def test_closed_form_matches_product_exhaustively(self):
+        """Signed entries -5..6 (zeros included) with every c in {0,1}^n, n <= 3."""
+        zeros = 0
+        for n in (1, 2, 3):
+            for a in product(range(-5, 7), repeat=n):
+                for c in product((0, 1), repeat=n):
+                    expected = reference_eta(a, c)
+                    assert eta(a, c) == expected, (a, c)
+                    zeros += expected.is_zero()
+        assert zeros > 0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.tuples(st.integers(-9, 9), st.integers(-2, 3)), min_size=1, max_size=12)
+    )
+    def test_closed_form_matches_product_on_long_vectors(self, pairs):
+        a, c = zip(*pairs)
+        assert eta(a, c) == reference_eta(a, c)
+
+    def test_closed_form_on_runs_of_equal_binomials(self):
+        # eight 2s at c = 0: eta = (1 - T^4)^8, and sorted classes with mixed c
+        assert eta((2,) * 8, (0,) * 8) == LaurentPoly(
+            {4 * j: (-1) ** j * math.comb(8, j) for j in range(9)}
+        )
+        for a, c in [((6, 6, 4, 4, 2, 2), (0, 1, 1, 0, 0, 0)), ((4,) * 5, (1, 1, 1, 0, 0))]:
+            assert eta(a, c) == reference_eta(a, c)
 
     def test_str_rendering(self):
         assert str(eta((2,), (0,))) == "1 - T^4"

@@ -298,6 +298,33 @@ class TestGammaGeneral:
             HomologyClass((1,) * 4), (0,) * 4, -2, {1: Fraction(1, 2)}
         ).obstructed
 
+    def test_gamma_at_the_bound_passes_and_just_above_kills(self):
+        # (1,1,1,1), c = 0, sigma = -2: 16*kappa = 4, i = 1, bound 2*kappa = 1/2
+        cls, c = HomologyClass((1,) * 4), (0,) * 4
+        assert not gamma_general(cls, c, -2, {1: Fraction(4, 8)}).obstructed
+        above = Fraction(1, 2) + Fraction(1, 10**12)
+        vd = gamma_general(cls, c, -2, {1: above})
+        assert vd.obstructed
+        assert vd.witness["gamma"] == above
+        assert vd.witness["kappa_min"] == Fraction(1, 4)
+        assert vd.witness["bound"] == Fraction(1, 2)
+        assert not gamma_general(cls, c, -2, {1: Fraction(1, 2) - Fraction(1, 10**12)}).obstructed
+
+    def test_integer_gamma(self):
+        # eight ones, c = 0, sigma = -2: 16*kappa = 8, i = 1, bound 2*kappa = 1
+        cls, c = HomologyClass((1,) * 8), (0,) * 8
+        assert not gamma_general(cls, c, -2, {1: 1}).obstructed
+        vd = gamma_general(cls, c, -2, {1: 2})
+        assert vd.obstructed
+        assert vd.witness["gamma"] == 2
+        assert vd.witness["bound"] == Fraction(1)
+        assert vd.witness["kappa_min"] == Fraction(1, 2)
+        for value in (1, 2, 3):
+            assert (
+                gamma_general(cls, c, -2, {1: value})
+                == gamma_general(cls, c, -2, {1: Fraction(value)})
+            )
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             gamma_general(HomologyClass((2,)), (0, 0), -2, {})
