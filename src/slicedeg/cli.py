@@ -27,11 +27,10 @@ from .lattice import HomologyClass, iter_classes
 from .staircase import (
     NotLSpaceForm,
     OracleDisagreement,
-    Staircase,
     VsSequence,
     VsUnavailable,
     nu_plus,
-    staircase_from_alexander,
+    staircase_of,
     torsion_sequence,
     vs_of,
     vs_staircase_oracle,
@@ -150,25 +149,15 @@ def _cmd_bound(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _staircase_of(record: KnotRecord) -> Staircase:
-    """The record's staircase: torsion and homology equal V_s only for one."""
-    if record.alexander is None:
-        raise VsUnavailable(f"{record.name}: no Alexander polynomial in the record")
-    try:
-        return staircase_from_alexander(record.alexander)
-    except NotLSpaceForm as exc:
-        raise NotLSpaceForm(f"{record.name}: no L-space-form Alexander polynomial: {exc}") from exc
-
-
 def _torsion_route(record: KnotRecord) -> VsSequence:
-    _staircase_of(record)
+    staircase_of(record)
     return torsion_sequence(record.alexander)
 
 
 _VS_ROUTES = {
     "formula": vs_of,
     "torsion": _torsion_route,
-    "staircase": lambda record: vs_staircase_oracle(_staircase_of(record)),
+    "staircase": lambda record: vs_staircase_oracle(staircase_of(record)),
 }
 
 
@@ -289,7 +278,7 @@ def _cmd_table(args, parser: argparse.ArgumentParser) -> int:
             print(f"| {r.name} | {cell} |")
     failures = [r for r in rows if r.error]
     for r in failures:
-        print(f"warning: {r.name}: {r.error}", file=sys.stderr)
+        print(f"warning: {r.error}", file=sys.stderr)
     return 0
 
 

@@ -37,7 +37,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import NamedTuple
 
-from .knots import INT_KEYED_FIELDS, KnotDatabase, KnotRecord, format_rational
+from .knots import INT_KEYED_FIELDS, DatabaseError, KnotDatabase, KnotRecord, format_rational
 # enumerate_classes stays importable here because bench/tracing.py wraps it at this module.
 from .lattice import HomologyClass, enumerate_classes, iter_classes  # noqa: F401
 from .obstructions import (
@@ -122,7 +122,7 @@ class BoundReport:
 
     def __post_init__(self) -> None:
         if self.upper is not None and self.lower > self.upper:
-            raise ValueError(
+            raise DatabaseError(
                 f"{self.knot}: certified lower bound {self.lower} exceeds upper bound "
                 f"{self.upper}; the record data is inconsistent"
             )
@@ -473,7 +473,7 @@ def _report(
     ``searches``, when given, memoises successful searches by their inputs:
     the record's search fields, ``upper`` and ``cfg``.  A failed search is
     not stored, so it fails again for the next record with the same inputs.
-    Raises ValueError when the certified lower bound exceeds ``upper``.
+    Raises DatabaseError when the certified lower bound exceeds ``upper``.
     """
     key = search = None
     if searches is not None:
@@ -522,7 +522,7 @@ def report_table(db: KnotDatabase, cfg: EngineConfig | None = None) -> list[Tabl
         try:  # a TableRow has no witness, so none is formatted
             report = _report(record, uppers[record.name][0], None, cfg, searches)
             rows.append(TableRow(record.name, report.lower, report.upper, report.display))
-        except (ValueError, OracleDisagreement) as exc:
+        except (DatabaseError, OracleDisagreement) as exc:
             rows.append(TableRow(record.name, None, None, "error", error=str(exc)))
     return rows
 

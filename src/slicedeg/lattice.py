@@ -88,22 +88,8 @@ class LaurentPoly:
         if any(c == 0 for c in self.coeffs.values()):
             raise ValueError("zero coefficients must not be stored")
 
-    @classmethod
-    def from_terms(cls, terms: Iterable[tuple[int, int]]) -> "LaurentPoly":
-        acc: dict[int, int] = {}
-        for exp, coef in terms:
-            acc[exp] = acc.get(exp, 0) + coef
-        return cls({e: c for e, c in acc.items() if c != 0})
-
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly.from_terms(
-            (e1 + e2, c1 * c2)
-            for e1, c1 in self.coeffs.items()
-            for e2, c2 in other.coeffs.items()
-        )
 
     def __str__(self) -> str:
         if not self.coeffs:

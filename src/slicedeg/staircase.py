@@ -6,14 +6,17 @@ for a knot whose full knot Floer complex is a single staircase:
 * ``vs_thin``          -- closed formula in tau for Floer thin knots;
 * ``vs_lspace_formula``-- one max-min over the stair lengths l_k read off
                           an L-space-form Alexander polynomial;
-* ``vs_staircase_oracle`` -- explicit mod-2 homology of the truncated
-                          staircase complex, used as the ground truth.
+* ``vs_staircase_oracle`` -- mod-2 homology of the truncated staircase
+                          complex, decided per translate level by the
+                          parity of the first generator the region drops;
+                          used as the ground truth.
 
 The torsion coefficients t_s = sum_{j>=1} j*a_{s+j} of the Alexander
 polynomial give a fourth cross-check: they equal V_s whenever the complex
 is a single staircase, that is, whenever ``staircase_from_alexander``
-accepts the polynomial.  Disagreement between routes is surfaced as
-``OracleDisagreement``, never resolved silently.
+accepts the polynomial.  ``staircase_of`` makes that check for a record,
+once for every route that needs it.  Disagreement between routes is
+surfaced as ``OracleDisagreement``, never resolved silently.
 """
 
 from __future__ import annotations
@@ -246,53 +249,29 @@ def _generator_positions(st: Staircase) -> list[tuple[int, int]]:
     return pos
 
 
-def _reduce(vec: int, basis: dict[int, int]) -> int:
-    while vec:
-        lead = vec.bit_length() - 1
-        if lead not in basis:
-            break
-        vec ^= basis[lead]
-    return vec
-
-
-def _class_nonzero(positions: list[tuple[int, int]], level: int, region) -> bool:
-    """Is the projected tower cycle non-trivial at this translate level?
-
-    The differential preserves the translate level, so homology splits as a
-    direct sum over levels; at each level the tower class is represented by
-    the corner generator x_0 (any even generator gives the same class), and
-    it is non-zero iff x_0 lies in the region and is not a boundary of the
-    odd generators that survive the quotient.
-    """
-    present = [
-        t for t, (i, j) in enumerate(positions) if region(i + level, j + level)
-    ]
-    present_set = set(present)
-    if 0 not in present_set:
-        return False
-    columns = []
-    for t in present:
-        if t % 2 == 1:
-            col = 0
-            for u in (t - 1, t + 1):
-                if u in present_set:
-                    col |= 1 << u
-            if col:
-                columns.append(col)
-    basis: dict[int, int] = {}
-    for col in columns:
-        col = _reduce(col, basis)
-        if col:
-            basis[col.bit_length() - 1] = col
-    return _reduce(1 << 0, basis) != 0
-
-
 def _tower_level(
     positions: list[tuple[int, int]], region, window: tuple[int, int]
 ) -> int:
+    """Lowest level in the window at which the projected tower class survives.
+
+    The differential preserves the translate level, so homology splits as a
+    direct sum over levels.  At one level the quotient keeps the generators
+    inside the region.  They lie on the path x_0 - x_1 - ... - x_2m, and each
+    kept odd generator bounds its kept even neighbours.  The tower class is
+    represented by the corner x_0 (any even generator gives the same class).
+    A sum of boundaries equal to x_0 must use x_1, then x_3 to cancel x_2,
+    and so on, so x_0 is a boundary exactly when x_1, x_3, ..., x_(2r-1) are
+    kept and x_2r is the first generator dropped.  The class therefore
+    survives iff the first generator outside the region has odd index,
+    counting x_0 as index 0 and using 2m + 1 when none is dropped.
+    """
     lo, hi = window
     for level in range(lo, hi + 1):
-        if _class_nonzero(positions, level, region):
+        gap = next(
+            (t for t, (i, j) in enumerate(positions) if not region(i + level, j + level)),
+            len(positions),
+        )
+        if gap % 2 == 1:
             if level == lo:
                 raise WindowTooSmall(
                     f"tower already non-zero at window bottom {lo}; "
@@ -305,13 +284,15 @@ def _tower_level(
 def vs_staircase_oracle(
     st: Staircase, s_max: int | None = None, window: tuple[int, int] | None = None
 ) -> VsSequence:
-    """V_s by explicit homology of the truncated staircase complex.
+    """V_s from the mod-2 homology of the truncated staircase complex.
 
     For each region A_s = {max(i, j - s) >= 0} and B = {i >= 0}, scans the
     diagonal translates of the staircase inside the window and finds the
     lowest level whose tower class survives; V_s is the difference of the
-    two levels.  The default window is auto-sized from n_m, which provably
-    contains both levels; passing a narrower one may raise WindowTooSmall.
+    two levels.  The complex is a path, so survival at a level is exact
+    first-gap parity (see ``_tower_level``), not a general elimination.  The
+    default window is auto-sized from n_m, which provably contains both
+    levels; passing a narrower one may raise WindowTooSmall.
 
     The full sequence down to its vanishing point is always computed, so the
     implicit zero tail of the result is genuine; s_max (default n_m, past
@@ -336,13 +317,23 @@ def vs_staircase_oracle(
     return VsSequence.from_values(values)
 
 
+def staircase_of(record: "KnotRecord") -> Staircase:
+    """The record's staircase: torsion and homology equal V_s only for one."""
+    if record.alexander is None:
+        raise VsUnavailable(f"{record.name}: no Alexander polynomial in the record")
+    try:
+        return staircase_from_alexander(record.alexander)
+    except NotLSpaceForm as exc:
+        raise NotLSpaceForm(f"{record.name}: no L-space-form Alexander polynomial: {exc}") from exc
+
+
 def vs_of(record: "KnotRecord") -> VsSequence:
     """Dispatch a knot record to its V_s sequence.
 
     Explicit values pass through; thin records use the tau formula; L-space
-    records run the piecewise formula and must agree with the torsion
-    coefficients of their Alexander polynomial; mirrors of L-space knots
-    have vanishing V_s.
+    records pass ``staircase_of``, run the stair-length formula and must
+    agree with the torsion coefficients of their Alexander polynomial;
+    mirrors of L-space knots have vanishing V_s.
     """
     spec = record.vs_spec
     if spec.kind == "explicit":
@@ -352,10 +343,7 @@ def vs_of(record: "KnotRecord") -> VsSequence:
             raise VsUnavailable(f"{record.name}: thin V_s needs tau")
         return vs_thin(record.tau)
     if spec.kind == "lspace":
-        if record.alexander is None:
-            raise VsUnavailable(f"{record.name}: L-space V_s needs the Alexander polynomial")
-        st = staircase_from_alexander(record.alexander)
-        formula = vs_lspace_formula(st)
+        formula = vs_lspace_formula(staircase_of(record))
         torsion = torsion_sequence(record.alexander)
         if formula != torsion:
             raise OracleDisagreement(

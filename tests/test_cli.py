@@ -13,6 +13,10 @@ from slicedeg.lattice import enumerate_classes
 
 KNOTS = str(bundled_database_path("knots"))
 FAMILIES = str(bundled_database_path("families"))
+# s_0 = 2 forces lower bound 2, above the stated upper witness 1.
+INCONSISTENT = [
+    {"name": "bad", "signature": -2, "s_invariants": {"0": 2}, "upper_witnesses": [{"k": 1}]}
+]
 
 
 def run(capsys, *argv):
@@ -72,6 +76,13 @@ class TestBound:
         assert code == 0
         payload = json.loads(out)
         assert payload["lower"] == 3 and payload["lower_exhausted"] is True
+
+    def test_inconsistent_record_is_data_error(self, capsys, tmp_path):
+        db = tmp_path / "db.json"
+        db.write_text(json.dumps(INCONSISTENT))
+        code, out, err = run(capsys, "bound", "bad", "--db", str(db))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad: certified lower bound 2 exceeds upper bound 1")
 
 
 class TestVs:
@@ -215,6 +226,14 @@ class TestTable:
         assert code == 0
         assert "| K_B(2) | 3 |" in out
         assert "| T(4,5) | 16 |" in out
+
+    def test_error_row_warning_names_the_knot_once(self, capsys, tmp_path):
+        db = tmp_path / "db.json"
+        db.write_text(json.dumps(INCONSISTENT))
+        code, out, err = run(capsys, "table", "--db", str(db))
+        assert code == 0
+        assert "| bad | error: bad: certified lower bound 2 exceeds upper bound 1;" in out
+        assert err.startswith("warning: bad: certified lower bound 2 exceeds upper bound 1;")
 
 
 class TestGlobals:

@@ -345,6 +345,17 @@ class TestReportTable:
         with pytest.raises(TypeError, match="bug in the search"):
             report_table(db_of(TREFOIL))
 
+    def test_value_error_in_the_search_propagates(self, monkeypatch):
+        # only data faults (DatabaseError, OracleDisagreement) become error rows
+        from slicedeg import engine
+
+        def broken(record, cfg=None):
+            raise ValueError("bug in the search")
+
+        monkeypatch.setattr(engine, "lower_bound", broken)
+        with pytest.raises(ValueError, match="bug in the search"):
+            report_table(db_of(TREFOIL))
+
     def test_soundness_lower_le_upper(self):
         db = db_of(UNKNOT, TREFOIL, SEVEN_FOUR)
         for row in report_table(db):

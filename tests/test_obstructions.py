@@ -10,6 +10,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_lattice import laurent_from_terms
 
 from slicedeg.engine import EngineConfig, _gamma_c_vectors, lower_bound
 from slicedeg.knots import KnotRecord, VsSpec
@@ -69,7 +70,7 @@ def reference_kappa_eta(a: tuple, c: tuple) -> tuple[Fraction, LaurentPoly]:
     for z in itertools.product(*per_coord_mins):
         sign = -1 if sum(zi * zi for zi in z) % 2 else 1
         terms.append((sum(ai * (ci - 2 * zi) for ai, ci, zi in zip(a, c, z)), sign))
-    return total, LaurentPoly.from_terms(terms)
+    return total, laurent_from_terms(terms)
 
 
 @lru_cache(maxsize=None)

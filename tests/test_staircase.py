@@ -322,6 +322,44 @@ class TestStaircaseOracle:
             assert seq.steps_are_unit()
             assert seq.v(0) == st.width
 
+    def test_first_gap_parity_is_path_homology(self):
+        """For every keep/drop pattern of a path x_0 - ... - x_2m (2m + 1 <= 13),
+        the tower class survives iff x_0 is kept and not in the GF(2) span of
+        the kept odd generators' boundaries restricted to the kept evens."""
+        for m in range(1, 7):
+            size = 2 * m + 1
+            positions = [(t, 0) for t in range(size)]
+            for keep in range(1 << size):
+                columns = [
+                    ((1 << (t - 1)) | (1 << (t + 1))) & keep
+                    for t in range(1, size, 2)
+                    if keep >> t & 1
+                ]
+                spans_x0 = False
+                for subset in range(1 << len(columns)):
+                    acc = 0
+                    for bit, col in enumerate(columns):
+                        if subset >> bit & 1:
+                            acc ^= col
+                    spans_x0 = spans_x0 or acc == 1
+                survives = bool(keep & 1) and not spans_x0
+                # a point (t + level, level): level -1 keeps x_0, x_1 and drops
+                # x_2 (a dead class), level 0 is the pattern, level 1 keeps all
+                masks = {-1: 0b11, 0: keep, 1: (1 << size) - 1}
+                level = _tower_level(positions, lambda i, j: masks[j] >> (i - j) & 1, (-1, 1))
+                assert level == (0 if survives else 1), (m, bin(keep))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        hst.integers(9, 24).flatmap(
+            lambda top: hst.sets(hst.integers(1, top - 1)).map(
+                lambda rest: Staircase(tuple(sorted(rest)) + (top,))
+            )
+        )
+    )
+    def test_matches_formula_deep(self, st):
+        assert vs_staircase_oracle(st) == vs_lspace_formula(st)
+
 
 class TestVsSequence:
     def test_from_values_trims_zero_tail(self):
