@@ -276,9 +276,10 @@ def _cmd_table(args, parser: argparse.ArgumentParser) -> int:
         for r in rows:
             cell = r.display if r.error is None else f"error: {r.error}"
             print(f"| {r.name} | {cell} |")
-    failures = [r for r in rows if r.error]
-    for r in failures:
-        print(f"warning: {r.error}", file=sys.stderr)
+    if not args.quiet:
+        for r in rows:
+            if r.error:
+                print(f"warning: {r.error}", file=sys.stderr)
     return 0
 
 

@@ -531,7 +531,19 @@ def report_table(db: KnotDatabase, cfg: EngineConfig | None = None) -> list[Tabl
 
 
 def _jsonable(value):
-    if value is None or isinstance(value, (int, str)):
+    """A witness value as JSON data: Fractions as text, sequences as lists, keys as str.
+
+    Exact types are tested first, as they make up witnesses; the isinstance
+    chain after them converts bool, Fraction and subclasses.
+    """
+    kind = type(value)
+    if kind is int or kind is str or value is None:
+        return value
+    if kind is tuple or kind is list:
+        return [v if type(v) is int else _jsonable(v) for v in value]
+    if kind is dict:
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (int, str)):
         return value
     if isinstance(value, Fraction):
         return format_rational(value)

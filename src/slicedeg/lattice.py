@@ -115,6 +115,9 @@ def iter_classes(k: int) -> Iterator[HomologyClass]:
     Lexicographically descending on the sorted tuples; k = 0 yields only the
     empty class.  Each class is completed greedily (largest part that fits),
     and the next one lowers the last part above 1 and drops the ones after it.
+    Once the greedy part reaches 1 the remaining ones are appended in one
+    step, and after the yield that trailing run is dropped by one slice
+    delete, so a run of ones costs no per-part loop.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -123,11 +126,13 @@ def iter_classes(k: int) -> Iterator[HomologyClass]:
     while True:
         while rest:
             top = min(top, math.isqrt(rest))
+            if top == 1:
+                break
             parts.append(top)
             rest -= top * top
+        parts += [1] * rest  # rest is now the length of the trailing run of ones
         yield HomologyClass._trusted(tuple(parts), k)
-        while parts and parts[-1] == 1:
-            rest += parts.pop()
+        del parts[len(parts) - rest :]
         if not parts:
             return
         top = parts.pop()

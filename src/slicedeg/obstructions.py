@@ -176,17 +176,25 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence) -> Verdict:
     within ``cap``; the class is obstructed iff the full table meets
     8*V_j at some d = k - 2j.  Tables are cached by (suffix, cap), up to
     a bounded total size, so sorted classes that share a suffix share its
-    table.  The witness is rebuilt one coordinate at a time, taking the
-    first value in the order 1, -1, 3, -3, ... whose suffix table still
-    completes a violation: it is the first violating lambda of the
-    depth-first enumeration
-    (:func:`~slicedeg.lattice.enumerate_odd_vectors`).
+    table.  A violation is completed from a prefix with dot product
+    ``dot`` and cost ``spent`` iff ``spent + costs[i0 - j] < 8*V_j`` for
+    some j, with i0 = (k - dot - lo) / 2 the index of the target j = 0;
+    only the j whose index lies inside the table are scanned.
+
+    The witness is rebuilt one coordinate at a time by a loop over
+    mag = 1, 3, 5, ... that tries +mag, then -mag, and keeps the first
+    value whose suffix table still completes a violation: it is the first
+    violating lambda of the depth-first enumeration
+    (:func:`~slicedeg.lattice.enumerate_odd_vectors`).  The loop stops at
+    mag^2 - 1 > cap - spent with a ``RuntimeError``, which a consistent
+    table never reaches.
 
     Work: with M the largest odd magnitude, M^2 <= 8*V_0, a table holds at
     most M*sum(a) + 1 <= M*k + 1 entries, and each coordinate costs that
     times the (M + 1)/2 magnitudes; so O(n * k * V_0) time and
     O(n * k * sqrt(V_0)) memory in all.  The witness adds, per coordinate,
-    at most M + 1 values times min(nu+, k/2 + 1) table lookups.
+    at most M + 1 candidates, each scanning the at most
+    min(nu+, k/2 + 1) targets that fall inside the table.
     """
     if cls.n == 0:
         raise ValueError("class must be non-empty")
@@ -194,14 +202,16 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence) -> Verdict:
         return PASS
     k = cls.norm
     cap = 8 * v.v(0) - 1
-    targets = [(k - 2 * j, 8 * v_j) for j, v_j in enumerate(v.values[: k // 2 + 1])]
+    rhs = [8 * v_j for v_j in v.values[: k // 2 + 1]]
+    n_rhs = len(rhs)
 
     def completes(dot: int, spent: int, rest: _SuffixTable) -> bool:
         """Whether some lambda on the suffix of ``rest`` completes a violation."""
-        lo, costs = dot + rest.lo, rest.costs
-        for d, rhs in targets:
-            i = (d - lo) // 2
-            if 0 <= i < len(costs) and spent + costs[i] < rhs:
+        costs = rest.costs
+        i0 = (k - dot - rest.lo) >> 1  # target j sits at costs[i0 - j]
+        first = i0 - len(costs) + 1
+        for j in range(first if first > 0 else 0, i0 + 1 if i0 < n_rhs else n_rhs):
+            if spent + costs[i0 - j] < rhs[j]:
                 return True
         return False
 
@@ -214,14 +224,21 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence) -> Verdict:
     dot = spent = 0
     for a_i in cls.a:
         rest = tables.pop()
-        val = next(
-            x
-            for x in _odd_values(cap - spent)
-            if completes(dot + x * a_i, spent + x * x - 1, rest)
-        )
+        mag = 1
+        while True:
+            cost = spent + mag * mag - 1
+            if cost > cap:
+                raise RuntimeError(f"no witness value completes the suffix table of {cls}")
+            if completes(dot + mag * a_i, cost, rest):
+                val = mag
+                break
+            if completes(dot - mag * a_i, cost, rest):
+                val = -mag
+                break
+            mag += 2
         lam.append(val)
         dot += val * a_i
-        spent += val * val - 1
+        spent = cost
     j = (k - dot) // 2
     return Verdict(
         True,

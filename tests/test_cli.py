@@ -235,6 +235,16 @@ class TestTable:
         assert "| bad | error: bad: certified lower bound 2 exceeds upper bound 1;" in out
         assert err.startswith("warning: bad: certified lower bound 2 exceeds upper bound 1;")
 
+    def test_quiet_drops_error_row_warnings(self, capsys, tmp_path):
+        db = tmp_path / "db.json"
+        db.write_text(json.dumps(INCONSISTENT))
+        code, out, err = run(capsys, "table", "--db", str(db), "--quiet")
+        assert code == 0
+        assert "| bad | error: bad: certified lower bound 2 exceeds upper bound 1;" in out
+        assert err == ""
+        code, _, err = run(capsys, "table", "--db", str(db))
+        assert code == 0 and "warning: bad: certified lower bound 2" in err
+
 
 class TestGlobals:
     def test_db_required(self, capsys):

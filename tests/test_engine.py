@@ -3,9 +3,12 @@
 import itertools
 import json
 import time
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicedeg.engine import (
     ClassBattery,
@@ -19,6 +22,7 @@ from slicedeg.engine import (
     report_to_jsonable,
     upper_bound,
     _gamma_c_vectors,
+    _jsonable,
 )
 from slicedeg.knots import (
     FriendshipRecord,
@@ -26,6 +30,7 @@ from slicedeg.knots import (
     KnotRecord,
     UpperWitness,
     VsSpec,
+    format_rational,
 )
 from slicedeg.lattice import HomologyClass
 from slicedeg.obstructions import stau_bound
@@ -316,6 +321,66 @@ class TestBoundReport:
         level4 = next(c for c in again["certificates"] if c["level"] == 4)
         gamma_cert = next(c for c in level4["classes"] if c["rule"] == "gamma")
         assert gamma_cert["witness"]["gamma"] == "3/5"
+
+
+def reference_jsonable(value):
+    """The certificate conversion as one isinstance chain."""
+    if value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, (list, tuple)):
+        return [reference_jsonable(v) for v in value]
+    if isinstance(value, Mapping):
+        return {str(k): reference_jsonable(v) for k, v in value.items()}
+    return value
+
+
+def same_typed(x, y):
+    """Equal, with the same type at every node (so True never matches 1)."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, list):
+        return len(x) == len(y) and all(same_typed(a, b) for a, b in zip(x, y))
+    if isinstance(x, dict):
+        return list(x) == list(y) and all(same_typed(x[k], y[k]) for k in x)
+    return x == y
+
+
+WITNESS_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-10**20, 10**20),
+    st.text(max_size=6),
+    st.fractions(),
+    st.integers(-50, 50).map(Fraction),
+)
+WITNESS_VALUES = st.recursive(
+    WITNESS_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.lists(st.integers(-40, 40), max_size=8).map(tuple),
+        st.dictionaries(st.integers(-9, 9), inner, max_size=4),
+        st.dictionaries(st.sampled_from(["rule", "lambda", "j", "gamma"]), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonable:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(WITNESS_VALUES)
+    def test_matches_reference_conversion(self, value):
+        got, want = _jsonable(value), reference_jsonable(value)
+        assert same_typed(got, want)
+        assert json.dumps(got, indent=2) == json.dumps(want, indent=2)
+
+    def test_bool_and_fraction_leaves(self):
+        witness = {"rule": "gamma", "ok": True, "gamma": Fraction(3, 5), "c": (0, 1)}
+        got = _jsonable(witness)
+        assert got == {"rule": "gamma", "ok": True, "gamma": "3/5", "c": [0, 1]}
+        assert type(got["ok"]) is bool
 
 
 class TestReportTable:

@@ -215,6 +215,16 @@ class TestVsObstruction:
             tracemalloc.stop()
         assert kept <= 2 * 1024 * 1024
 
+    def test_inconsistent_table_raises_instead_of_spinning(self, monkeypatch):
+        # (2,) survives V = (1,); a forged table claims cost 0 at d = k = 4
+        class Forged:
+            def extend(self, head, rest):
+                return obstructions._SuffixTable(rest.cap, 4, (0,))
+
+        monkeypatch.setattr(obstructions, "_TABLES", Forged())
+        with pytest.raises(RuntimeError, match="no witness value"):
+            vs_obstruction(HomologyClass((2,)), VsSequence((1,)))
+
     def test_torus_ladder_tables_stay_resident(self, monkeypatch):
         # the torus-ladder benchmark's searches: thin T(2,2m+1) and vs-only explicit V_s
         ladder = [
