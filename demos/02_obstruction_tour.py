@@ -19,7 +19,7 @@ from slicedeg import (
     eta,
     friend_rule,
     gamma_general,
-    kappa_min,
+    kappa16,
     stau_bound,
     vs_obstruction,
 )
@@ -60,7 +60,7 @@ for a, gamma_map, sigma in [
     ((2, 1), {1: double_twist_gamma(2, 3)}, -2),
 ]:
     cls = HomologyClass(a)
-    kappa, phi = kappa_min(cls.a, (0,) * cls.n)
+    kappa = Fraction(kappa16(cls.a, (0,) * cls.n), 16)
     verdict = gamma_general(cls, (0,) * cls.n, sigma, gamma_map)
     print(
         f"  class {cls}: kappa_min = {kappa}, eta = {eta(cls.a, (0,) * cls.n)}, "

@@ -45,18 +45,15 @@ from .knots import (
 from .lattice import (
     HomologyClass,
     LaurentPoly,
-    OddVector,
     enumerate_classes,
-    enumerate_odd_vectors,
     eta,
-    kappa_min,
+    kappa16,
 )
 from .obstructions import (
     Verdict,
     beta_adjunction,
     double_twist_gamma,
     friend_rule,
-    gamma_21,
     gamma_general,
     null_class_check,
     stau_bound,

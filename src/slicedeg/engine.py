@@ -420,18 +420,21 @@ def beta_table(betas: Sequence[int]) -> list[BetaTableRow]:
 
     The witness is the first surviving class in the canonical enumeration
     order (descending tuples, lexicographically descending); beta <= 0
-    gives level 0 and the empty class.
+    gives level 0 and the empty class.  One walk over the levels serves
+    every beta: a class that lets a beta through lets every smaller one
+    through, so each class decides the undecided betas from the smallest up.
     """
     if not betas:
         raise ValueError("betas must be non-empty")
-    rows = []
-    for beta in betas:
-        k, cls = next(
-            (k, cls) for k in itertools.count() for cls in iter_classes(k)
-            if not beta_adjunction(cls, beta).obstructed
-        )
-        rows.append(BetaTableRow(beta, k, cls))
-    return rows
+    pending = sorted(set(betas), reverse=True)  # the smallest undecided beta last
+    rows = {}
+    for k in itertools.count():
+        for cls in iter_classes(k):
+            while pending and not beta_adjunction(cls, pending[-1]).obstructed:
+                beta = pending.pop()
+                rows[beta] = BetaTableRow(beta, k, cls)
+            if not pending:
+                return [rows[beta] for beta in betas]
 
 
 @dataclass(frozen=True)
@@ -533,24 +536,16 @@ def report_table(db: KnotDatabase, cfg: EngineConfig | None = None) -> list[Tabl
 def _jsonable(value):
     """A witness value as JSON data: Fractions as text, sequences as lists, keys as str.
 
-    Exact types are tested first, as they make up witnesses; the isinstance
-    chain after them converts bool, Fraction and subclasses.
+    Witnesses hold only ints, strs, None, Fractions, tuples, lists and
+    dicts, so exact types are tested; any other value is returned as it is.
     """
     kind = type(value)
-    if kind is int or kind is str or value is None:
-        return value
     if kind is tuple or kind is list:
         return [v if type(v) is int else _jsonable(v) for v in value]
     if kind is dict:
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (int, str)):
-        return value
-    if isinstance(value, Fraction):
+    if kind is Fraction:
         return format_rational(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
     return value
 
 

@@ -109,15 +109,22 @@ class Diagnostic:
         return f"{self.severity}: field '{self.field}': {self.message}"
 
 
+# Miller-Rabin on these bases decides primality exactly below _PRIME_CHECK_LIMIT
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_CHECK_LIMIT = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    """Deterministic Miller-Rabin; exact for n < _PRIME_CHECK_LIMIT."""
+    if n < 2 or any(n % b == 0 for b in _PRIME_BASES):
+        return n in _PRIME_BASES
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^r with d odd
+    d = (n - 1) >> r
+    return not any(
+        pow(b, d, n) != 1 and all(pow(b, d << i, n) != n - 1 for i in range(r))
+        for b in _PRIME_BASES
+    )
 
 
 def validate_record(record: KnotRecord) -> list[Diagnostic]:
@@ -138,7 +145,9 @@ def validate_record(record: KnotRecord) -> list[Diagnostic]:
     if record.signature % 2 != 0:
         err("signature", "signature must be even")
     for p, sp in record.s_invariants.items():
-        if not (p == 0 or _is_prime(p)):
+        if p >= _PRIME_CHECK_LIMIT:
+            err("s_invariants", f"characteristic {p} is too large to check for primality")
+        elif not (p == 0 or _is_prime(p)):
             err("s_invariants", f"characteristic {p} is neither 0 nor prime")
         if sp % 2 != 0:
             err("s_invariants", f"s_{p} = {sp} must be even")
@@ -281,11 +290,7 @@ def _int_map(key_label: str, parse_value: Callable, encode_value: Callable = _sa
 
 
 def _count_unknown(obj: dict, known: frozenset[str], prefix: str, unknown: dict[str, int]) -> None:
-    """Count the keys of ``obj`` outside ``known`` into ``unknown``, as ``prefix + key``.
-
-    Callers test ``known.issuperset(obj)`` first, so parsing a clean
-    database costs one subset test per nested object and builds no set.
-    """
+    """Count the keys of ``obj`` outside ``known`` into ``unknown``, as ``prefix + key``."""
     for key in obj.keys() - known:
         unknown[prefix + key] = unknown.get(prefix + key, 0) + 1
 
@@ -301,8 +306,7 @@ def _objects(cls: type, *attrs: tuple) -> _Codec:
         for i, item in enumerate(_expect(raw, list, where, at)):
             item_at = f"{at}[{i}]"
             obj = _expect(item, dict, where, item_at)
-            if not known.issuperset(obj):
-                _count_unknown(obj, known, prefix, unknown)
+            _count_unknown(obj, known, prefix, unknown)
             args = (
                 _expect(obj.get(name, *default), typ, where, f"{item_at}.{name}")
                 for name, typ, *default in attrs
@@ -319,8 +323,7 @@ _VS_SPEC_KEYS = frozenset(("type", "values"))
 def _parse_vs_spec(raw: Any, where: str, at: str, unknown: dict[str, int]) -> VsSpec:
     """``values`` is read whenever present, so :class:`VsSpec` rejects it on other kinds."""
     data = _expect(raw, dict, where, at)
-    if not _VS_SPEC_KEYS.issuperset(data):
-        _count_unknown(data, _VS_SPEC_KEYS, f"{at[1:]}.", unknown)
+    _count_unknown(data, _VS_SPEC_KEYS, f"{at[1:]}.", unknown)
     kind = _expect(data.get("type", "unknown"), str, where, f"{at}.type")
     values = ()
     if "values" in data:
@@ -361,7 +364,7 @@ _CODECS: dict[str, _Codec] = {
     "signature": _scalar(int, nullable=False),
 }
 _PARSERS = [(fld, codec.parse, "." + fld) for fld, codec in _CODECS.items() if fld != "name"]
-_KNOWN_FIELDS = frozenset(f.name for f in fields(KnotRecord)) | {"sources"}
+_KNOWN_FIELDS = frozenset(_CODECS)
 _ABSENT = object()
 
 
@@ -375,10 +378,7 @@ def _parse_record(obj: Any, index: int, unknown_fields: dict[str, int]) -> KnotR
     if "signature" not in data:
         raise DatabaseError(f"{where}: missing required field 'signature'")
 
-    for key in data:
-        if key not in _KNOWN_FIELDS:
-            unknown_fields[key] = unknown_fields.get(key, 0) + 1
-
+    _count_unknown(data, _KNOWN_FIELDS, "", unknown_fields)
     values = {}
     for fld, parse, at in _PARSERS:
         raw = data.get(fld, _ABSENT)
@@ -402,6 +402,8 @@ def parse_knot_db(text: str) -> KnotDatabase:
         raise DatabaseError(
             f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+        raise DatabaseError(f"unreadable JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise DatabaseError("top level must be an array of record objects")
 
@@ -457,7 +459,11 @@ def serialize_knot_db(db: KnotDatabase) -> str:
 
 def load_knot_db(path) -> KnotDatabase:
     """Read and parse a database file."""
-    return parse_knot_db(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatabaseError(f"not UTF-8: {exc}") from exc
+    return parse_knot_db(text)
 
 
 def bundled_database_path(name: str = "knots") -> Path:

@@ -10,11 +10,12 @@ obstruct.  All arithmetic is exact.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .lattice import HomologyClass, eta, kappa16
 
@@ -88,15 +89,6 @@ class _SuffixTable:
     costs: tuple[int, ...]
 
 
-def _odd_values(limit: int) -> Iterator[int]:
-    """Odd lambda_i with lambda_i^2 - 1 <= limit, in the order 1, -1, 3, -3, ..."""
-    mag = 1
-    while mag * mag - 1 <= limit:
-        yield mag
-        yield -mag
-        mag += 2
-
-
 @lru_cache(maxsize=64)
 def _empty_table(cap: int) -> _SuffixTable:
     """The table of the empty suffix, one object per cap."""
@@ -107,7 +99,9 @@ def _build(head: int, rest: _SuffixTable) -> _SuffixTable:
     """The table of (head, *suffix) from the table ``rest`` of the suffix."""
     cap = rest.cap
     unreached = cap + 1
-    top = max(_odd_values(cap))
+    top = math.isqrt(cap + 1)  # the largest odd M with M^2 - 1 <= cap
+    if top % 2 == 0:
+        top -= 1
     width = len(rest.costs) + top * head
     rows = []
     for mag in range(1, top + 1, 2):
@@ -270,8 +264,6 @@ def gamma_general(
     obstructing witness's eta with b binomial factors
     (:func:`~slicedeg.lattice.eta`).
     """
-    if len(c) != cls.n:
-        raise ValueError("c must match the class length")
     energy16 = kappa16(cls.a, c)
     index4 = energy16 - cls.norm - 2 * sigma
     if index4 < 0:
@@ -294,30 +286,6 @@ def gamma_general(
                 "bound": Fraction(energy16, 8),
                 "c": tuple(c),
             },
-        )
-    return PASS
-
-
-def gamma_21(p: int, q: int, sigma: int, gamma: Mapping[int, Fraction]) -> Verdict:
-    """Closed-form instanton obstruction for classes (2 x p, 1 x q).
-
-    Obstructed iff sigma <= 0 and Gamma_K(-sigma/2) is known and exceeds
-    p/2 + q/8.  Agrees with :func:`gamma_general` on the same class with
-    c = 0.
-    """
-    if p < 0 or q < 0 or p + q < 1:
-        raise ValueError("need p, q >= 0 with p + q >= 1")
-    if sigma > 0:
-        return PASS
-    i = -sigma // 2
-    value = gamma.get(i)
-    if value is None:
-        return PASS
-    bound = Fraction(p, 2) + Fraction(q, 8)
-    if value > bound:
-        return Verdict(
-            True,
-            {"rule": "gamma_21", "p": p, "q": q, "i": i, "gamma": value, "bound": bound},
         )
     return PASS
 

@@ -256,6 +256,22 @@ class TestGlobals:
         code, _, err = run(capsys, "table", "--db", "/nonexistent.json", "--quiet")
         assert code == 1 and "cannot read database" in err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"\xff\xfe[]",  # not UTF-8
+            b'[{"name": "a", "signature": ' + b"2" * 5000 + b"}]",  # past int's digit limit
+            b"[" * 100_000 + b"]" * 100_000,  # nested past the recursion limit
+        ],
+        ids=["non-utf8", "long-integer", "deep-nesting"],
+    )
+    def test_malformed_file_is_data_error(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, _, err = run(capsys, "table", "--db", str(path))
+        assert code == 1
+        assert err.startswith("error: invalid database:") and "Traceback" not in err
+
     def test_warnings_printed_without_quiet(self, capsys, tmp_path):
         path = tmp_path / "db.json"
         path.write_text(json.dumps([{"name": "a", "signature": 0, "provenance": "x"}]))

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 import time
 from collections.abc import Mapping
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicedeg.engine import (
+    BetaTableRow,
     ClassBattery,
     CyclicRelationWarning,
     EngineConfig,
@@ -32,8 +34,8 @@ from slicedeg.knots import (
     VsSpec,
     format_rational,
 )
-from slicedeg.lattice import HomologyClass
-from slicedeg.obstructions import stau_bound
+from slicedeg.lattice import HomologyClass, iter_classes
+from slicedeg.obstructions import beta_adjunction, stau_bound
 
 TREFOIL = KnotRecord(
     "3_1", -2, s_invariants={0: 2}, tau=1, vs_spec=VsSpec("thin"), clasp_plus=1
@@ -259,7 +261,24 @@ class TestUpperBound:
         assert value == 8
 
 
+def reference_beta_table(betas) -> list[BetaTableRow]:
+    """One walk from level 0 per beta, as beta_table did before it shared one walk."""
+    rows = []
+    for beta in betas:
+        k, cls = next(
+            (k, cls) for k in itertools.count() for cls in iter_classes(k)
+            if not beta_adjunction(cls, beta).obstructed
+        )
+        rows.append(BetaTableRow(beta, k, cls))
+    return rows
+
+
 class TestBetaTable:
+    def test_one_walk_matches_restarting_walks(self):
+        betas = list(range(-4, 61)) + [-4, 0, 7, 7, 30, 60]
+        random.Random(14).shuffle(betas)
+        assert beta_table(betas) == reference_beta_table(betas)
+
     def test_expected_rows(self):
         rows = beta_table([2, 4, 6, 8, 10, 12, 14, 16])
         got = [(r.beta, r.min_k, r.witness.a) for r in rows]

@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 from fractions import Fraction
 from typing import Any
 from unittest import mock
@@ -470,6 +471,44 @@ class TestValidateRecord:
     def test_friend_invariants(self):
         rec = KnotRecord("x", 0, friends=(FriendshipRecord(-1, "y", 2),))
         assert any(d.severity == "error" for d in validate_record(rec))
+
+
+def reference_is_prime(n: int) -> bool:
+    """Trial division, the characteristic check Miller-Rabin replaced."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+class TestCharacteristicPrimality:
+    def test_agrees_with_trial_division(self):
+        assert [n for n in range(-3, 200_000) if knots._is_prime(n) != reference_is_prime(n)] == []
+
+    def test_mersenne_61_accepted_quickly(self):
+        start = time.perf_counter()
+        rec = parse_one({"name": "a", "signature": 0, "s_invariants": {str(2**61 - 1): 2}})
+        assert time.perf_counter() - start < 0.5
+        assert rec.s_invariants == {2**61 - 1: 2}
+
+    @pytest.mark.parametrize("n", [2**61 + 1, 561, 41041, 3215031751])
+    def test_composites_rejected(self, n):
+        # 561 and 41041 are Carmichael numbers; 3215031751 is a strong
+        # pseudoprime to the bases 2, 3, 5 and 7.
+        assert not knots._is_prime(n)
+        with pytest.raises(DatabaseError, match="neither 0 nor prime"):
+            parse_one({"name": "a", "signature": 0, "s_invariants": {str(n): 2}})
+
+    def test_characteristic_past_the_exact_range_rejected(self):
+        # The bound itself is composite yet a strong probable prime to every base.
+        limit = knots._PRIME_CHECK_LIMIT
+        assert limit == 399165290221 * 798330580441 and knots._is_prime(limit)
+        with pytest.raises(DatabaseError, match=r"s_invariants'.*too large to check"):
+            parse_one({"name": "a", "signature": 0, "s_invariants": {str(limit): 2}})
 
 
 class TestRoundTrip:

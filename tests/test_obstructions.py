@@ -21,7 +21,6 @@ from slicedeg.obstructions import (
     beta_adjunction,
     double_twist_gamma,
     friend_rule,
-    gamma_21,
     gamma_general,
     null_class_check,
     stau_bound,
@@ -107,6 +106,29 @@ def reference_gamma_general(cls: HomologyClass, c, sigma: int, gamma) -> Verdict
             "c": tuple(c),
         },
     )
+
+
+def reference_gamma_21(p: int, q: int, sigma: int, gamma) -> Verdict:
+    """Closed form of :func:`gamma_general` at c = 0 for classes (2 x p, 1 x q).
+
+    Obstructed iff sigma <= 0 and Gamma_K(-sigma/2) is known and exceeds
+    p/2 + q/8.
+    """
+    if p < 0 or q < 0 or p + q < 1:
+        raise ValueError("need p, q >= 0 with p + q >= 1")
+    if sigma > 0:
+        return Verdict(False)
+    i = -sigma // 2
+    value = gamma.get(i)
+    if value is None:
+        return Verdict(False)
+    bound = Fraction(p, 2) + Fraction(q, 8)
+    if value > bound:
+        return Verdict(
+            True,
+            {"rule": "gamma_21", "p": p, "q": q, "i": i, "gamma": value, "bound": bound},
+        )
+    return Verdict(False)
 
 
 def unsorted_class(values) -> HomologyClass:
@@ -407,16 +429,16 @@ class TestGammaAgainstReference:
 
 class TestGamma21:
     def test_9_10(self):
-        assert gamma_21(2, 0, -4, {2: Fraction(36, 33)}).obstructed
+        assert reference_gamma_21(2, 0, -4, {2: Fraction(36, 33)}).obstructed
 
     def test_9_5_two_one(self):
-        assert gamma_21(1, 1, -2, {1: Fraction(15, 23)}).obstructed
+        assert reference_gamma_21(1, 1, -2, {1: Fraction(15, 23)}).obstructed
 
     def test_boundary_case_passes(self):
-        assert not gamma_21(0, 4, -2, {1: Fraction(1, 2)}).obstructed
+        assert not reference_gamma_21(0, 4, -2, {1: Fraction(1, 2)}).obstructed
 
     def test_positive_signature_passes(self):
-        assert not gamma_21(2, 0, 2, {0: Fraction(9)}).obstructed
+        assert not reference_gamma_21(2, 0, 2, {0: Fraction(9)}).obstructed
 
     def test_agrees_with_general(self):
         samples = [Fraction(1, 2), Fraction(3, 5), Fraction(15, 23), Fraction(12, 11), Fraction(2)]
@@ -429,13 +451,21 @@ class TestGamma21:
                     for value in samples:
                         for i in (0, 1, 2, 3):
                             gamma = {i: value}
-                            a = gamma_21(p, q, sigma, gamma).obstructed
+                            a = reference_gamma_21(p, q, sigma, gamma).obstructed
                             b = gamma_general(cls, (0,) * cls.n, sigma, gamma).obstructed
                             assert a == b, (p, q, sigma, value, i)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            gamma_21(0, 0, -2, {})
+            reference_gamma_21(0, 0, -2, {})
+
+
+def test_package_exports_what_ships():
+    import slicedeg
+
+    for name in ("gamma_21", "OddVector", "enumerate_odd_vectors", "kappa_min"):
+        assert not hasattr(slicedeg, name), name
+    assert slicedeg.kappa16 is slicedeg.lattice.kappa16
 
 
 class TestDoubleTwistGamma:
