@@ -11,10 +11,12 @@ import argparse
 import difflib
 import json
 import sys
+import warnings
 
 from .engine import (
     ALL_OBSTRUCTIONS,
     ClassBattery,
+    CyclicRelationWarning,
     EngineConfig,
     RuleVerdict,
     beta_table,
@@ -103,6 +105,23 @@ def _load_db(args) -> KnotDatabase:
     return db
 
 
+def _reporting_cycles(args, fn, *fn_args):
+    """``fn(*fn_args)``, each reference-cycle warning it issues printed as a diagnostic.
+
+    Other warnings are shown as Python shows them.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", CyclicRelationWarning)
+        try:
+            return fn(*fn_args)
+        finally:
+            for w in caught:
+                if not issubclass(w.category, CyclicRelationWarning):
+                    warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+                elif not args.quiet:
+                    print(f"warning: {w.message}", file=sys.stderr)
+
+
 def _find_record(db: KnotDatabase, name: str) -> KnotRecord:
     record = db.get(name)
     if record is None:
@@ -134,7 +153,7 @@ def _cmd_bound(args, parser: argparse.ArgumentParser) -> int:
         cfg = EngineConfig(max_k=args.max_k, obstructions=_parse_obstructions(args.obstructions))
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    report = bound_report(record, db, cfg)
+    report = _reporting_cycles(args, bound_report, record, db, cfg)
     if args.json:
         print(json.dumps(report_to_jsonable(report), indent=2))
         return 0
@@ -257,7 +276,7 @@ def _cmd_beta_table(args, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_table(args, parser: argparse.ArgumentParser) -> int:
     db = _load_db(args)
-    rows = report_table(db)
+    rows = _reporting_cycles(args, report_table, db)
     if args.format == "json":
         payload = [
             {

@@ -15,9 +15,14 @@ stops at its first surviving class, as ``beta_table`` does.
 ``upper_bound`` takes the minimum over the record's direct constructions
 (4 * positive clasp number, 4 * slicing number, explicit witnesses) and
 closes it under concordance and connected-sum transfer by a monotone
-fixed point over just the records it references, directly or not: one
-relax sweep in walk order, repeated only on a reference cycle.  Only the
-queried record's witness is formatted as text.
+fixed point: one relax sweep in walk order, repeated only on a reference
+cycle.  The closure of a database's records is computed once, by the
+first ``upper_bound``, ``bound_report`` or ``report_table`` call on it,
+and kept on the database.  A record outside the database or shadowing one
+in it, and any record of a database with a cycle (so that it warns only
+about a cycle it depends on), is walked alone over the records it
+references, directly or not.  Only the queried record's witness is
+formatted as text.
 
 ``report_table`` runs one lower-bound search per distinct set of search
 inputs: records that agree on every field the search reads and on the upper
@@ -375,15 +380,31 @@ def _upper_fixpoint(
     return best, warning
 
 
+def _closure(
+    db: KnotDatabase,
+) -> tuple[dict[str, tuple[int | None, _Source]], CyclicRelationWarning | None]:
+    """The upper-bound closure of every record of ``db``, computed on first use and kept."""
+    if db.upper_closure is None:
+        object.__setattr__(db, "upper_closure", _upper_fixpoint(db.records, db.records))
+    return db.upper_closure
+
+
 def _upper(
     record: KnotRecord, db: KnotDatabase | None
 ) -> tuple[tuple[int | None, str | None], CyclicRelationWarning | None]:
-    """``record``'s upper bound and witness, and the cycle warning to issue."""
+    """``record``'s upper bound and witness, and the cycle warning to issue.
+
+    A record of ``db`` reads the database's closure, which without a cycle
+    does not depend on walk order.  With a cycle it is walked alone, so it
+    warns only about a cycle it depends on.
+    """
     if db is not None and db.records.get(record.name) is record:
-        records = db.records
+        best, warning = _closure(db)
+        if warning is not None:
+            best, warning = _upper_fixpoint(db.records, [record.name])
     else:  # outside the db, or shadowing its namesake: merge it in
         records = {**(db.records if db is not None else {}), record.name: record}
-    best, warning = _upper_fixpoint(records, [record.name])
+        best, warning = _upper_fixpoint(records, [record.name])
     upper, source = best[record.name]
     if isinstance(source, tuple):
         relation, names = source
@@ -516,7 +537,7 @@ def report_table(db: KnotDatabase, cfg: EngineConfig | None = None) -> list[Tabl
     a failing search or report still fails, and is reported, for each record.
     """
     cfg = cfg or EngineConfig()
-    uppers, warning = _upper_fixpoint(db.records, db.records)
+    uppers, warning = _closure(db)
     if warning:
         _warnings.warn(warning, stacklevel=2)
     searches: dict[tuple, LowerBoundSearch] = {}

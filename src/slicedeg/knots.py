@@ -14,7 +14,9 @@ per-field provenance annotations.  ``concordant_to`` and
 absent); ``friends[].friend_name`` is a label, since a friendship carries
 its own ``friend_s``.
 
-Databases are immutable after load and safe for concurrent reads.
+Databases are immutable after load and safe for concurrent reads: the one
+value stored on a database later, the engine's upper-bound closure, is the
+same whichever read computes it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import json
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple
 
 from .staircase import NotLSpaceForm, VsSequence, check_alexander, staircase_from_alexander
@@ -84,10 +87,19 @@ class KnotRecord:
 
 @dataclass(frozen=True)
 class KnotDatabase:
-    """Loaded records keyed by name, plus non-fatal load diagnostics."""
+    """Loaded records keyed by name, plus non-fatal load diagnostics.
+
+    ``records`` is kept as a read-only copy of the mapping given, so a value
+    derived from it once stays valid: ``upper_closure`` is the engine's
+    upper-bound closure of every record, stored by its first query.
+    """
 
     records: Mapping[str, KnotRecord]
     warnings: tuple[str, ...] = ()
+    upper_closure: Any = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "records", MappingProxyType(dict(self.records)))
 
     def __iter__(self):
         return iter(self.records.values())

@@ -196,7 +196,7 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence) -> Verdict:
         return PASS
     k = cls.norm
     cap = 8 * v.v(0) - 1
-    rhs = [8 * v_j for v_j in v.values[: k // 2 + 1]]
+    rhs = [8 * v_j for v_j in v.prefix(k // 2 + 1)]
     n_rhs = len(rhs)
 
     def completes(dot: int, spent: int, rest: _SuffixTable) -> bool:

@@ -49,7 +49,9 @@ class WindowTooSmall(RuntimeError):
 class VsSequence:
     """Non-increasing, eventually-zero sequence of non-negative integers.
 
-    Only the positive prefix is stored; ``v(s)`` returns 0 past it.
+    Only the positive prefix is stored; ``v(s)`` returns 0 past it.  The
+    search reads only ``nu``, ``v`` and ``prefix``, which a thin knot's
+    sequence answers from its formula (:func:`vs_thin`).
     """
 
     values: tuple[int, ...]
@@ -71,13 +73,30 @@ class VsSequence:
             vals.pop()
         return cls(tuple(vals))
 
+    @property
+    def nu(self) -> int:
+        """Smallest s with V_s = 0: the length of the positive prefix."""
+        return len(self.values)
+
+    def prefix(self, n: int) -> tuple[int, ...]:
+        """The positive values among V_0 .. V_(n-1)."""
+        return self.values[:n]
+
     def v(self, s: int) -> int:
         if s < 0:
             raise ValueError("s must be non-negative")
         return self.values[s] if s < len(self.values) else 0
 
     def is_zero(self) -> bool:
-        return not self.values
+        return self.nu == 0
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, VsSequence):
+            return NotImplemented
+        return self.nu == other.nu and self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash((self.nu, self.v(0)))
 
     def steps_are_unit(self) -> bool:
         """True when consecutive drops (including onto the zero tail) are 0 or 1."""
@@ -88,9 +107,36 @@ class VsSequence:
         return "[" + ", ".join(str(x) for x in self.values) + "]"
 
 
+class _ThinVs(VsSequence):
+    """V_s = floor((tau + 1 - s) / 2) for s < tau, else 0: a thin knot with tau > 0.
+
+    Only tau is kept, so ``nu`` and ``v`` are O(1) and ``prefix(n)`` is
+    O(n) whatever tau is; ``values`` lists all tau of them.
+    """
+
+    def __init__(self, tau: int) -> None:
+        object.__setattr__(self, "tau", tau)
+
+    @property
+    def values(self) -> tuple[int, ...]:  # type: ignore[override]
+        return self.prefix(self.tau)
+
+    @property
+    def nu(self) -> int:
+        return self.tau
+
+    def prefix(self, n: int) -> tuple[int, ...]:
+        return tuple((self.tau + 1 - s) // 2 for s in range(min(n, self.tau)))
+
+    def v(self, s: int) -> int:
+        if s < 0:
+            raise ValueError("s must be non-negative")
+        return max((self.tau + 1 - s) // 2, 0)
+
+
 def nu_plus(v: VsSequence) -> int:
-    """Smallest s with V_s = 0; the length of the stored positive prefix."""
-    return len(v.values)
+    """Smallest s with V_s = 0: ``v.nu``, the length of the positive prefix."""
+    return v.nu
 
 
 @dataclass(frozen=True)
@@ -193,12 +239,12 @@ def torsion_sequence(coeffs: Sequence[int]) -> VsSequence:
 
 
 def vs_thin(tau: int) -> VsSequence:
-    """V_s of a Floer thin knot: max(floor((tau+1-s)/2), 0), zero for tau <= 0."""
-    if tau <= 0:
-        return VsSequence(())
-    return VsSequence.from_values(
-        [max((tau + 1 - s) // 2, 0) for s in range(tau + 1)]
-    )
+    """V_s of a Floer thin knot: max(floor((tau+1-s)/2), 0), zero for tau <= 0.
+
+    Values are read off the formula when asked for, so nu+ = tau and the
+    V_j a search reads cost O(1) each however large tau is.
+    """
+    return _ThinVs(tau) if tau > 0 else VsSequence(())
 
 
 def vs_lspace_formula(st: Staircase) -> VsSequence:

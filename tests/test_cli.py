@@ -1,10 +1,16 @@
 """CLI behaviour tests (run in-process through main())."""
 
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import slicedeg
 from slicedeg import cli
 from slicedeg.cli import main
 from slicedeg.engine import ClassBattery, EngineConfig, lower_bound
@@ -244,6 +250,63 @@ class TestTable:
         assert err == ""
         code, _, err = run(capsys, "table", "--db", str(db))
         assert code == 0 and "warning: bad: certified lower bound 2" in err
+
+
+class TestCycleWarnings:
+    """A reference cycle is one ``warning:`` line on stderr per call, dropped by --quiet."""
+
+    CYCLE = [{"name": "e", "signature": 0, "concordant_to": "e"}]
+    MESSAGE = "warning: concordance/connected-sum references cycle: e -> e\n"
+
+    @pytest.mark.parametrize("quiet", [[], ["--quiet"]])
+    @pytest.mark.parametrize("command", [["bound", "e"], ["table"]])
+    def test_one_line_unless_quiet(self, capsys, tmp_path, command, quiet):
+        db = tmp_path / "db.json"
+        db.write_text(json.dumps(self.CYCLE))
+        code, out, err = run(capsys, *command, "--db", str(db), *quiet)
+        assert code == 0 and "[0,?]" in out
+        assert err == ("" if quiet else self.MESSAGE)
+
+    def test_printed_before_a_data_error(self, capsys, tmp_path):
+        db = tmp_path / "db.json"
+        db.write_text(json.dumps([dict(INCONSISTENT[0], concordant_to="bad")]))
+        code, _, err = run(capsys, "bound", "bad", "--db", str(db))
+        assert code == 1
+        assert err.startswith("warning: concordance/connected-sum references cycle: bad -> bad\n")
+        assert "error: bad: certified lower bound 2 exceeds upper bound 1" in err
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+class TestExtremeInput:
+    """A thin record with tau = 10^30: the search reads only V_j for j <= k/2 and nu+ = tau."""
+
+    HUGE_TAU = [
+        {"name": "t", "signature": 0, "tau": 10**30, "vs_spec": {"type": "thin"}}
+    ]
+
+    @staticmethod
+    def slicedeg(*argv):
+        """The CLI in a fresh interpreter, under 1 GiB of address space and a 20 s timeout."""
+        env = dict(os.environ, PYTHONPATH=str(Path(slicedeg.__file__).parents[1]))
+        return subprocess.run(
+            [sys.executable, "-c", "import sys; from slicedeg.cli import main; sys.exit(main())",
+             *argv],
+            capture_output=True, text=True, env=env, timeout=20, preexec_fn=_limit_address_space,
+        )
+
+    # 2*tau kills every level up to the cap 64.
+    @pytest.mark.parametrize(
+        "command, line", [(["bound", "t"], "interval: [65,?]"), (["table"], "| t | [65,?] |")]
+    )
+    def test_finishes(self, tmp_path, command, line):
+        db = tmp_path / "db.json"
+        db.write_text(json.dumps(self.HUGE_TAU))
+        done = self.slicedeg(*command, "--db", str(db))
+        assert (done.returncode, done.stderr) == (0, "")
+        assert line in done.stdout
 
 
 class TestGlobals:

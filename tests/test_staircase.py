@@ -246,6 +246,21 @@ class TestVsThin:
             assert seq.steps_are_unit()
             assert seq.v(max(tau, 0)) == 0
 
+    def test_formula_matches_stored_values(self):
+        for tau in range(1, 12):
+            seq, stored = vs_thin(tau), VsSequence(vs_thin(tau).values)
+            assert seq == stored and stored == seq and hash(seq) == hash(stored)
+            assert [seq.v(s) for s in range(tau + 3)] == [stored.v(s) for s in range(tau + 3)]
+            assert all(seq.prefix(n) == stored.prefix(n) for n in range(tau + 3))
+        assert vs_thin(3) != VsSequence((2, 1)) and vs_thin(4) != vs_thin(3)
+
+    def test_huge_tau_is_not_listed(self):
+        tau = 10**30
+        seq = vs_thin(tau)
+        assert nu_plus(seq) == tau and not seq.is_zero()
+        assert seq.v(0) == tau // 2 and seq.v(tau - 1) == 1 and seq.v(tau) == 0
+        assert seq.prefix(3) == (tau // 2, tau // 2, tau // 2 - 1)
+
 
 class TestVsLspaceFormula:
     def test_small_torus_knots(self):

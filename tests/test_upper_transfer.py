@@ -1,18 +1,23 @@
 """Upper-bound transfer along concordance and connected-sum references.
 
-The engine walks only the records a query depends on, in one iterative
-pass.  These tests compare it with a whole-database sweep in file order
-(the plain fixed point, kept here as the reference) and run it on
-reference chains deeper than the interpreter's recursion limit.
+The engine closes a database's upper bounds once, in one iterative walk,
+and keeps the closure on the database; a record outside it, or any record
+of a database with a reference cycle, is walked alone.  These tests
+compare both with a whole-database sweep in file order (the plain fixed
+point, kept here as the reference), check that sharing the closure changes
+no answer, and run it on reference chains deeper than the interpreter's
+recursion limit.
 """
 
 import sys
 import warnings
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slicedeg import engine
 from slicedeg.cli import main
 from slicedeg.engine import (
     CyclicRelationWarning,
@@ -170,7 +175,7 @@ class TestAgainstWholeDatabaseSweep:
 
 
 class TestOwnRecordAndCopy:
-    """The db's own record walks ``db.records``; an equal copy walks a merged mapping."""
+    """The db's own record reads the db's closure; an equal copy walks a merged mapping."""
 
     @staticmethod
     def upper_and_warnings(record, db):
@@ -232,3 +237,57 @@ class TestCycleWarning:
                 call()
             assert [w.category for w in caught] == [CyclicRelationWarning]
             assert caught[0].filename == __file__
+
+
+class TestSharedClosure:
+    """One closure per database serves every later query on it."""
+
+    @staticmethod
+    def outcome(call, name, db):
+        """A call's answer for ``name`` and the reference-cycle warnings it issued."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if call == "upper_bound":
+                answer = upper_bound(db.get(name), db)
+            elif call == "bound_report":
+                report = bound_report(db.get(name), db)
+                answer = (report.upper, report.upper_witness)
+            else:
+                answer = [(row.name, row.upper, row.display) for row in report_table(db)]
+        return answer, [(w.category, str(w.message), w.filename) for w in caught]
+
+    @settings(max_examples=60, deadline=None)
+    @given(any_db(), st.data())
+    def test_any_call_order_matches_a_fresh_database(self, db, data):
+        calls = st.sampled_from(["upper_bound", "bound_report", "report_table"])
+        for call, name in data.draw(st.lists(st.tuples(calls, st.sampled_from(list(db.records))))):
+            fresh = db_of(db)
+            assert self.outcome(call, name, db) == self.outcome(call, name, fresh), (call, name)
+
+    def test_chain_closes_once(self, monkeypatch):
+        links = [
+            KnotRecord(f"link{i}", -2, concordant_to=f"link{i - 1}" if i > 1 else "3_1")
+            for i in range(240, 0, -1)
+        ]
+        db = db_of(links + [TREFOIL])
+        calls = []
+        fixpoint = engine._upper_fixpoint
+
+        def counting(records, roots):
+            calls.append(roots)
+            return fixpoint(records, roots)
+
+        monkeypatch.setattr(engine, "_upper_fixpoint", counting)
+        want = reference_uppers(db.records)
+        for record in db:
+            report = bound_report(record, db)
+            assert (report.upper, report.upper_witness) == want[record.name]
+        assert len(db) == 241 and len(calls) == 1
+
+    def test_records_are_read_only(self):
+        records = {TREFOIL.name: TREFOIL}
+        db = KnotDatabase(records)
+        with pytest.raises(TypeError):
+            db.records["9_42"] = TREFOIL  # type: ignore[index]
+        records["9_42"] = TREFOIL
+        assert list(db.records) == ["3_1"]
