@@ -383,10 +383,11 @@ def _upper_fixpoint(
 def _closure(
     db: KnotDatabase,
 ) -> tuple[dict[str, tuple[int | None, _Source]], CyclicRelationWarning | None]:
-    """The upper-bound closure of every record of ``db``, computed on first use and kept."""
-    if db.upper_closure is None:
-        object.__setattr__(db, "upper_closure", _upper_fixpoint(db.records, db.records))
-    return db.upper_closure
+    """The upper-bound closure of every record of ``db``.
+
+    Read as ``db.derived(_closure)``, so each database computes it once.
+    """
+    return _upper_fixpoint(db.records, db.records)
 
 
 def _upper(
@@ -399,7 +400,7 @@ def _upper(
     warns only about a cycle it depends on.
     """
     if db is not None and db.records.get(record.name) is record:
-        best, warning = _closure(db)
+        best, warning = db.derived(_closure)
         if warning is not None:
             best, warning = _upper_fixpoint(db.records, [record.name])
     else:  # outside the db, or shadowing its namesake: merge it in
@@ -537,7 +538,7 @@ def report_table(db: KnotDatabase, cfg: EngineConfig | None = None) -> list[Tabl
     a failing search or report still fails, and is reported, for each record.
     """
     cfg = cfg or EngineConfig()
-    uppers, warning = _closure(db)
+    uppers, warning = db.derived(_closure)
     if warning:
         _warnings.warn(warning, stacklevel=2)
     searches: dict[tuple, LowerBoundSearch] = {}

@@ -14,9 +14,9 @@ per-field provenance annotations.  ``concordant_to`` and
 absent); ``friends[].friend_name`` is a label, since a friendship carries
 its own ``friend_s``.
 
-Databases are immutable after load and safe for concurrent reads: the one
-value stored on a database later, the engine's upper-bound closure, is the
-same whichever read computes it.
+Databases are immutable after load and safe for concurrent reads: a value
+kept by ``KnotDatabase.derived`` (the engine's upper-bound closure) depends
+only on the records, so it is the same whichever read computes it.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple, TypeVar
 
 from .staircase import NotLSpaceForm, VsSequence, check_alexander, staircase_from_alexander
 
+_T = TypeVar("_T")
 _VS_KINDS = ("explicit", "thin", "lspace", "mirror_lspace", "unknown")
 
 
@@ -90,16 +91,22 @@ class KnotDatabase:
     """Loaded records keyed by name, plus non-fatal load diagnostics.
 
     ``records`` is kept as a read-only copy of the mapping given, so a value
-    derived from it once stays valid: ``upper_closure`` is the engine's
-    upper-bound closure of every record, stored by its first query.
+    derived from it once stays valid: :meth:`derived` keeps such values,
+    the engine's upper-bound closure among them.
     """
 
     records: Mapping[str, KnotRecord]
     warnings: tuple[str, ...] = ()
-    upper_closure: Any = field(default=None, init=False, repr=False, compare=False)
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "records", MappingProxyType(dict(self.records)))
+
+    def derived(self, compute: Callable[["KnotDatabase"], _T]) -> _T:
+        """``compute(self)``, computed by the first call for ``compute`` and kept."""
+        if compute not in self._derived:
+            self._derived[compute] = compute(self)
+        return self._derived[compute]
 
     def __iter__(self):
         return iter(self.records.values())

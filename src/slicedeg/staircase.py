@@ -110,12 +110,15 @@ class VsSequence:
 class _ThinVs(VsSequence):
     """V_s = floor((tau + 1 - s) / 2) for s < tau, else 0: a thin knot with tau > 0.
 
-    Only tau is kept, so ``nu`` and ``v`` are O(1) and ``prefix(n)`` is
-    O(n) whatever tau is; ``values`` lists all tau of them.
+    Only tau and the values read so far are kept, so ``nu`` and ``v`` are
+    O(1), ``prefix(n)`` lists V_0 .. V_(n-1) once and slices them after,
+    and ``==``, ``hash`` and ``repr`` never list the sequence; ``values``
+    lists all tau of them.
     """
 
     def __init__(self, tau: int) -> None:
         object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "_head", ())
 
     @property
     def values(self) -> tuple[int, ...]:  # type: ignore[override]
@@ -126,12 +129,26 @@ class _ThinVs(VsSequence):
         return self.tau
 
     def prefix(self, n: int) -> tuple[int, ...]:
-        return tuple((self.tau + 1 - s) // 2 for s in range(min(n, self.tau)))
+        head = self._head
+        if len(head) < min(n, self.tau):
+            head = tuple((self.tau + 1 - s) // 2 for s in range(min(n, self.tau)))
+            object.__setattr__(self, "_head", head)
+        return head[:n]
 
     def v(self, s: int) -> int:
         if s < 0:
             raise ValueError("s must be non-negative")
         return max((self.tau + 1 - s) // 2, 0)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _ThinVs):
+            return self.tau == other.tau
+        return super().__eq__(other)
+
+    __hash__ = VsSequence.__hash__
+
+    def __repr__(self) -> str:
+        return f"vs_thin({self.tau})"
 
 
 def nu_plus(v: VsSequence) -> int:

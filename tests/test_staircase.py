@@ -19,6 +19,7 @@ from slicedeg.staircase import (
     VsSequence,
     VsUnavailable,
     WindowTooSmall,
+    _ThinVs,
     _tower_level,
     _generator_positions,
     nu_plus,
@@ -254,12 +255,25 @@ class TestVsThin:
             assert all(seq.prefix(n) == stored.prefix(n) for n in range(tau + 3))
         assert vs_thin(3) != VsSequence((2, 1)) and vs_thin(4) != vs_thin(3)
 
-    def test_huge_tau_is_not_listed(self):
+    def test_huge_tau_is_not_listed(self, monkeypatch):
+        def listed(seq):
+            raise AssertionError("the whole sequence was listed")
+
+        monkeypatch.setattr(_ThinVs, "values", property(listed))
         tau = 10**30
         seq = vs_thin(tau)
         assert nu_plus(seq) == tau and not seq.is_zero()
         assert seq.v(0) == tau // 2 and seq.v(tau - 1) == 1 and seq.v(tau) == 0
         assert seq.prefix(3) == (tau // 2, tau // 2, tau // 2 - 1)
+        assert seq == vs_thin(tau) and seq != vs_thin(tau + 1)
+        assert seq != VsSequence((1,)) and hash(seq) == hash(vs_thin(tau))
+        assert repr(seq) == f"vs_thin({tau})"
+
+    def test_prefix_in_any_order_of_lengths(self):
+        stored = VsSequence(vs_thin(9).values)
+        for lengths in ((4, 2, 12, 9, 0), (12, 4), (0, 1, 2, 3)):
+            seq = vs_thin(9)
+            assert [seq.prefix(n) for n in lengths] == [stored.prefix(n) for n in lengths]
 
 
 class TestVsLspaceFormula:
