@@ -137,10 +137,15 @@ def _parse_obstructions(text: str | None) -> frozenset[str]:
     return frozenset(p.strip() for p in text.split(",") if p.strip())
 
 
+# Without --max-s, `vs` lists at most this many values, then ", ...]".
+_VS_SHOWN = 256
+
+
 def _vs_display(seq, max_s: int | None) -> str:
     if max_s is not None:
         return "[" + ", ".join(str(seq.v(s)) for s in range(max_s + 1)) + "]"
-    body = str(seq)
+    more = ", ..." if nu_plus(seq) > _VS_SHOWN else ""
+    body = "[" + ", ".join(str(x) for x in seq.prefix(_VS_SHOWN)) + more + "]"
     return f"{body} (V_s = 0 for s >= {nu_plus(seq)})"
 
 

@@ -163,40 +163,71 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence) -> Verdict:
     which j is always integral since k = sum(a_i^2) = sum(a_i) mod 2.
     An all-zero sequence can never obstruct.
 
-    The inequality sees lambda only through d and the cost
-    sum(lambda_i^2 - 1), and a violation needs cost <= cap = 8*V_0 - 1 and
-    V_j > 0.  So the check builds, for every suffix a[i:] and in one
-    explicit loop from the shortest, the least cost of each reachable d
-    within ``cap``; the class is obstructed iff the full table meets
-    8*V_j at some d = k - 2j.  Tables are cached by (suffix, cap), up to
-    a bounded total size, so sorted classes that share a suffix share its
-    table.  A violation is completed from a prefix with dot product
-    ``dot`` and cost ``spent`` iff ``spent + costs[i0 - j] < 8*V_j`` for
-    some j, with i0 = (k - dot - lo) / 2 the index of the target j = 0;
-    only the j whose index lies inside the table are scanned.
+    Cost 0 first: lambda = (1, ..., 1) reaches d = sum(a_i) at cost 0, so
+    it violates iff V_j0 > 0, j0 = (k - sum(a_i)) / 2; it is then the first
+    witness of the rebuild below (+1 first everywhere) and is returned
+    before any table is built.  As V_j0 > 0 iff 2*nu+ > k - sum(a_i), the
+    battery's beta[2nu+] kills such a class first whenever it runs, so the
+    shortcut fires only in V_s-only searches and ``check-class``.
+
+    Otherwise the inequality sees lambda only through d and the cost
+    sum(lambda_i^2 - 1), and a violation needs cost <= 8*V_0 - 1 and
+    V_j > 0.  The class caps the cost too: with a_1 the largest entry,
+    every reachable d in [0, k] has least cost at most
+    B = (a_1 + 2)^2 * k - n.  For a least-cost lambda reaching d and p != q,
+
+        lambda_q/a_q - lambda_p/a_p <= a_p/a_q + a_q/a_p <= a_1 + 1,
+
+    or (lambda_p + 2a_q, lambda_q - 2a_p) would keep d and cost less.  The
+    a_i^2-weighted mean of lambda_i/a_i is d/k in [0, 1], so every
+    |lambda_i| <= (a_1 + 2) * a_i and sum(lambda_i^2 - 1) <= B.  So
+    ``cap = min(8*V_0 - 1, B)`` keeps the least cost of every d in [0, k]
+    and the verdict.  It is below 8*V_0 - 1 only for steep sequences:
+    V_j0 = 0 with unit steps gives V_0 <= j0 <= k/2, so 8*V_0 - 1 < 4k.
+    Targets are lowered to min(8*V_j, cap + 1), so neither an unreached
+    entry (cap + 1) nor a lambda costing more than cap completes one.
+
+    The check builds, for every suffix a[i:] and in one explicit loop from
+    the shortest, the least cost of each reachable d within ``cap``; the
+    class is obstructed iff the full table meets 8*V_j at some d = k - 2j.
+    Tables are cached by (suffix, cap), up to a bounded total size, so
+    sorted classes that share a suffix share its table.  A violation is
+    completed from a prefix with dot product ``dot`` and cost ``spent`` iff
+    ``spent + costs[i0 - j] < 8*V_j`` for some j, with i0 = (k - dot - lo) / 2
+    the index of the target j = 0; only the j whose index lies inside the
+    table are scanned.
 
     The witness is rebuilt one coordinate at a time by a loop over
     mag = 1, 3, 5, ... that tries +mag, then -mag, and keeps the first
     value whose suffix table still completes a violation: it is the first
-    violating lambda of the depth-first enumeration
-    (:func:`~slicedeg.lattice.enumerate_odd_vectors`).  The loop stops at
+    violating lambda with cost <= cap of the depth-first enumeration
+    (:func:`~slicedeg.lattice.enumerate_odd_vectors`), and the first
+    violating lambda outright when cap = 8*V_0 - 1.  The loop stops at
     mag^2 - 1 > cap - spent with a ``RuntimeError``, which a consistent
     table never reaches.
 
-    Work: with M the largest odd magnitude, M^2 <= 8*V_0, a table holds at
-    most M*sum(a) + 1 <= M*k + 1 entries, and each coordinate costs that
-    times the (M + 1)/2 magnitudes; so O(n * k * V_0) time and
-    O(n * k * sqrt(V_0)) memory in all.  The witness adds, per coordinate,
-    at most M + 1 candidates, each scanning the at most
-    min(nu+, k/2 + 1) targets that fall inside the table.
+    Work: with M the largest odd magnitude, M^2 <= cap + 1, a table holds
+    at most M*sum(a) + 1 <= M*k + 1 entries, and each coordinate costs that
+    times the (M + 1)/2 magnitudes; so O(n * k * min(V_0, (a_1 + 2)^2 * k))
+    time and O(n * k * sqrt(min(V_0, (a_1 + 2)^2 * k))) memory in all.  The
+    witness adds, per coordinate, at most M + 1 candidates, each scanning
+    the at most min(nu+, k/2 + 1) targets that fall inside the table.
     """
     if cls.n == 0:
         raise ValueError("class must be non-empty")
+    k = cls.norm
+    j0 = (k - sum(cls.a)) // 2
+    if v.v(j0):
+        return Verdict(
+            True, {"rule": "vs", "lambda": (1,) * cls.n, "j": j0, "lhs": 0, "rhs": 8 * v.v(j0)}
+        )
     if v.is_zero():
         return PASS
-    k = cls.norm
     cap = 8 * v.v(0) - 1
     rhs = [8 * v_j for v_j in v.prefix(k // 2 + 1)]
+    if cap > 8 * k:  # B >= 9k - n >= 8k, so only then can B lower the cap
+        cap = min(cap, (max(cls.a) + 2) ** 2 * k - cls.n)
+        rhs = [min(r, cap + 1) for r in rhs]
     n_rhs = len(rhs)
 
     def completes(dot: int, spent: int, rest: _SuffixTable) -> bool:

@@ -110,6 +110,17 @@ class TestVs:
         code, out, _ = run(capsys, "vs", "9_1", "--db", KNOTS, "--quiet", "--max-s", "5")
         assert code == 0 and "[2, 2, 1, 1, 0, 0]" in out
 
+    def test_long_sequence_shows_256_values(self, capsys, tmp_path):
+        db = tmp_path / "db.json"
+        db.write_text(json.dumps([
+            {"name": f"t{tau}", "signature": 0, "tau": tau, "vs_spec": {"type": "thin"}}
+            for tau in (256, 257)
+        ]))
+        _, out, _ = run(capsys, "vs", "t256", "--db", str(db))
+        assert out.endswith(", 1, 1] (V_s = 0 for s >= 256)\n") and out.count(",") == 255
+        _, out, _ = run(capsys, "vs", "t257", "--db", str(db))
+        assert out.endswith(", 2, 1, ...] (V_s = 0 for s >= 257)\n") and out.count(",") == 256
+
     def test_staircase_needs_alexander(self, capsys):
         code, _, err = run(capsys, "vs", "7_4", "--db", KNOTS, "--quiet", "--oracle", "staircase")
         assert code == 1 and "Alexander" in err
@@ -281,11 +292,19 @@ def _limit_address_space():
 
 
 class TestExtremeInput:
-    """A thin record with tau = 10^30: the search reads only V_j for j <= k/2 and nu+ = tau."""
+    """Huge V_s: a thin record with tau = 10^30 and an explicit record with V_0 = 10^12.
+
+    The search reads only V_j for j <= k/2 and nu+ = tau, and the V_s check
+    bounds its tables by the class, not by V_0.
+    """
 
     HUGE_TAU = [
         {"name": "t", "signature": 0, "tau": 10**30, "vs_spec": {"type": "thin"}}
     ]
+    HUGE_V0 = [
+        {"name": "x", "signature": 0, "vs_spec": {"type": "explicit", "values": [10**12]}}
+    ]
+    STEEP_DROP = "warning: record 'x': warning: field 'vs_spec': V_s drops by more than 1\n"
 
     @staticmethod
     def slicedeg(*argv):
@@ -307,6 +326,28 @@ class TestExtremeInput:
         done = self.slicedeg(*command, "--db", str(db))
         assert (done.returncode, done.stderr) == (0, "")
         assert line in done.stdout
+
+    # Each once died with a MemoryError traceback: the V_s tables grew with
+    # sqrt(V_0), and `vs` listed all tau values.
+    @pytest.mark.parametrize(
+        "records, command, lines",
+        [
+            (HUGE_V0, ["bound", "x"], ["interval: [4,?]", "surviving class: (2)"]),
+            (HUGE_TAU, ["bound", "t", "--obstructions", "vs"], ["interval: [65,?]"]),
+            (HUGE_TAU, ["check-class", "t", "1"], ["vs: OBSTRUCTED (lambda = (1), j = 0, "]),
+            # V_0 .. V_255, then the suffix
+            (HUGE_TAU, ["vs", "t"], [f"{(10**30 - 254) // 2}, ...] (V_s = 0 for s >= {10**30})"]),
+        ],
+        ids=["bound-x", "bound-t-vs", "check-class-t-1", "vs-t"],
+    )
+    def test_vs_paths_finish(self, tmp_path, records, command, lines):
+        db = tmp_path / "db.json"
+        db.write_text(json.dumps(records))
+        done = self.slicedeg(*command, "--db", str(db))
+        assert done.returncode == 0 and "Traceback" not in done.stderr
+        assert done.stderr in ("", self.STEEP_DROP)
+        for line in lines:
+            assert line in done.stdout
 
 
 class TestGlobals:

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -29,8 +30,13 @@ from slicedeg.obstructions import (
 from slicedeg.staircase import VsSequence, vs_of, vs_thin
 
 
-def reference_vs_obstruction(cls: HomologyClass, v: VsSequence) -> Verdict:
-    """The first violating lambda of the depth-first odd-vector enumeration."""
+def reference_vs_obstruction(
+    cls: HomologyClass, v: VsSequence, max_cost: int | None = None
+) -> Verdict:
+    """The first violating lambda of the depth-first odd-vector enumeration.
+
+    With ``max_cost``, the first whose cost sum(lambda_i^2 - 1) is at most that.
+    """
     if v.is_zero():
         return Verdict(False)
     for lam in enumerate_odd_vectors(cls, v.v(0)):
@@ -38,7 +44,7 @@ def reference_vs_obstruction(cls: HomologyClass, v: VsSequence) -> Verdict:
         j = (cls.norm - dot) // 2
         lhs = sum(l * l for l in lam.values) - cls.n
         rhs = 8 * v.v(j)
-        if lhs < rhs:
+        if lhs < rhs and (max_cost is None or lhs <= max_cost):
             return Verdict(
                 True, {"rule": "vs", "lambda": lam.values, "j": j, "lhs": lhs, "rhs": rhs}
             )
@@ -298,6 +304,76 @@ class TestVsAgainstEnumeration:
     )
     def test_random_sequences_at_norms_15_to_18(self, cls, v):
         assert vs_obstruction(cls, v) == reference_vs_obstruction(cls, v)
+
+
+def class_cap(cls: HomologyClass) -> int:
+    """B = (a_1 + 2)^2 * k - n, the class's bound on the least cost of any d in [0, k]."""
+    return (cls.a[0] + 2) ** 2 * cls.norm - cls.n
+
+
+class TestVsShortcutAndCap:
+    """The cost-0 shortcut and the class cap of the V_s DP against the enumeration."""
+
+    def test_cap_bounds_least_cost_up_to_norm_14(self):
+        # every reachable d in [0, k] is reached with |lambda_i| <= (a_1 + 2) * a_i
+        classes = 0
+        for k in range(1, 15):
+            for cls in enumerate_classes(k):
+                least = {0: 0}  # dot product of a prefix -> least cost
+                for a_i in cls.a:
+                    top = (cls.a[0] + 2) * a_i
+                    step: dict[int, int] = {}
+                    for dot, cost in least.items():
+                        for lam in range(-top | 1, top + 1, 2):
+                            d, c = dot + lam * a_i, cost + lam * lam - 1
+                            if c < step.get(d, c + 1):
+                                step[d] = c
+                    least = step
+                period = 2 * math.gcd(*cls.a)  # d is reachable iff d = sum(a) mod period
+                for d in range(sum(cls.a) % period, k + 1, period):
+                    assert least[d] <= class_cap(cls), (cls.a, d)
+                classes += 1
+        assert classes == 43
+
+    def test_shortcut_builds_no_table(self, monkeypatch):
+        def build(head, rest):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(obstructions, "_build", build)
+        v = vs_thin(10)  # V_j > 0 for every j <= k/2 <= 7
+        for k in range(1, 15):
+            for cls in enumerate_classes(k):
+                vd = vs_obstruction(cls, v)
+                assert vd == reference_vs_obstruction(cls, v)
+                assert vd.witness["lambda"] == (1,) * cls.n and vd.witness["lhs"] == 0
+
+    def test_steep_sequences_up_to_norm_10(self):
+        capped = 0
+        for v in [VsSequence((v0,)) for v0 in range(9, 41)] + [VsSequence((20, 1))]:
+            for k in range(1, 11):
+                for cls in enumerate_classes(k):
+                    cap = min(8 * v.v(0) - 1, class_cap(cls))
+                    vd = vs_obstruction(cls, v)
+                    assert vd.obstructed == reference_vs_obstruction(cls, v).obstructed
+                    assert vd == reference_vs_obstruction(cls, v, cap), (cls.a, v)
+                    capped += cap < 8 * v.v(0) - 1 and not v.v((k - sum(cls.a)) // 2)
+        assert capped == 281  # pairs that build tables under the lowered cap
+
+    @pytest.mark.parametrize(
+        "a, v0, first, capped",
+        [
+            # the first violator costs 21024, above B = 121 * 163 - 3 = 19720
+            ((9, 9, 1), 3000, (1, 1, 145), (1, 3, 127)),
+            # the first violator costs 12768, just within B = 100 * 129 - 3 = 12897
+            ((8, 8, 1), 2000, (1, 1, 113), (1, 1, 113)),
+        ],
+    )
+    def test_capped_witness_is_first_within_cap(self, a, v0, first, capped):
+        cls, v = HomologyClass(a), VsSequence((v0,))
+        assert reference_vs_obstruction(cls, v).witness["lambda"] == first
+        vd = vs_obstruction(cls, v)
+        assert vd == reference_vs_obstruction(cls, v, class_cap(cls))
+        assert vd.witness["lambda"] == capped
 
 
 class TestGammaGeneral:
