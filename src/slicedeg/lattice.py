@@ -158,7 +158,8 @@ def enumerate_odd_vectors(cls: HomologyClass, v0: int) -> Iterator[OddVector]:
     This is the reference enumeration, not the engine path: the engine
     decides the V_s check by the dot-product DP of
     :func:`slicedeg.obstructions.vs_obstruction`, whose witness is the first
-    violating vector in this order, and the tests compare the two.  The
+    violating vector of cost <= cap in this order (the first violating one
+    outright when cap = 8*V_0 - 1), and the tests compare the two.  The
     search is exponential in n and in v0, and recurses once per coordinate.
     """
     if cls.n == 0:

@@ -103,15 +103,13 @@ def _build(head: int, rest: _SuffixTable) -> _SuffixTable:
     if top % 2 == 0:
         top -= 1
     width = len(rest.costs) + top * head
-    rows = []
+    costs = [unreached] * width
     for mag in range(1, top + 1, 2):
         spent = mag * mag - 1
         moved = [c + spent if c + spent <= cap else unreached for c in rest.costs]
         for shift in ((top - mag) * head // 2, (top + mag) * head // 2):
-            rows.append([unreached] * shift + moved + [unreached] * (width - shift - len(moved)))
-    costs = rows[0]
-    for row in rows[1:]:
-        costs = [c if c < r else r for c, r in zip(costs, row)]
+            end = shift + len(moved)
+            costs[shift:end] = [c if c < m else m for c, m in zip(costs[shift:end], moved)]
     first = next(i for i in range(width) if costs[i] <= cap)
     last = next(i for i in range(width - 1, -1, -1) if costs[i] <= cap)
     return _SuffixTable(cap, rest.lo - top * head + 2 * first, tuple(costs[first : last + 1]))
@@ -208,8 +206,9 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence) -> Verdict:
 
     Work: with M the largest odd magnitude, M^2 <= cap + 1, a table holds
     at most M*sum(a) + 1 <= M*k + 1 entries, and each coordinate costs that
-    times the (M + 1)/2 magnitudes; so O(n * k * min(V_0, (a_1 + 2)^2 * k))
-    time and O(n * k * sqrt(min(V_0, (a_1 + 2)^2 * k))) memory in all.  The
+    times the (M + 1)/2 magnitudes, folded into one row of that width; so
+    O(n * k * min(V_0, (a_1 + 2)^2 * k)) time and
+    O(n * k * sqrt(min(V_0, (a_1 + 2)^2 * k))) memory in all.  The
     witness adds, per coordinate, at most M + 1 candidates, each scanning
     the at most min(nu+, k/2 + 1) targets that fall inside the table.
     """

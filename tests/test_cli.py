@@ -328,17 +328,19 @@ class TestExtremeInput:
         assert line in done.stdout
 
     # Each once died with a MemoryError traceback: the V_s tables grew with
-    # sqrt(V_0), and `vs` listed all tau values.
+    # sqrt(V_0), one table's shifted rows were all held at once (cap about
+    # 6.8e6 for the class (50)), and `vs` listed all tau values.
     @pytest.mark.parametrize(
         "records, command, lines",
         [
             (HUGE_V0, ["bound", "x"], ["interval: [4,?]", "surviving class: (2)"]),
             (HUGE_TAU, ["bound", "t", "--obstructions", "vs"], ["interval: [65,?]"]),
             (HUGE_TAU, ["check-class", "t", "1"], ["vs: OBSTRUCTED (lambda = (1), j = 0, "]),
+            (HUGE_V0, ["check-class", "x", "50"], ["vs: pass"]),
             # V_0 .. V_255, then the suffix
             (HUGE_TAU, ["vs", "t"], [f"{(10**30 - 254) // 2}, ...] (V_s = 0 for s >= {10**30})"]),
         ],
-        ids=["bound-x", "bound-t-vs", "check-class-t-1", "vs-t"],
+        ids=["bound-x", "bound-t-vs", "check-class-t-1", "check-class-x-50", "vs-t"],
     )
     def test_vs_paths_finish(self, tmp_path, records, command, lines):
         db = tmp_path / "db.json"

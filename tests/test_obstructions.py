@@ -225,6 +225,8 @@ class TestVsObstruction:
         for perm in [(1, 2, 1), (1, 1, 2)]:
             assert vs_obstruction(unsorted_class(perm), v).obstructed == sorted_vd.obstructed
 
+    # The two all-ones cases below are decided at cost 0, before any table;
+    # the two after them take (2, 1, ..., 1), which reaches the tables.
     def test_class_deeper_than_recursion_limit(self):
         n = 2 * sys.getrecursionlimit()
         vd = vs_obstruction(HomologyClass((1,) * n), VsSequence((1,)))
@@ -241,6 +243,40 @@ class TestVsObstruction:
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
+        assert kept <= 2 * 1024 * 1024
+
+    @staticmethod
+    def counting_builds(monkeypatch):
+        """A fresh table cache of the module's budget; returns the list of built heads."""
+        built = []
+        build = obstructions._build
+        fresh = obstructions._TableCache(obstructions._TABLES.budget)
+        monkeypatch.setattr(obstructions, "_TABLES", fresh)
+        monkeypatch.setattr(
+            obstructions, "_build", lambda head, rest: built.append(head) or build(head, rest)
+        )
+        return built
+
+    def test_tables_deeper_than_recursion_limit(self, monkeypatch):
+        # j0 = 1 and V_1 = 0, so the DP decides; lambda ends (..., 1, 3) at d = k
+        n = 2 * sys.getrecursionlimit()
+        built = self.counting_builds(monkeypatch)
+        vd = vs_obstruction(HomologyClass((2,) + (1,) * n), VsSequence((2,)))
+        assert len(built) == n + 1
+        assert vd.witness == {"rule": "vs", "lambda": (1,) * n + (3,), "j": 0, "lhs": 8, "rhs": 16}
+
+    def test_long_surviving_class_keeps_bounded_tables(self, monkeypatch):
+        built = self.counting_builds(monkeypatch)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            vd = vs_obstruction(HomologyClass((2,) + (1,) * 2000), VsSequence((1,)))
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert not vd.obstructed and len(built) == 2001
         assert kept <= 2 * 1024 * 1024
 
     def test_inconsistent_table_raises_instead_of_spinning(self, monkeypatch):
