@@ -31,7 +31,6 @@ from .staircase import (
     OracleDisagreement,
     VsSequence,
     VsUnavailable,
-    nu_plus,
     staircase_of,
     torsion_sequence,
     vs_of,
@@ -139,14 +138,21 @@ def _parse_obstructions(text: str | None) -> frozenset[str]:
 
 # Without --max-s, `vs` lists at most this many values, then ", ...]".
 _VS_SHOWN = 256
+_VS_CHUNK = 4096  # with --max-s, values are written this many at a time
 
 
-def _vs_display(seq, max_s: int | None) -> str:
-    if max_s is not None:
-        return "[" + ", ".join(str(seq.v(s)) for s in range(max_s + 1)) + "]"
-    more = ", ..." if nu_plus(seq) > _VS_SHOWN else ""
-    body = "[" + ", ".join(str(x) for x in seq.prefix(_VS_SHOWN)) + more + "]"
-    return f"{body} (V_s = 0 for s >= {nu_plus(seq)})"
+def _print_vs(label: str, seq: VsSequence | None, max_s: int | None) -> None:
+    if seq is None:
+        print(f"{label}: unavailable")
+    elif max_s is None:
+        shown = ", ".join(map(str, seq.prefix(_VS_SHOWN))) + (", ..." if seq.nu > _VS_SHOWN else "")
+        print(f"{label}: [{shown}] (V_s = 0 for s >= {seq.nu})")
+    else:
+        sys.stdout.write(f"{label}: [")
+        for start in range(0, max_s + 1, _VS_CHUNK):
+            values = map(seq.v, range(start, min(start + _VS_CHUNK, max_s + 1)))
+            sys.stdout.write((", " if start else "") + ", ".join(map(str, values)))
+        sys.stdout.write("]\n")
 
 
 def _cmd_bound(args, parser: argparse.ArgumentParser) -> int:
@@ -199,7 +205,7 @@ def _cmd_vs(args, parser: argparse.ArgumentParser) -> int:
             if args.oracle != "all":
                 raise DataError(str(exc)) from exc
             seq = None
-        print(f"{label}: {_vs_display(seq, args.max_s) if seq is not None else 'unavailable'}")
+        _print_vs(label, seq, args.max_s)
         results.append(seq)
     if args.oracle == "all":
         present = [seq for seq in results if seq is not None]

@@ -6,11 +6,12 @@ null-class check, higher levels either by a surgery-friend certificate or
 by killing every candidate class with the per-class battery
 (:class:`ClassBattery`: adjunction bounds first, then the instanton energy
 check, then the V_s check; the fixed order decides which rule a
-certificate names).  The first
-unobstructed level is a sound lower bound because every check is a
-necessary condition for the disk.  The search is serial and lazy: each
-level streams its classes from :func:`~slicedeg.lattice.iter_classes` and
-stops at its first surviving class, as ``beta_table`` does.
+certificate names).  The first unobstructed level is a sound lower bound
+because every check is a necessary condition for the disk.  Each level
+stops at its first survivor.  Levels up to ``DEFAULT_MAX_K`` are listed
+once per process as (class, k - sum(a)) pairs that every search and table
+shares (:func:`_level`); deeper ones stream.  Only a class's first kill
+calls a decider (:meth:`ClassBattery.first_kill`).
 
 ``upper_bound`` takes the minimum over the record's direct constructions
 (4 * positive clasp number, 4 * slicing number, explicit witnesses) and
@@ -39,6 +40,7 @@ import warnings as _warnings
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import lru_cache
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -148,8 +150,20 @@ def display_interval(lower: int, upper: int | None) -> str:
 # --- lower bounds -----------------------------------------------------------
 
 
-def _gamma_c_vectors(a: Sequence[int], sweep: bool) -> list[tuple[int, ...]]:
-    """The c-vectors the instanton check tries on the sorted class ``a``.
+@lru_cache(maxsize=1 << 10)
+def _gamma_runs(a: tuple[int, ...], sweep: bool) -> tuple[int, tuple]:
+    """16*kappa at c = 0, and each run's (part of c, step of 16*kappa) choices; kept per class."""
+    runs = [(x, len(list(group))) for x, group in itertools.groupby(a)]
+    energy = sum(m if x % 2 else 4 * m if x % 4 else 0 for x, m in runs)
+    return energy, tuple(
+        tuple(((0,) * (m - j) + (1,) * j, j * (-4 if x % 4 else 4)) for j in range(m + 1))
+        if sweep and x % 2 == 0 else (((0,) * m, 0),)
+        for x, m in runs
+    )
+
+
+def _gamma_walk(a: tuple[int, ...], sweep: bool) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each c the instanton check tries on the sorted class ``a``, with 16*kappa_min(a, c).
 
     Without the sweep only c = 0.  With it, one c in {0,1}^n per orbit
     under permutations among equal entries of ``a``, which leave kappa,
@@ -158,16 +172,19 @@ def _gamma_c_vectors(a: Sequence[int], sweep: bool) -> list[tuple[int, ...]]:
     entries keep c_i = 0: a_i - 2*c_i is odd either way, so kappa, the index
     and the verdict do not depend on c_i.  That is prod(m_j + 1) vectors
     over the even runs, in lexicographic order, so the first killing c is
-    the first killing c of the full 2^n sweep in that order.
-    Each is decided by :func:`gamma_general` in O(n) integer operations,
-    plus O(n + b * sum(a)) once for the closed-form eta of a killing c's
-    witness, with b <= n binomial factors (:func:`~slicedeg.lattice.eta`).
+    the first killing c of the full 2^n sweep in that order.  As
+    16*kappa = #odd entries + 4 * #{i : a_i - 2*c_i = 2 mod 4}, a flipped even
+    entry adds 4 to it when a_i = 0 mod 4 and -4 when a_i = 2 mod 4.
     """
-    if not sweep:
-        return [(0,) * len(a)]
-    runs = [(len(list(group)), x % 2) for x, group in itertools.groupby(a)]
-    choices = [[(0,) * (m - j) + (1,) * j for j in range(1 if odd else m + 1)] for m, odd in runs]
-    return [tuple(itertools.chain.from_iterable(parts)) for parts in itertools.product(*choices)]
+    energy, choices = _gamma_runs(a, sweep)
+    for parts in itertools.product(*choices):
+        c = tuple(itertools.chain.from_iterable(part for part, _ in parts))
+        yield c, energy + sum(step for _, step in parts)
+
+
+def _gamma_c_vectors(a: tuple[int, ...], sweep: bool) -> list[tuple[int, ...]]:
+    """The c-vectors of :func:`_gamma_walk`, in order."""
+    return [c for c, _ in _gamma_walk(a, sweep)]
 
 
 class RuleVerdict(NamedTuple):
@@ -189,46 +206,64 @@ class ClassBattery:
     The record's V_s sequence (``v``, None when the record has no route to
     it; ``OracleDisagreement`` propagates) and its adjunction-type scalar
     bounds (``betas``: each stored s_p, 2*tau, 2*nu+) are computed once,
-    here, and shared by every class checked.
+    here, and shared by every class checked.  So is ``rules``, the enabled
+    rules with data on the record (betas, "gamma", "vs") that :meth:`verdicts`
+    and :meth:`first_kill` both read; the latter calls a decider only for the
+    kill it returns.  A beta kills iff beta > k - sum(a), and the instanton
+    check iff 16*kappa = #odd a_i + 4 * #{i : a_i - 2*c_i = 2 mod 4} is
+    k + 2*sigma + 4*i for some Gamma(i) > 2*kappa (:func:`_gamma_walk`).
     """
 
     def __init__(self, record: KnotRecord, cfg: EngineConfig) -> None:
         self.record = record
         self.cfg = cfg
-        self.v: VsSequence | None
         try:
-            self.v = vs_of(record)
+            self.v: VsSequence | None = vs_of(record)
         except VsUnavailable:
             self.v = None
-        self.betas = [
-            (f"beta[s_{p}]", record.s_invariants[p]) for p in sorted(record.s_invariants)
-        ]
+        self.betas = [(f"beta[s_{p}]", record.s_invariants[p]) for p in sorted(record.s_invariants)]
         if record.tau is not None:
             self.betas.append(("beta[2tau]", 2 * record.tau))
         if self.v is not None:
             self.betas.append(("beta[2nu+]", 2 * nu_plus(self.v)))
+        self.rules: list[tuple[str, int | None]] = [*self.betas] if "s" in cfg.obstructions else []
+        self.rules += [("gamma", None)] if "gamma" in cfg.obstructions and record.gamma else []
+        self.rules += [("vs", None)] if "vs" in cfg.obstructions and self.v is not None else []
+        self.gammas = [(i, g.numerator, g.denominator) for i, g in record.gamma.items() if i >= 0]
 
     def verdicts(self, cls: HomologyClass) -> Iterator[RuleVerdict]:
-        """Each enabled rule's verdict on the class, in a fixed order.
-
-        Adjunction bounds first (one per stored beta), then the instanton
-        check once per c-vector (c = 0, or with the c-sweep one c per
-        orbit under permuting equal entries, see :func:`_gamma_c_vectors`),
-        then the V_s check.  Rules without
-        data on the record (no Gamma values, no V_s) yield nothing.  The
-        class is obstructed iff some verdict is; consumers that only need
-        the first kill stop early.
-        """
-        record, cfg, v = self.record, self.cfg, self.v
-        if "s" in cfg.obstructions:
-            rhs = cls.norm - sum(cls.a)
-            for rule, beta in self.betas:
+        """Each rule's verdict on the class, in ``rules`` order; the instanton check's per c."""
+        record = self.record
+        rhs = cls.norm - sum(cls.a)
+        for rule, beta in self.rules:
+            if beta is not None:
                 yield RuleVerdict(rule, beta_adjunction(cls, beta), beta, rhs)
-        if "gamma" in cfg.obstructions and record.gamma:
-            for c in _gamma_c_vectors(cls.a, cfg.gamma_c_sweep):
-                yield RuleVerdict("gamma", gamma_general(cls, c, record.signature, record.gamma))
-        if "vs" in cfg.obstructions and v is not None:
-            yield RuleVerdict("vs", vs_obstruction(cls, v))
+            elif rule == "gamma":
+                for c, _ in _gamma_walk(cls.a, self.cfg.gamma_c_sweep):
+                    yield RuleVerdict(rule, gamma_general(cls, c, record.signature, record.gamma))
+            else:
+                yield RuleVerdict(rule, vs_obstruction(cls, self.v))
+
+    def first_kill(self, cls: HomologyClass, margin: int) -> tuple[str, Verdict] | None:
+        """The rule and verdict of the first obstructing :meth:`verdicts` entry, or None.
+
+        ``margin`` is the class's k - sum(a), as :func:`_level` pairs it.
+        """
+        for rule, beta in self.rules:
+            if beta is not None:
+                if beta > margin:
+                    return rule, beta_adjunction(cls, beta)
+            elif rule == "gamma":
+                base = cls.norm + 2 * self.record.signature  # 16*kappa at index 0
+                kills = {base + 4 * i for i, p, q in self.gammas if 8 * p > (base + 4 * i) * q}
+                for c, energy in _gamma_walk(cls.a, self.cfg.gamma_c_sweep) if kills else ():
+                    if energy in kills:
+                        return rule, gamma_general(cls, c, self.record.signature, self.record.gamma)
+            else:
+                verdict = vs_obstruction(cls, self.v)
+                if verdict.obstructed:
+                    return rule, verdict
+        return None
 
 
 def _friend_coverage(record: KnotRecord, cfg: EngineConfig) -> tuple[int, Mapping | None]:
@@ -247,6 +282,17 @@ def _friend_coverage(record: KnotRecord, cfg: EngineConfig) -> tuple[int, Mappin
             best = fr.k + 1
             witness = dict(vd.witness or {}, friend_name=fr.friend_name)
     return best, witness
+
+
+_LEVELS: dict[int, tuple[tuple[HomologyClass, int], ...]] = {}  # k <= DEFAULT_MAX_K
+
+
+def _level(k: int) -> Iterable[tuple[HomologyClass, int]]:
+    """Norm-k classes in iter_classes order with margins k - sum(a); kept for k <= DEFAULT_MAX_K."""
+    pairs = ((cls, k - sum(cls.a)) for cls in iter_classes(k))
+    if k <= DEFAULT_MAX_K and k not in _LEVELS:
+        _LEVELS[k] = tuple(pairs)
+    return _LEVELS.get(k, pairs)
 
 
 def lower_bound(record: KnotRecord, cfg: EngineConfig | None = None) -> LowerBoundSearch:
@@ -280,13 +326,11 @@ def lower_bound(record: KnotRecord, cfg: EngineConfig | None = None) -> LowerBou
                 continue
             return LowerBoundSearch(0, False, HomologyClass(()), tuple(certificates))
         kills = []
-        for cls in iter_classes(k):
-            for rv in battery.verdicts(cls):
-                if rv.verdict.obstructed:
-                    kills.append(ClassCertificate(cls, rv.rule, rv.verdict))
-                    break
-            else:
+        for cls, margin in _level(k):
+            kill = battery.first_kill(cls, margin)
+            if kill is None:
                 return LowerBoundSearch(k, False, cls, tuple(certificates))
+            kills.append(ClassCertificate(cls, *kill))
         certificates.append(LevelCertificate(k, "classes", classes=tuple(kills)))
     return LowerBoundSearch(cap + 1, True, None, tuple(certificates))
 
@@ -442,17 +486,17 @@ def beta_table(betas: Sequence[int]) -> list[BetaTableRow]:
 
     The witness is the first surviving class in the canonical enumeration
     order (descending tuples, lexicographically descending); beta <= 0
-    gives level 0 and the empty class.  One walk over the levels serves
-    every beta: a class that lets a beta through lets every smaller one
-    through, so each class decides the undecided betas from the smallest up.
+    gives level 0 and the empty class.  One walk over :func:`_level` serves
+    every beta: a class lets a beta through iff beta <= k - sum(a), so each
+    class decides the undecided betas from the smallest up.
     """
     if not betas:
         raise ValueError("betas must be non-empty")
     pending = sorted(set(betas), reverse=True)  # the smallest undecided beta last
     rows = {}
     for k in itertools.count():
-        for cls in iter_classes(k):
-            while pending and not beta_adjunction(cls, pending[-1]).obstructed:
+        for cls, margin in _level(k):
+            while pending and pending[-1] <= margin:
                 beta = pending.pop()
                 rows[beta] = BetaTableRow(beta, k, cls)
             if not pending:

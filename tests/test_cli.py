@@ -110,6 +110,15 @@ class TestVs:
         code, out, _ = run(capsys, "vs", "9_1", "--db", KNOTS, "--quiet", "--max-s", "5")
         assert code == 0 and "[2, 2, 1, 1, 0, 0]" in out
 
+    def test_max_s_across_chunks(self, capsys, tmp_path):
+        db = tmp_path / "db.json"
+        db.write_text(
+            json.dumps([{"name": "t", "signature": 0, "tau": 9000, "vs_spec": {"type": "thin"}}])
+        )
+        code, out, _ = run(capsys, "vs", "t", "--db", str(db), "--max-s", "10000")
+        values = [max((9001 - s) // 2, 0) for s in range(10001)]
+        assert code == 0 and out == "formula: [" + ", ".join(map(str, values)) + "]\n"
+
     def test_long_sequence_shows_256_values(self, capsys, tmp_path):
         db = tmp_path / "db.json"
         db.write_text(json.dumps([
@@ -287,8 +296,8 @@ class TestCycleWarnings:
         assert "error: bad: certified lower bound 2 exceeds upper bound 1" in err
 
 
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+def _limit_address_space(limit: int = 1 << 30) -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 class TestExtremeInput:
@@ -307,13 +316,14 @@ class TestExtremeInput:
     STEEP_DROP = "warning: record 'x': warning: field 'vs_spec': V_s drops by more than 1\n"
 
     @staticmethod
-    def slicedeg(*argv):
+    def slicedeg(*argv, limit=1 << 30, stdout=subprocess.PIPE):
         """The CLI in a fresh interpreter, under 1 GiB of address space and a 20 s timeout."""
         env = dict(os.environ, PYTHONPATH=str(Path(slicedeg.__file__).parents[1]))
         return subprocess.run(
             [sys.executable, "-c", "import sys; from slicedeg.cli import main; sys.exit(main())",
              *argv],
-            capture_output=True, text=True, env=env, timeout=20, preexec_fn=_limit_address_space,
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=20,
+            preexec_fn=lambda: _limit_address_space(limit),
         )
 
     # 2*tau kills every level up to the cap 64.
@@ -350,6 +360,16 @@ class TestExtremeInput:
         assert done.stderr in ("", self.STEEP_DROP)
         for line in lines:
             assert line in done.stdout
+
+    def test_vs_max_s_streams(self, tmp_path):
+        # Three million 30-digit values once died as one joined string under 300 MB.
+        db = tmp_path / "db.json"
+        db.write_text(json.dumps(self.HUGE_TAU))
+        done = self.slicedeg(
+            "vs", "t", "--max-s", "3000000", "--db", str(db),
+            limit=300 * 10**6, stdout=subprocess.DEVNULL,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
 
 
 class TestGlobals:

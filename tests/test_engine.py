@@ -11,11 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slicedeg import engine
 from slicedeg.engine import (
+    DEFAULT_MAX_K,
     BetaTableRow,
     ClassBattery,
+    ClassCertificate,
     CyclicRelationWarning,
     EngineConfig,
+    LevelCertificate,
+    LowerBoundSearch,
     beta_table,
     bound_report,
     display_interval,
@@ -23,8 +28,11 @@ from slicedeg.engine import (
     report_table,
     report_to_jsonable,
     upper_bound,
+    _direct_upper,
+    _friend_coverage,
     _gamma_c_vectors,
     _jsonable,
+    _level,
 )
 from slicedeg.knots import (
     FriendshipRecord,
@@ -32,10 +40,12 @@ from slicedeg.knots import (
     KnotRecord,
     UpperWitness,
     VsSpec,
+    bundled_database_path,
     format_rational,
+    load_knot_db,
 )
-from slicedeg.lattice import HomologyClass, iter_classes
-from slicedeg.obstructions import beta_adjunction, stau_bound
+from slicedeg.lattice import HomologyClass, iter_classes, kappa16
+from slicedeg.obstructions import beta_adjunction, gamma_general, null_class_check, stau_bound
 
 TREFOIL = KnotRecord(
     "3_1", -2, s_invariants={0: 2}, tau=1, vs_spec=VsSpec("thin"), clasp_plus=1
@@ -171,6 +181,190 @@ class TestLazyLevels:
         assert time.perf_counter() - start < 1.0
         assert (search.level, search.surviving_class.a) == (level, survivor)
         assert [c.kind for c in search.certificates] == ["friend"] * level
+
+
+# A thin record with slicing number 17: its search walks levels 0..68, past the level table.
+DEEP = KnotRecord(
+    "d", -34, s_invariants={0: 34}, tau=17, vs_spec=VsSpec("thin"), slicing_number=17
+)
+
+
+class TestLevelTable:
+    def test_levels_are_iter_classes_with_margins(self):
+        lower_bound(DEEP)  # the levels a search lists
+        for k in range(DEFAULT_MAX_K + 1):
+            assert _level(k) == tuple((cls, k - sum(cls.a)) for cls in iter_classes(k)), k
+            assert _level(k) is _level(k)
+        assert sum(len(_level(k)) for k in range(DEFAULT_MAX_K + 1)) == 3742
+
+    def test_deeper_levels_stream(self):
+        assert lower_bound(DEEP).level == 68
+        assert max(engine._LEVELS) == DEFAULT_MAX_K
+        deeper = _level(DEFAULT_MAX_K + 1)
+        assert not isinstance(deeper, tuple)
+        assert next(iter(deeper)) == (HomologyClass((8, 1)), 65 - 9)
+        assert max(engine._LEVELS) == DEFAULT_MAX_K
+
+
+def reference_lower_bound(record: KnotRecord, cfg: EngineConfig | None = None) -> LowerBoundSearch:
+    """The level walk without the level table.
+
+    Each level is streamed, and each class is certified by its first
+    obstructed ``verdicts()`` entry.
+    """
+    cfg = cfg or EngineConfig()
+    battery = ClassBattery(record, cfg)
+    cap = cfg.max_k
+    if cap is None:
+        direct_upper, _ = _direct_upper(record)
+        cap = direct_upper if direct_upper is not None else DEFAULT_MAX_K
+    friend_cap, friend_witness = _friend_coverage(record, cfg)
+    certificates = []
+    for k in range(0, cap + 1):
+        if k < friend_cap:
+            certificates.append(LevelCertificate(k, "friend", witness=friend_witness))
+            continue
+        if k == 0:
+            vd = null_class_check(record, battery.v)
+            if vd.obstructed:
+                certificates.append(LevelCertificate(0, "null_class", witness=vd.witness))
+                continue
+            return LowerBoundSearch(0, False, HomologyClass(()), tuple(certificates))
+        kills = []
+        for cls in iter_classes(k):
+            for rv in battery.verdicts(cls):
+                if rv.verdict.obstructed:
+                    kills.append(ClassCertificate(cls, rv.rule, rv.verdict))
+                    break
+            else:
+                return LowerBoundSearch(k, False, cls, tuple(certificates))
+        certificates.append(LevelCertificate(k, "classes", classes=tuple(kills)))
+    return LowerBoundSearch(cap + 1, True, None, tuple(certificates))
+
+
+BUNDLED = [
+    (record, db)
+    for db in (load_knot_db(bundled_database_path(name)) for name in ("knots", "families"))
+    for record in db
+]
+# Every non-empty set of per-class rules.
+RULE_SETS = [
+    frozenset(rules)
+    for size in (1, 2, 3)
+    for rules in itertools.combinations(("s", "gamma", "vs"), size)
+]
+
+
+def first_obstructed(battery: ClassBattery, cls: HomologyClass):
+    """The rule and verdict of the first obstructed ``verdicts()`` entry, or None."""
+    rv = next((rv for rv in battery.verdicts(cls) if rv.verdict.obstructed), None)
+    return None if rv is None else (rv.rule, rv.verdict)
+
+
+class TestFirstKill:
+    """``first_kill`` names the first obstructed ``verdicts()`` entry, witness included."""
+
+    def test_every_bundled_record_and_class_up_to_norm_20(self):
+        classes = [cls for k in range(1, 21) for cls in iter_classes(k)]
+        killers = set()
+        for record, _ in BUNDLED:
+            for rules in RULE_SETS:
+                for sweep in (False, True):
+                    cfg = EngineConfig(obstructions=rules, gamma_c_sweep=sweep)
+                    battery = ClassBattery(record, cfg)
+                    for cls in classes:
+                        want = first_obstructed(battery, cls)
+                        got = battery.first_kill(cls, cls.norm - sum(cls.a))
+                        assert got == want, (record.name, rules, sweep, cls)
+                        if want is not None:
+                            killers.add(want[0].partition("[")[0])
+        assert killers == {"beta", "gamma", "vs"}
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        record=st.builds(
+            lambda sigma, s0, tau, vs, gamma: KnotRecord(
+                "h", 2 * sigma, s_invariants={0: s0}, tau=tau, vs_spec=vs, gamma=gamma
+            ),
+            st.integers(-8, 2),
+            st.integers(-4, 16),
+            st.none() | st.integers(0, 10),
+            st.sampled_from(
+                [VsSpec("unknown"), VsSpec("thin")]
+                + [VsSpec("explicit", values) for values in ((3, 2, 1), (5,))]
+            ),
+            st.dictionaries(st.integers(0, 8), st.fractions(0, 12, max_denominator=16), max_size=5),
+        ),
+        k=st.integers(21, 40),
+        rules=st.sampled_from(RULE_SETS),
+        sweep=st.booleans(),
+    )
+    def test_random_records_up_to_norm_40(self, record, k, rules, sweep):
+        battery = ClassBattery(record, EngineConfig(obstructions=rules, gamma_c_sweep=sweep))
+        for cls, margin in _level(k):
+            assert battery.first_kill(cls, margin) == first_obstructed(battery, cls), cls
+
+
+class TestReferenceWalk:
+    """``lower_bound`` certificates equal those of the streamed walk."""
+
+    @pytest.mark.parametrize("sweep", [False, True])
+    def test_bundled_databases(self, sweep):
+        for record, db in BUNDLED:
+            upper, _ = upper_bound(record, db)
+            cfg = EngineConfig(max_k=DEFAULT_MAX_K if upper is None else upper, gamma_c_sweep=sweep)
+            assert lower_bound(record, cfg) == reference_lower_bound(record, cfg), record.name
+
+    def test_deep_thin_record(self):
+        search = lower_bound(DEEP)
+        assert search == reference_lower_bound(DEEP)
+        assert (search.level, len(search.certificates)) == (68, 68)
+
+
+def reference_first_killing_c(cls: HomologyClass, sigma: int, gamma) -> tuple[int, ...] | None:
+    """The first c of the full {0,1}^n sweep, in lexicographic order, whose verdict kills.
+
+    The verdict reads c only through 16*kappa, a sum of one term per
+    coordinate, so the sweep is folded from the last coordinate: for each
+    16*kappa a suffix of c can add, the least such suffix (0 before 1 at each
+    coordinate).  The first killing c is the least of the vectors kept for
+    the energies that kill.
+    """
+    least = {0: ()}
+    for ai in reversed(cls.a):
+        longer = {}
+        for ci in (0, 1):
+            term = kappa16((ai,), (ci,))
+            for energy, suffix in least.items():
+                longer.setdefault(energy + term, (ci, *suffix))
+        least = longer
+    kills = [c for c in least.values() if gamma_general(cls, c, sigma, gamma).obstructed]
+    return min(kills, default=None)
+
+
+class TestCSweepReference:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        sigma=st.integers(-6, 2).map(lambda x: 2 * x),
+        gamma=st.dictionaries(
+            st.integers(0, 8), st.fractions(0, 8, max_denominator=16), min_size=1, max_size=6
+        ),
+    )
+    def test_first_killing_c_is_that_of_the_full_sweep(self, sigma, gamma):
+        battery = ClassBattery(
+            KnotRecord("g", sigma, gamma=gamma),
+            EngineConfig(obstructions=frozenset({"gamma"}), gamma_c_sweep=True),
+        )
+        for k in range(1, 25):
+            for cls, margin in _level(k):
+                want = reference_first_killing_c(cls, sigma, gamma)
+                if cls.n <= 8:  # the folded sweep against the literal one
+                    literal = itertools.product((0, 1), repeat=cls.n)
+                    assert want == next(
+                        (c for c in literal if gamma_general(cls, c, sigma, gamma).obstructed), None
+                    )
+                kill = battery.first_kill(cls, margin)
+                assert (kill[1].witness["c"] if kill else None) == want, cls
 
 
 def least_in_orbit(a, c):
