@@ -9,9 +9,11 @@ check, then the V_s check; the fixed order decides which rule a
 certificate names).  The first unobstructed level is a sound lower bound
 because every check is a necessary condition for the disk.  Each level
 stops at its first survivor.  Levels up to ``DEFAULT_MAX_K`` are listed
-once per process as (class, k - sum(a)) pairs that every search and table
-shares (:func:`_level`); deeper ones stream.  Only a class's first kill
-calls a decider (:meth:`ClassBattery.first_kill`).
+once per process as (class, k - sum(a)) pairs that every search shares
+(:func:`_level`); deeper ones stream.  Only a class's first kill calls a
+decider (:meth:`ClassBattery.first_kill`), and an instanton kill is priced
+from cached immutable data: the class's orbit walk (:func:`_gamma_walk`)
+and the witness parts of its (a, c) (:func:`~.obstructions.gamma_general`).
 
 ``upper_bound`` takes the minimum over the record's direct constructions
 (4 * positive clasp number, 4 * slicing number, explicit witnesses) and
@@ -36,6 +38,7 @@ byte-identical serialized output.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings as _warnings
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields, replace
@@ -151,35 +154,26 @@ def display_interval(lower: int, upper: int | None) -> str:
 
 
 @lru_cache(maxsize=1 << 10)
-def _gamma_runs(a: tuple[int, ...], sweep: bool) -> tuple[int, tuple]:
-    """16*kappa at c = 0, and each run's (part of c, step of 16*kappa) choices; kept per class."""
-    runs = [(x, len(list(group))) for x, group in itertools.groupby(a)]
-    energy = sum(m if x % 2 else 4 * m if x % 4 else 0 for x, m in runs)
-    return energy, tuple(
-        tuple(((0,) * (m - j) + (1,) * j, j * (-4 if x % 4 else 4)) for j in range(m + 1))
-        if sweep and x % 2 == 0 else (((0,) * m, 0),)
-        for x, m in runs
-    )
-
-
-def _gamma_walk(a: tuple[int, ...], sweep: bool) -> Iterator[tuple[tuple[int, ...], int]]:
+def _gamma_walk(a: tuple[int, ...], sweep: bool) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Each c the instanton check tries on the sorted class ``a``, with 16*kappa_min(a, c).
 
-    Without the sweep only c = 0.  With it, one c in {0,1}^n per orbit
-    under permutations among equal entries of ``a``, which leave kappa,
-    the index and eta unchanged: the lexicographically least member, which
-    over each run of m equal even entries is 0^(m-j) 1^j for j = 0..m.  Odd
-    entries keep c_i = 0: a_i - 2*c_i is odd either way, so kappa, the index
-    and the verdict do not depend on c_i.  That is prod(m_j + 1) vectors
-    over the even runs, in lexicographic order, so the first killing c is
-    the first killing c of the full 2^n sweep in that order.  As
-    16*kappa = #odd entries + 4 * #{i : a_i - 2*c_i = 2 mod 4}, a flipped even
-    entry adds 4 to it when a_i = 0 mod 4 and -4 when a_i = 2 mod 4.
+    Without the sweep only c = 0.  With it, the lexicographically least c
+    of each orbit under permuting equal entries of ``a`` (which keeps kappa,
+    the index and eta): 0^(m-j) 1^j, j = 0..m, on each run of m equal even
+    entries, and 0 on odd ones, where a_i - 2*c_i is odd either way.  These
+    prod(m_j + 1) vectors come in lexicographic order, so the first killing
+    c is that of the full 2^n sweep.  16*kappa = #odd entries +
+    4 * #{i : a_i - 2*c_i = 2 mod 4}, so flipping an even entry adds 4 when
+    a_i = 0 mod 4 and -4 when a_i = 2 mod 4.  Kept per class as one
+    immutable tuple of (c, 16*kappa) pairs, built run by run.
     """
-    energy, choices = _gamma_runs(a, sweep)
-    for parts in itertools.product(*choices):
-        c = tuple(itertools.chain.from_iterable(part for part, _ in parts))
-        yield c, energy + sum(step for _, step in parts)
+    runs = [(x, len(list(group))) for x, group in itertools.groupby(a)]
+    walk = [((), sum(m if x % 2 else 4 * m if x % 4 else 0 for x, m in runs))]
+    for x, m in runs:
+        ones = range(m + 1) if sweep and x % 2 == 0 else (0,)
+        step = -4 if x % 4 else 4
+        walk = [(c + (0,) * (m - j) + (1,) * j, e + j * step) for c, e in walk for j in ones]
+    return tuple(walk)
 
 
 def _gamma_c_vectors(a: tuple[int, ...], sweep: bool) -> list[tuple[int, ...]]:
@@ -210,8 +204,9 @@ class ClassBattery:
     rules with data on the record (betas, "gamma", "vs") that :meth:`verdicts`
     and :meth:`first_kill` both read; the latter calls a decider only for the
     kill it returns.  A beta kills iff beta > k - sum(a), and the instanton
-    check iff 16*kappa = #odd a_i + 4 * #{i : a_i - 2*c_i = 2 mod 4} is
-    k + 2*sigma + 4*i for some Gamma(i) > 2*kappa (:func:`_gamma_walk`).
+    check iff 16*kappa, read from the class's cached :func:`_gamma_walk`, is
+    one of the level's killing energies k + 2*sigma + 4*i with
+    Gamma(i) > 2*kappa, which are computed once per level.
     """
 
     def __init__(self, record: KnotRecord, cfg: EngineConfig) -> None:
@@ -230,6 +225,15 @@ class ClassBattery:
         self.rules += [("gamma", None)] if "gamma" in cfg.obstructions and record.gamma else []
         self.rules += [("vs", None)] if "vs" in cfg.obstructions and self.v is not None else []
         self.gammas = [(i, g.numerator, g.denominator) for i, g in record.gamma.items() if i >= 0]
+        self.energies: dict[int, frozenset[int]] = {}  # level k -> its killing 16*kappa values
+
+    def _killing_energies(self, k: int) -> frozenset[int]:
+        """The 16*kappa values k + 2*sigma + 4*i with Gamma(i) > 2*kappa, once per level."""
+        if k not in self.energies:
+            base = k + 2 * self.record.signature  # 16*kappa at index 0
+            kills = (base + 4 * i for i, p, q in self.gammas if 8 * p > (base + 4 * i) * q)
+            self.energies[k] = frozenset(kills)
+        return self.energies[k]
 
     def verdicts(self, cls: HomologyClass) -> Iterator[RuleVerdict]:
         """Each rule's verdict on the class, in ``rules`` order; the instanton check's per c."""
@@ -254,8 +258,7 @@ class ClassBattery:
                 if beta > margin:
                     return rule, beta_adjunction(cls, beta)
             elif rule == "gamma":
-                base = cls.norm + 2 * self.record.signature  # 16*kappa at index 0
-                kills = {base + 4 * i for i, p, q in self.gammas if 8 * p > (base + 4 * i) * q}
+                kills = self._killing_energies(cls.norm)
                 for c, energy in _gamma_walk(cls.a, self.cfg.gamma_c_sweep) if kills else ():
                     if energy in kills:
                         return rule, gamma_general(cls, c, self.record.signature, self.record.gamma)
@@ -486,21 +489,25 @@ def beta_table(betas: Sequence[int]) -> list[BetaTableRow]:
 
     The witness is the first surviving class in the canonical enumeration
     order (descending tuples, lexicographically descending); beta <= 0
-    gives level 0 and the empty class.  One walk over :func:`_level` serves
-    every beta: a class lets a beta through iff beta <= k - sum(a), so each
-    class decides the undecided betas from the smallest up.
+    gives level 0 and the empty class.  A class lets a beta through iff
+    beta <= k - sum(a), so a beta's level is the first k with
+    k - least[k] >= beta, where least[k] = min(least[k - i^2] + i) is the
+    least sum(a) over norm k (coin change over the squares).  Appending a
+    1 keeps a margin, so k - least[k] never falls and one pass over k
+    serves every beta, ascending; only the deciding level is streamed.
     """
     if not betas:
         raise ValueError("betas must be non-empty")
-    pending = sorted(set(betas), reverse=True)  # the smallest undecided beta last
+    least = [0]  # least[k]: the least sum(a) over the classes of norm k
     rows = {}
-    for k in itertools.count():
-        for cls, margin in _level(k):
-            while pending and pending[-1] <= margin:
-                beta = pending.pop()
-                rows[beta] = BetaTableRow(beta, k, cls)
-            if not pending:
-                return [rows[beta] for beta in betas]
+    for beta in sorted(set(betas)):
+        while len(least) - 1 - least[-1] < beta:
+            k = len(least)
+            least.append(min(least[k - i * i] + i for i in range(1, math.isqrt(k) + 1)))
+        k = len(least) - 1
+        witness = next(cls for cls in iter_classes(k) if k - sum(cls.a) >= beta)
+        rows[beta] = BetaTableRow(beta, k, witness)
+    return [rows[beta] for beta in betas]
 
 
 @dataclass(frozen=True)

@@ -270,6 +270,17 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence) -> Verdict:
     )
 
 
+@lru_cache(maxsize=1 << 10)
+def _gamma_parts(a: tuple[int, ...], c: tuple[int, ...]) -> tuple[int, Fraction, Fraction, str]:
+    """16*kappa_min(a, c), kappa_min, the bound 2*kappa_min and eta's text, kept per (a, c).
+
+    The parts are immutable, so every verdict on (a, c) shares them; a miss
+    reads ``eta`` as this module's global.
+    """
+    energy16 = kappa16(a, c)
+    return energy16, Fraction(energy16, 16), Fraction(energy16, 8), str(eta(a, c))
+
+
 def gamma_general(
     cls: HomologyClass,
     c: Sequence[int],
@@ -286,15 +297,14 @@ def gamma_general(
     Decided in integers: 16*kappa is a sum of per-coordinate minima
     (:func:`~slicedeg.lattice.kappa16`), 4*i = 16*kappa - k - 2*sigma, and
     Gamma_K(i) = p/q (a ``Fraction`` or an ``int``; it must be rational)
-    kills iff 8*p > 16*kappa * q, so the test builds no Fraction (only a
-    witness or a non-integral-index note does).  For a class, every a_i
-    is non-zero, so eta, a signed monomial times binomials 1 - T^(2*a_i),
-    is never zero; it is computed only for an obstructing witness.  Work:
-    O(n) integer operations per call, plus O(n + b * sum(a)) for an
-    obstructing witness's eta with b binomial factors
-    (:func:`~slicedeg.lattice.eta`).
+    kills iff 8*p > 16*kappa * q.  For a class, every a_i is non-zero, so
+    eta, a signed monomial times binomials 1 - T^(2*a_i), is never zero.
+    The parts that depend only on (a, c) come from :func:`_gamma_parts`;
+    each call builds its own witness dict.  Work: O(n) on a cache hit, and
+    O(n + b * sum(a)) on a miss, for eta's b binomial factors.
     """
-    energy16 = kappa16(cls.a, c)
+    c = tuple(c)
+    energy16, kappa, bound, eta_text = _gamma_parts(cls.a, c)
     index4 = energy16 - cls.norm - 2 * sigma
     if index4 < 0:
         return PASS
@@ -305,18 +315,8 @@ def gamma_general(
     if value is None:
         return PASS
     if 8 * value.numerator > energy16 * value.denominator:
-        return Verdict(
-            True,
-            {
-                "rule": "gamma",
-                "kappa_min": Fraction(energy16, 16),
-                "i": i,
-                "eta": str(eta(cls.a, c)),
-                "gamma": value,
-                "bound": Fraction(energy16, 8),
-                "c": tuple(c),
-            },
-        )
+        return Verdict(True, {"rule": "gamma", "kappa_min": kappa, "i": i, "eta": eta_text,
+                              "gamma": value, "bound": bound, "c": c})
     return PASS
 
 

@@ -304,7 +304,8 @@ class TestExtremeInput:
     """Huge V_s: a thin record with tau = 10^30 and an explicit record with V_0 = 10^12.
 
     The search reads only V_j for j <= k/2 and nu+ = tau, and the V_s check
-    bounds its tables by the class, not by V_0.
+    bounds its tables by the class, not by V_0.  A deep beta table lists
+    only the class that answers each beta.
     """
 
     HUGE_TAU = [
@@ -360,6 +361,15 @@ class TestExtremeInput:
         assert done.stderr in ("", self.STEEP_DROP)
         for line in lines:
             assert line in done.stdout
+
+    # Listing every class of levels 0..425 once took minutes.
+    def test_deep_beta_table_finishes(self, tmp_path):
+        db = tmp_path / "db.json"
+        db.write_text(json.dumps(self.HUGE_TAU))
+        done = self.slicedeg("beta-table", "--max", "400", "--db", str(db))
+        assert (done.returncode, done.stderr) == (0, "")
+        lines = done.stdout.splitlines()
+        assert (len(lines), lines[-1]) == (201, "400 | 425 | (20,5)")
 
     def test_vs_max_s_streams(self, tmp_path):
         # Three million 30-digit values once died as one joined string under 300 MB.

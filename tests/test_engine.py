@@ -31,6 +31,7 @@ from slicedeg.engine import (
     _direct_upper,
     _friend_coverage,
     _gamma_c_vectors,
+    _gamma_walk,
     _jsonable,
     _level,
 )
@@ -45,7 +46,7 @@ from slicedeg.knots import (
     load_knot_db,
 )
 from slicedeg.lattice import HomologyClass, iter_classes, kappa16
-from slicedeg.obstructions import beta_adjunction, gamma_general, null_class_check, stau_bound
+from slicedeg.obstructions import gamma_general, null_class_check, stau_bound
 
 TREFOIL = KnotRecord(
     "3_1", -2, s_invariants={0: 2}, tau=1, vs_spec=VsSpec("thin"), clasp_plus=1
@@ -304,6 +305,20 @@ class TestFirstKill:
         for cls, margin in _level(k):
             assert battery.first_kill(cls, margin) == first_obstructed(battery, cls), cls
 
+    def test_killing_energies_follow_the_level(self):
+        # classes of levels 1..24 in shuffled order, so the level changes between most calls
+        record = KnotRecord("g", -2, gamma={0: Fraction(1, 3), 1: Fraction(3, 5), 3: Fraction(2)})
+        rules = frozenset({"gamma"})
+        battery = ClassBattery(record, EngineConfig(obstructions=rules, gamma_c_sweep=True))
+        classes = [cls for k in range(1, 25) for cls in iter_classes(k)]
+        random.Random(18).shuffle(classes)
+        kills = 0
+        for cls in classes:
+            kill = battery.first_kill(cls, cls.norm - sum(cls.a))
+            assert kill == first_obstructed(battery, cls), cls
+            kills += kill is not None
+        assert kills > 0 and sorted(battery.energies) == list(range(1, 25))
+
 
 class TestReferenceWalk:
     """``lower_bound`` certificates equal those of the streamed walk."""
@@ -375,6 +390,49 @@ def least_in_orbit(a, c):
         for p in itertools.permutations(range(n))
         if all(a[p[i]] == a[i] for i in range(n))
     )
+
+
+def reference_gamma_walk(a: tuple[int, ...], sweep: bool):
+    """The orbit walk as a generator over per-run choices, as the engine built it before caching.
+
+    Yields each c with 16*kappa_min(a, c): per run of m equal entries, the
+    choices 0^(m-j) 1^j (only j = 0 for odd entries or without the sweep),
+    each with its step of 16*kappa, and the product of the choices in order.
+    """
+    runs = [(x, len(list(group))) for x, group in itertools.groupby(a)]
+    energy = sum(m if x % 2 else 4 * m if x % 4 else 0 for x, m in runs)
+    choices = [
+        [((0,) * (m - j) + (1,) * j, j * (-4 if x % 4 else 4)) for j in range(m + 1)]
+        if sweep and x % 2 == 0 else [((0,) * m, 0)]
+        for x, m in runs
+    ]
+    for parts in itertools.product(*choices):
+        c = tuple(itertools.chain.from_iterable(part for part, _ in parts))
+        yield c, energy + sum(step for _, step in parts)
+
+
+class TestGammaWalk:
+    """The cached orbit walk equals the generator it replaced, and is kept per class."""
+
+    @pytest.mark.parametrize("sweep", [False, True])
+    def test_every_class_up_to_norm_40(self, sweep):
+        for k in range(1, 41):
+            for cls in iter_classes(k):
+                walk = _gamma_walk(cls.a, sweep)
+                assert walk == tuple(reference_gamma_walk(cls.a, sweep)), cls
+                assert _gamma_walk(cls.a, sweep) is walk
+                assert all(energy == kappa16(cls.a, c) for c, energy in walk)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        runs=st.dictionaries(st.integers(1, 9), st.integers(1, 12), min_size=1, max_size=5),
+        sweep=st.booleans(),
+    )
+    def test_long_runs(self, runs, sweep):
+        a = tuple(x for x in sorted(runs, reverse=True) for _ in range(runs[x]))
+        walk = _gamma_walk(a, sweep)
+        assert walk == tuple(reference_gamma_walk(a, sweep))
+        assert _gamma_c_vectors(a, sweep) == [c for c, _ in walk]
 
 
 class TestGammaCVectors:
@@ -456,21 +514,30 @@ class TestUpperBound:
 
 
 def reference_beta_table(betas) -> list[BetaTableRow]:
-    """One walk from level 0 per beta, as beta_table did before it shared one walk."""
-    rows = []
-    for beta in betas:
-        k, cls = next(
-            (k, cls) for k in itertools.count() for cls in iter_classes(k)
-            if not beta_adjunction(cls, beta).obstructed
-        )
-        rows.append(BetaTableRow(beta, k, cls))
-    return rows
+    """One walk over the levels for every beta, as beta_table ran before its coin-change DP.
+
+    Each class decides the undecided betas up to its margin k - sum(a),
+    from the smallest up.
+    """
+    pending = sorted(set(betas), reverse=True)  # the smallest undecided beta last
+    rows = {}
+    for k in itertools.count():
+        for cls in iter_classes(k):
+            while pending and pending[-1] <= k - sum(cls.a):
+                beta = pending.pop()
+                rows[beta] = BetaTableRow(beta, k, cls)
+            if not pending:
+                return [rows[beta] for beta in betas]
 
 
 class TestBetaTable:
-    def test_one_walk_matches_restarting_walks(self):
-        betas = list(range(-4, 61)) + [-4, 0, 7, 7, 30, 60]
-        random.Random(14).shuffle(betas)
+    def test_dp_matches_reference_walk(self):
+        betas = list(range(2, 161))
+        assert beta_table(betas) == reference_beta_table(betas)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(-20, 70), min_size=1, max_size=30))
+    def test_unsorted_duplicate_and_non_positive_betas(self, betas):
         assert beta_table(betas) == reference_beta_table(betas)
 
     def test_expected_rows(self):

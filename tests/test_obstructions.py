@@ -15,7 +15,14 @@ from test_lattice import laurent_from_terms
 
 from slicedeg.engine import EngineConfig, _gamma_c_vectors, lower_bound
 from slicedeg.knots import KnotRecord, VsSpec
-from slicedeg.lattice import HomologyClass, LaurentPoly, enumerate_classes, enumerate_odd_vectors
+from slicedeg.lattice import (
+    HomologyClass,
+    LaurentPoly,
+    enumerate_classes,
+    enumerate_odd_vectors,
+    eta,
+    kappa16,
+)
 from slicedeg import obstructions
 from slicedeg.obstructions import (
     Verdict,
@@ -537,6 +544,126 @@ class TestGammaAgainstReference:
     def test_random_pairs_at_norms_13_to_18(self, cls_c, sigma, gamma):
         cls, c = cls_c
         assert gamma_general(cls, c, sigma, gamma) == reference_gamma_general(cls, c, sigma, gamma)
+
+
+def uncached_gamma_general(cls: HomologyClass, c, sigma: int, gamma) -> Verdict:
+    """The integer instanton check with its witness parts made on every call.
+
+    ``gamma_general`` before it kept 16*kappa, kappa, the bound and eta's
+    text per (a, c).
+    """
+    energy16 = kappa16(cls.a, c)
+    index4 = energy16 - cls.norm - 2 * sigma
+    if index4 < 0:
+        return Verdict(False)
+    if index4 % 4:
+        return Verdict(False, note=f"non-integral index {Fraction(index4, 4)}")
+    value = gamma.get(index4 // 4)
+    if value is None or not 8 * value.numerator > energy16 * value.denominator:
+        return Verdict(False)
+    return Verdict(
+        True,
+        {
+            "rule": "gamma",
+            "kappa_min": Fraction(energy16, 16),
+            "i": index4 // 4,
+            "eta": str(eta(cls.a, c)),
+            "gamma": value,
+            "bound": Fraction(energy16, 8),
+            "c": tuple(c),
+        },
+    )
+
+
+def same_verdict(got: Verdict, want: Verdict) -> bool:
+    """Equal verdicts whose witness values also have the same types."""
+    if got != want:
+        return False
+    witness = got.witness or {}
+    return all(type(v) is type((want.witness or {})[key]) for key, v in witness.items())
+
+
+# Gamma(i) = 9/2 beats every bound 2*kappa <= n/2 of a class with n <= 8 entries.
+KILL_ALL = {i: Fraction(9, 2) for i in range(20)}
+
+
+class TestGammaPartsCache:
+    """``gamma_general`` with cached witness parts against the uncached check."""
+
+    def test_every_class_and_c_up_to_norm_24_cold_and_warm(self):
+        # sigma = -k and -k - 1 make 4*i = 16*kappa + k (+ 2) >= 0: every c of every class
+        # reaches an integral index under one of them and a non-integral one under the other
+        cases = [
+            (cls, c, sigma, gamma)
+            for k in range(1, 25)
+            for cls in enumerate_classes(k)
+            if cls.n <= 8
+            for c in itertools.product((0, 1), repeat=cls.n)
+            for sigma in (-k, -k - 1)
+            for gamma in (KILL_ALL, GAMMA_MAPS[0])
+        ]
+        obstructions._gamma_parts.cache_clear()
+        for run in ("cold", "warm"):
+            kills = notes = 0
+            for cls, c, sigma, gamma in cases:
+                got = gamma_general(cls, c, sigma, gamma)
+                assert same_verdict(got, uncached_gamma_general(cls, c, sigma, gamma)), (
+                    run, cls, c, sigma
+                )
+                kills += got.obstructed
+                notes += got.note is not None
+            # 6040 pairs (cls, c): KILL_ALL kills each once, and each gets a note per map
+            assert (kills, notes) == (6040 + 3642, 2 * 6040), run
+        info = obstructions._gamma_parts.cache_info()
+        assert info.hits > info.misses > 0
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 40)
+        .flatmap(lambda k: st.sampled_from(enumerate_classes(k)))
+        .flatmap(
+            lambda cls: st.tuples(
+                st.just(cls), st.lists(st.integers(0, 1), min_size=cls.n, max_size=cls.n)
+            )
+        ),
+        st.integers(-48, 6),
+        st.dictionaries(st.integers(0, 16), st.fractions(0, 6, max_denominator=16), max_size=8)
+        | st.sampled_from(GAMMA_MAPS),
+    )
+    def test_random_sigma_and_gamma_maps(self, cls_c, sigma, gamma):
+        cls, c = cls_c
+        want = uncached_gamma_general(cls, c, sigma, gamma)
+        for _ in ("miss or hit", "hit"):
+            assert same_verdict(gamma_general(cls, c, sigma, gamma), want)
+
+    def test_two_kills_return_equal_but_independent_witnesses(self):
+        cls, c, gamma = HomologyClass((2, 1)), [0, 0], {1: Fraction(15, 23)}
+        first = gamma_general(cls, c, -2, gamma)
+        second = gamma_general(cls, tuple(c), -2, gamma)
+        assert first.obstructed and first == second
+        assert first.witness is not second.witness
+        first.witness["eta"] = "changed"
+        third = gamma_general(cls, c, -2, gamma)
+        assert third == second and third.witness["eta"] == second.witness["eta"] != "changed"
+        # the same (a, c) under another sigma keeps its parts but names its own index
+        other = gamma_general(cls, c, -6, {3: Fraction(2)})
+        assert (other.witness["i"], other.witness["kappa_min"]) == (3, second.witness["kappa_min"])
+
+    def test_eta_is_read_through_this_module_on_each_miss(self, monkeypatch):
+        calls = []
+
+        def counted_eta(a, c):
+            calls.append((a, c))
+            return eta(a, c)
+
+        monkeypatch.setattr(obstructions, "eta", counted_eta)
+        obstructions._gamma_parts.cache_clear()
+        cls, gamma = HomologyClass((3, 2, 1)), {0: Fraction(9)}
+        for sigma in (-7, -7, -9):
+            gamma_general(cls, (0, 0, 0), sigma, gamma)
+        gamma_general(cls, (0, 1, 0), -7, gamma)
+        assert calls == [((3, 2, 1), (0, 0, 0)), ((3, 2, 1), (0, 1, 0))]
+        obstructions._gamma_parts.cache_clear()
 
 
 class TestGamma21:
