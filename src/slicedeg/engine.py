@@ -27,9 +27,12 @@ about a cycle it depends on), is walked alone over the records it
 references, directly or not.  Only the queried record's witness is
 formatted as text.
 
-``report_table`` runs one lower-bound search per distinct set of search
-inputs: records that agree on every field the search reads and on the upper
-bound that caps it share one search within the call.
+Lower-bound searches are kept on the database too, in one memo that
+``report_table`` and ``bound_report`` read: records of a database that agree
+on every field the search reads, on the upper bound that caps it and on the
+configuration share one search, across calls.  A failed search is not kept,
+nor one for a record outside the database or shadowing one in it.  Reports
+of one search share its certificate objects: witness mappings are read-only.
 
 Reports are deterministic: identical inputs and configuration produce
 byte-identical serialized output.
@@ -174,11 +177,6 @@ def _gamma_walk(a: tuple[int, ...], sweep: bool) -> tuple[tuple[tuple[int, ...],
         step = -4 if x % 4 else 4
         walk = [(c + (0,) * (m - j) + (1,) * j, e + j * step) for c, e in walk for j in ones]
     return tuple(walk)
-
-
-def _gamma_c_vectors(a: tuple[int, ...], sweep: bool) -> list[tuple[int, ...]]:
-    """The c-vectors of :func:`_gamma_walk`, in order."""
-    return [c for c, _ in _gamma_walk(a, sweep)]
 
 
 class RuleVerdict(NamedTuple):
@@ -537,6 +535,10 @@ def _search_key(record: KnotRecord) -> tuple:
     return _search_values(record), *mappings
 
 
+def _searches(db: KnotDatabase) -> dict[tuple, LowerBoundSearch]:
+    return {}  # the database's search memo, read as db.derived(_searches)
+
+
 def _report(
     record: KnotRecord,
     upper: int | None,
@@ -547,9 +549,10 @@ def _report(
     """Lower-bound search capped at ``upper`` (unless cfg sets a cap), paired with it.
 
     ``searches``, when given, memoises successful searches by their inputs:
-    the record's search fields, ``upper`` and ``cfg``.  A failed search is
-    not stored, so it fails again for the next record with the same inputs.
-    Raises DatabaseError when the certified lower bound exceeds ``upper``.
+    the record's search fields, ``upper`` and ``cfg``.  Every report of a kept
+    search shares its certificates, so witness mappings are read-only.  A failed
+    search is not stored, so it fails again for the next record with the same
+    inputs.  Raises DatabaseError when the certified lower bound exceeds ``upper``.
     """
     key = search = None
     if searches is not None:
@@ -575,24 +578,31 @@ def _report(
 def bound_report(
     record: KnotRecord, db: KnotDatabase | None = None, cfg: EngineConfig | None = None
 ) -> BoundReport:
+    """``record``'s interval and certificates, its upper bound read in ``db``.
+
+    A record of ``db`` shares the database's search memo (:func:`report_table`);
+    one outside ``db`` or shadowing its namesake searches afresh.
+    """
     upper, warning = _upper(record, db)
     if warning:
         _warnings.warn(warning, stacklevel=2)
-    return _report(record, *upper, cfg or EngineConfig())
+    mine = db is not None and db.records.get(record.name) is record
+    return _report(record, *upper, cfg or EngineConfig(), db.derived(_searches) if mine else None)
 
 
 def report_table(db: KnotDatabase, cfg: EngineConfig | None = None) -> list[TableRow]:
     """Per-record intervals over the whole database, failures reported inline.
 
-    Records with the same search inputs (every field but the upper-only ones)
-    and the same upper bound share one lower-bound search within the call;
-    a failing search or report still fails, and is reported, for each record.
+    Records with the same search inputs (every field but the upper-only ones),
+    upper bound and ``cfg`` share one lower-bound search, kept on ``db`` for
+    later calls; a failing search or report still fails, and is reported, for
+    each record.
     """
     cfg = cfg or EngineConfig()
     uppers, warning = db.derived(_closure)
     if warning:
         _warnings.warn(warning, stacklevel=2)
-    searches: dict[tuple, LowerBoundSearch] = {}
+    searches = db.derived(_searches)
     rows = []
     for record in db:
         try:  # a TableRow has no witness, so none is formatted

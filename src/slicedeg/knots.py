@@ -15,8 +15,9 @@ absent); ``friends[].friend_name`` is a label, since a friendship carries
 its own ``friend_s``.
 
 Databases are immutable after load and safe for concurrent reads: a value
-kept by ``KnotDatabase.derived`` (the engine's upper-bound closure) depends
-only on the records, so it is the same whichever read computes it.
+kept by ``KnotDatabase.derived`` (the engine's upper-bound closure and
+lower-bound searches) depends only on the records and the query, so it is
+the same whichever read computes it.
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ class KnotDatabase:
     """Loaded records keyed by name, plus non-fatal load diagnostics.
 
     ``records`` is kept as a read-only copy of the mapping given, so a value
-    derived from it once stays valid: :meth:`derived` keeps such values,
-    the engine's upper-bound closure among them.
+    derived from it once stays valid: :meth:`derived` keeps such values, the
+    engine's upper-bound closure and its lower-bound searches among them.
     """
 
     records: Mapping[str, KnotRecord]

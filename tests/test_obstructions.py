@@ -11,9 +11,10 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_engine import _gamma_c_vectors
 from test_lattice import laurent_from_terms
 
-from slicedeg.engine import EngineConfig, _gamma_c_vectors, lower_bound
+from slicedeg.engine import EngineConfig, lower_bound
 from slicedeg.knots import KnotRecord, VsSpec
 from slicedeg.lattice import (
     HomologyClass,

@@ -1,12 +1,15 @@
-"""``report_table`` runs one lower-bound search per distinct set of search inputs.
+"""A database runs one lower-bound search per distinct set of search inputs.
 
-The table memoises searches within one call, keyed by every record field
-the search reads, the record's upper bound (the cap) and the configuration.
-These tests compare it with a per-record reference that searches every
-record afresh, check which fields split or share a search, and count the
-searches it runs.
+``report_table`` and ``bound_report`` share one memo of searches, kept on
+the database for its lifetime and keyed by every record field the search
+reads, the record's upper bound (the cap) and the configuration.  These
+tests compare it with a per-record reference that searches every record
+afresh, check which fields split or share a search, count the searches it
+runs, and check that repeated queries reuse them without sharing mutable
+payloads.
 """
 
+import copy
 import json
 import warnings
 from dataclasses import fields, replace
@@ -21,11 +24,14 @@ from test_upper_transfer import acyclic_db, any_db
 from slicedeg import engine
 from slicedeg.cli import main
 from slicedeg.engine import (
+    ALL_OBSTRUCTIONS,
     CyclicRelationWarning,
     EngineConfig,
     TableRow,
     _report,
+    bound_report,
     report_table,
+    report_to_jsonable,
     upper_bound,
 )
 from slicedeg.knots import (
@@ -231,9 +237,112 @@ class TestSearchCount:
         assert searches == ["3_1"]
 
     def test_bundled_once_per_distinct_key(self, searches):
-        keys = {projection(r, upper_bound(r, KNOTS)[0]) for r in KNOTS}
-        table(KNOTS)
-        assert len(searches) == len(keys) < len(KNOTS)
+        db = load_knot_db(bundled_database_path("knots"))  # no searches kept on it yet
+        keys = {projection(r, upper_bound(r, db)[0]) for r in db}
+        table(db)
+        assert len(searches) == len(keys) < len(db)
+
+OBSTRUCTION_SETS = [ALL_OBSTRUCTIONS, frozenset({"s", "gamma"}), frozenset({"vs"})]
+
+
+def payload(query):
+    """The JSON certificate ``query()`` returns, or the data fault it raises."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CyclicRelationWarning)
+            return json.dumps(report_to_jsonable(query()), indent=2)
+    except (ValueError, OracleDisagreement) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def scribble(value):
+    """Empty every list and dict inside ``value``, depth first."""
+    if isinstance(value, (list, dict)):
+        for v in list(value.values() if isinstance(value, dict) else value):
+            scribble(v)
+        value.clear()
+
+
+class TestDatabaseMemo:
+    """``bound_report`` and ``report_table`` keep each search on the database."""
+
+    def test_repeat_runs_no_search(self, searches):
+        db = db_of(TREFOIL)
+        first = bound_report(TREFOIL, db)
+        second = bound_report(TREFOIL, db)
+        assert searches == ["3_1"]
+        assert second == first and second.certificates is first.certificates
+
+    def test_after_table_runs_no_search(self, searches):
+        db = db_of(TREFOIL, replace(TREFOIL, name="b", clasp_plus=2))
+        rows = table(db)
+        assert searches == ["3_1", "b"]
+        assert [bound_report(r, db).display for r in db] == [r.display for r in rows]
+        assert searches == ["3_1", "b"]
+
+    def test_same_inputs_share_across_records(self, searches):
+        db = db_of(TREFOIL, replace(TREFOIL, name="b"))
+        bound_report(TREFOIL, db)
+        assert bound_report(db.get("b"), db).knot == "b"
+        assert searches == ["3_1"]
+
+    def test_other_cfg_or_upper_searches_again(self, searches):
+        db = db_of(TREFOIL, replace(TREFOIL, name="b", clasp_plus=2))
+        bound_report(TREFOIL, db)
+        bound_report(TREFOIL, db, EngineConfig(gamma_c_sweep=True))
+        bound_report(TREFOIL, db, EngineConfig(max_k=6))
+        bound_report(db.get("b"), db)  # same search fields, upper bound 8
+        bound_report(TREFOIL, db, EngineConfig(gamma_c_sweep=True))
+        assert searches == ["3_1", "3_1", "3_1", "b"]
+
+    def test_outside_shadowing_or_no_db_searches_again(self, searches):
+        db = db_of(TREFOIL)
+        bound_report(TREFOIL, db)
+        outside = replace(TREFOIL, name="z")
+        shadow = replace(TREFOIL)
+        assert shadow == TREFOIL and shadow is not TREFOIL
+        for _ in range(2):
+            bound_report(outside, db)
+            bound_report(shadow, db)
+            bound_report(TREFOIL)
+        assert searches == ["3_1"] + ["z", "3_1", "3_1"] * 2
+        bound_report(TREFOIL, db)
+        assert len(searches) == 7
+
+    def test_failed_search_fails_every_call(self, searches, monkeypatch):
+        import slicedeg.staircase as sc
+
+        monkeypatch.setattr(sc, "torsion_sequence", lambda coeffs: sc.VsSequence((9,)))
+        lspace = replace(TREFOIL, name="a", vs_spec=VsSpec("lspace"), alexander=T34_ALEXANDER)
+        db = db_of(lspace)
+        for _ in range(2):
+            with pytest.raises(OracleDisagreement, match="stair formula"):
+                bound_report(lspace, db)
+        assert table(db)[0].display == "error"
+        assert searches == ["a", "a", "a"]
+
+    def test_payloads_are_fresh(self):
+        db = load_knot_db(bundled_database_path("knots"))
+        for name in ("7_4", "9_42", "8_19"):
+            record = db.get(name)
+            first = report_to_jsonable(bound_report(record, db))
+            want = copy.deepcopy(first)
+            assert any(cert.get("classes") or cert.get("witness") for cert in want["certificates"])
+            scribble(first)
+            assert report_to_jsonable(bound_report(record, db)) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_memoised_payloads_match_unmemoised(self, data):
+        db = data.draw(st.one_of(any_db(), any_db().flatmap(lambda db: profiled(list(db)))))
+        cfgs = st.builds(EngineConfig, obstructions=st.sampled_from(OBSTRUCTION_SETS),
+                         gamma_c_sweep=st.booleans())
+        if data.draw(st.booleans()):
+            table(db, data.draw(cfgs))
+        for record, cfg in data.draw(st.lists(st.tuples(st.sampled_from(list(db)), cfgs),
+                                              min_size=1, max_size=12)):
+            want = payload(lambda: _report(record, *upper_bound(record, db), cfg))
+            assert payload(lambda: bound_report(record, db, cfg)) == want
 
 
 class TestCliTable:
