@@ -27,12 +27,10 @@ about a cycle it depends on), is walked alone over the records it
 references, directly or not.  Only the queried record's witness is
 formatted as text.
 
-Lower-bound searches are kept on the database too, in one memo that
-``report_table`` and ``bound_report`` read: records of a database that agree
-on every field the search reads, on the upper bound that caps it and on the
-configuration share one search, across calls.  A failed search is not kept,
-nor one for a record outside the database or shadowing one in it.  Reports
-of one search share its certificate objects: witness mappings are read-only.
+The database also keeps its 1024 latest successful lower-bound searches,
+keyed by the search's inputs, its capping upper bound and the configuration
+(``parallelism`` aside), for every ``report_table`` and ``bound_report`` call
+on it.  Reports of one search share its read-only certificates.
 
 Reports are deterministic: identical inputs and configuration produce
 byte-identical serialized output.
@@ -43,11 +41,13 @@ from __future__ import annotations
 import itertools
 import math
 import warnings as _warnings
+from collections import OrderedDict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .knots import INT_KEYED_FIELDS, DatabaseError, KnotDatabase, KnotRecord, format_rational
@@ -281,7 +281,7 @@ def _friend_coverage(record: KnotRecord, cfg: EngineConfig) -> tuple[int, Mappin
         vd = friend_rule(fr.k, fr.friend_s)
         if vd.obstructed and fr.k + 1 > best:
             best = fr.k + 1
-            witness = dict(vd.witness or {}, friend_name=fr.friend_name)
+            witness = MappingProxyType(dict(vd.witness or {}, friend_name=fr.friend_name))
     return best, witness
 
 
@@ -304,7 +304,7 @@ def lower_bound(record: KnotRecord, cfg: EngineConfig | None = None) -> LowerBou
     obstructed only if every class of norm k is killed.  Classes are
     checked one at a time and the search stops at the first survivor.  If
     the cap is reached with everything obstructed, returns cap + 1 with
-    ``exhausted`` set.
+    ``exhausted`` set.  Certificate witnesses are read-only mappings.
     """
     cfg = cfg or EngineConfig()
     battery = ClassBattery(record, cfg)
@@ -323,7 +323,8 @@ def lower_bound(record: KnotRecord, cfg: EngineConfig | None = None) -> LowerBou
         if k == 0:
             vd = null_class_check(record, battery.v)
             if vd.obstructed:
-                certificates.append(LevelCertificate(0, "null_class", witness=vd.witness))
+                witness = MappingProxyType(vd.witness)  # type: ignore[arg-type]
+                certificates.append(LevelCertificate(0, "null_class", witness=witness))
                 continue
             return LowerBoundSearch(0, False, HomologyClass(()), tuple(certificates))
         kills = []
@@ -331,7 +332,9 @@ def lower_bound(record: KnotRecord, cfg: EngineConfig | None = None) -> LowerBou
             kill = battery.first_kill(cls, margin)
             if kill is None:
                 return LowerBoundSearch(k, False, cls, tuple(certificates))
-            kills.append(ClassCertificate(cls, *kill))
+            rule, vd = kill  # a new verdict; kept searches share it, so its witness is read-only
+            object.__setattr__(vd, "witness", MappingProxyType(vd.witness))  # type: ignore[arg-type]
+            kills.append(ClassCertificate(cls, rule, vd))
         certificates.append(LevelCertificate(k, "classes", classes=tuple(kills)))
     return LowerBoundSearch(cap + 1, True, None, tuple(certificates))
 
@@ -535,8 +538,8 @@ def _search_key(record: KnotRecord) -> tuple:
     return _search_values(record), *mappings
 
 
-def _searches(db: KnotDatabase) -> dict[tuple, LowerBoundSearch]:
-    return {}  # the database's search memo, read as db.derived(_searches)
+def _searches(db: KnotDatabase) -> OrderedDict[tuple, LowerBoundSearch]:
+    return OrderedDict()  # the database's search memo, read as db.derived(_searches)
 
 
 def _report(
@@ -544,26 +547,28 @@ def _report(
     upper: int | None,
     upper_witness: str | None,
     cfg: EngineConfig,
-    searches: dict[tuple, LowerBoundSearch] | None = None,
+    searches: OrderedDict[tuple, LowerBoundSearch] | None = None,
 ) -> BoundReport:
     """Lower-bound search capped at ``upper`` (unless cfg sets a cap), paired with it.
 
-    ``searches``, when given, memoises successful searches by their inputs:
-    the record's search fields, ``upper`` and ``cfg``.  Every report of a kept
-    search shares its certificates, so witness mappings are read-only.  A failed
-    search is not stored, so it fails again for the next record with the same
-    inputs.  Raises DatabaseError when the certified lower bound exceeds ``upper``.
+    ``searches``, when given, keeps the latest 1024 successful searches by
+    their inputs: the record's search fields, ``upper`` and ``cfg`` but its
+    ``parallelism``.  A failed search is not stored, so it fails again.
+    Raises DatabaseError when the certified lower bound exceeds ``upper``.
     """
     key = search = None
     if searches is not None:
-        key = (_search_key(record), upper, cfg)
-        search = searches.get(key)
+        serial = replace(cfg, parallelism=1) if cfg.parallelism > 1 else cfg
+        key = (_search_key(record), upper, serial)
+        search = searches.pop(key, None)  # put back last, as most recently used
     if search is None:
         if cfg.max_k is None:
             cfg = replace(cfg, max_k=upper if upper is not None else DEFAULT_MAX_K)
         search = lower_bound(record, cfg)
-        if key is not None:
-            searches[key] = search  # type: ignore[index]
+    if searches is not None:
+        searches[key] = search  # type: ignore[index]
+        if len(searches) > 1024:  # type: ignore[arg-type]
+            searches.popitem(last=False)  # type: ignore[union-attr]
     return BoundReport(
         knot=record.name,
         lower=search.level,
@@ -578,25 +583,20 @@ def _report(
 def bound_report(
     record: KnotRecord, db: KnotDatabase | None = None, cfg: EngineConfig | None = None
 ) -> BoundReport:
-    """``record``'s interval and certificates, its upper bound read in ``db``.
-
-    A record of ``db`` shares the database's search memo (:func:`report_table`);
-    one outside ``db`` or shadowing its namesake searches afresh.
-    """
+    """``record``'s interval and certificates; ``db`` gives its upper bound and keeps its search."""
     upper, warning = _upper(record, db)
     if warning:
         _warnings.warn(warning, stacklevel=2)
-    mine = db is not None and db.records.get(record.name) is record
-    return _report(record, *upper, cfg or EngineConfig(), db.derived(_searches) if mine else None)
+    searches = db.derived(_searches) if db is not None else None
+    return _report(record, *upper, cfg or EngineConfig(), searches)
 
 
 def report_table(db: KnotDatabase, cfg: EngineConfig | None = None) -> list[TableRow]:
     """Per-record intervals over the whole database, failures reported inline.
 
-    Records with the same search inputs (every field but the upper-only ones),
-    upper bound and ``cfg`` share one lower-bound search, kept on ``db`` for
-    later calls; a failing search or report still fails, and is reported, for
-    each record.
+    Records with the same search inputs (every field but the upper-only ones)
+    and upper bound share one lower-bound search, kept on ``db`` for later
+    calls; a failing search or report fails, and is reported, for each record.
     """
     cfg = cfg or EngineConfig()
     uppers, warning = db.derived(_closure)
@@ -619,13 +619,13 @@ def report_table(db: KnotDatabase, cfg: EngineConfig | None = None) -> list[Tabl
 def _jsonable(value):
     """A witness value as JSON data: Fractions as text, sequences as lists, keys as str.
 
-    Witnesses hold only ints, strs, None, Fractions, tuples, lists and
+    Witnesses hold only ints, strs, None, Fractions, tuples, lists and (read-only)
     dicts, so exact types are tested; any other value is returned as it is.
     """
     kind = type(value)
     if kind is tuple or kind is list:
         return [v if type(v) is int else _jsonable(v) for v in value]
-    if kind is dict:
+    if kind is MappingProxyType or kind is dict:
         return {str(k): _jsonable(v) for k, v in value.items()}
     if kind is Fraction:
         return format_rational(value)

@@ -15,9 +15,8 @@ absent); ``friends[].friend_name`` is a label, since a friendship carries
 its own ``friend_s``.
 
 Databases are immutable after load and safe for concurrent reads: a value
-kept by ``KnotDatabase.derived`` (the engine's upper-bound closure and
-lower-bound searches) depends only on the records and the query, so it is
-the same whichever read computes it.
+kept by ``KnotDatabase.derived`` (the upper-bound closure, or a memoised
+search) depends only on the records and the query, whichever read made it.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """A database runs one lower-bound search per distinct set of search inputs.
 
 ``report_table`` and ``bound_report`` share one memo of searches, kept on
-the database for its lifetime and keyed by every record field the search
-reads, the record's upper bound (the cap) and the configuration.  These
-tests compare it with a per-record reference that searches every record
-afresh, check which fields split or share a search, count the searches it
-runs, and check that repeated queries reuse them without sharing mutable
-payloads.
+the database (its 1024 most recently used) and keyed by every record field
+the search reads, the record's upper bound (the cap) and the configuration
+but its parallelism.  These tests compare it with a per-record reference
+that searches every record afresh, check which fields split or share a
+search, count the searches it runs, and check that repeated queries reuse
+them without sharing mutable witnesses or payloads.
 """
 
 import copy
@@ -295,19 +295,48 @@ class TestDatabaseMemo:
         bound_report(TREFOIL, db, EngineConfig(gamma_c_sweep=True))
         assert searches == ["3_1", "3_1", "3_1", "b"]
 
-    def test_outside_shadowing_or_no_db_searches_again(self, searches):
+    def test_parallelism_does_not_split(self, searches):
+        db = db_of(TREFOIL)
+        reports = [bound_report(TREFOIL, db, EngineConfig(parallelism=p)) for p in (3, 1, 2)]
+        assert searches == ["3_1"]
+        assert all(r.certificates is reports[0].certificates for r in reports)
+
+    def test_outside_or_shadowing_records_share_by_inputs(self, searches):
         db = db_of(TREFOIL)
         bound_report(TREFOIL, db)
         outside = replace(TREFOIL, name="z")
         shadow = replace(TREFOIL)
         assert shadow == TREFOIL and shadow is not TREFOIL
         for _ in range(2):
-            bound_report(outside, db)
+            assert bound_report(outside, db).knot == "z"
             bound_report(shadow, db)
+        assert searches == ["3_1"]
+        bound_report(replace(TREFOIL, clasp_plus=2), db)  # shadowing, upper bound 8
+        bound_report(replace(TREFOIL, name="z", tau=0), db)  # outside, other search fields
+        assert searches == ["3_1", "3_1", "z"]
+
+    def test_no_db_searches_every_call(self, searches):
+        for _ in range(2):
             bound_report(TREFOIL)
-        assert searches == ["3_1"] + ["z", "3_1", "3_1"] * 2
-        bound_report(TREFOIL, db)
-        assert len(searches) == 7
+        assert searches == ["3_1", "3_1"]
+
+    def test_keeps_the_latest_1024(self, monkeypatch):
+        calls = []
+
+        def fake(record, cfg):
+            calls.append(cfg.max_k)
+            return engine.LowerBoundSearch(0, False, None, ())
+
+        monkeypatch.setattr(engine, "lower_bound", fake)
+        memo = engine._searches(db_of(TREFOIL))
+        for upper in range(1025):
+            _report(TREFOIL, upper, None, EngineConfig(), memo)
+        _report(TREFOIL, 1, None, EngineConfig(), memo)  # hit: now the latest
+        _report(TREFOIL, 1025, None, EngineConfig(), memo)  # pushes out upper 2
+        assert len(memo) == 1024 and [key[1] for key in list(memo)[-2:]] == [1, 1025]
+        _report(TREFOIL, 1, None, EngineConfig(), memo)
+        _report(TREFOIL, 2, None, EngineConfig(), memo)
+        assert calls == [*range(1026), 2]
 
     def test_failed_search_fails_every_call(self, searches, monkeypatch):
         import slicedeg.staircase as sc
@@ -331,12 +360,26 @@ class TestDatabaseMemo:
             scribble(first)
             assert report_to_jsonable(bound_report(record, db)) == want
 
+    def test_witnesses_are_read_only(self):
+        dbs = [load_knot_db(bundled_database_path(name)) for name in ("knots", "families")]
+        reports = [bound_report(record, db) for db in dbs for record in db]
+        witnesses = [cert.witness for report in reports for cert in report.certificates
+                     if cert.witness is not None]
+        witnesses += [c.verdict.witness for report in reports for cert in report.certificates
+                      for c in cert.classes]
+        assert {w["rule"] for w in witnesses} >= {"friend", "gamma", "null_class"}
+        want = [report_to_jsonable(report) for report in reports]
+        for witness in witnesses:
+            with pytest.raises(TypeError):
+                witness["rule"] = "scribbled"
+        assert [report_to_jsonable(bound_report(r, db)) for db in dbs for r in db] == want
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_memoised_payloads_match_unmemoised(self, data):
         db = data.draw(st.one_of(any_db(), any_db().flatmap(lambda db: profiled(list(db)))))
         cfgs = st.builds(EngineConfig, obstructions=st.sampled_from(OBSTRUCTION_SETS),
-                         gamma_c_sweep=st.booleans())
+                         gamma_c_sweep=st.booleans(), parallelism=st.integers(1, 2))
         if data.draw(st.booleans()):
             table(db, data.draw(cfgs))
         for record, cfg in data.draw(st.lists(st.tuples(st.sampled_from(list(db)), cfgs),
