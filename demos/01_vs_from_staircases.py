@@ -11,7 +11,6 @@ like along the way.
 
 from slicedeg import (
     Staircase,
-    nu_plus,
     staircase_from_alexander,
     torsion_sequence,
     vs_lspace_formula,
@@ -40,7 +39,7 @@ print()
 print("== a wider staircase: T(4,5) ==")
 st = staircase_from_alexander(T45)
 seq = vs_lspace_formula(st)
-print(f"V = {seq}, so nu+ = {nu_plus(seq)}")
+print(f"V = {seq}, so nu+ = {seq.nu}")
 assert seq == vs_staircase_oracle(st, st.n[-1]) == torsion_sequence(T45)
 
 print()

@@ -66,7 +66,6 @@ from .staircase import (
     VsSequence,
     VsUnavailable,
     WindowTooSmall,
-    nu_plus,
     staircase_from_alexander,
     torsion_coefficients,
     torsion_sequence,

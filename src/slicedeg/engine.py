@@ -43,7 +43,7 @@ import math
 import warnings as _warnings
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 from .knots import INT_KEYED_FIELDS, DatabaseError, KnotDatabase, KnotRecord, format_rational
 # enumerate_classes stays importable here because bench/tracing.py wraps it at this module.
-from .lattice import HomologyClass, enumerate_classes, iter_classes  # noqa: F401
+from .lattice import HomologyClass, enumerate_classes, iter_classes, kappa16  # noqa: F401
 from .obstructions import (
     Verdict,
     beta_adjunction,
@@ -61,7 +61,7 @@ from .obstructions import (
     null_class_check,
     vs_obstruction,
 )
-from .staircase import OracleDisagreement, VsSequence, VsUnavailable, nu_plus, vs_of
+from .staircase import OracleDisagreement, VsSequence, VsUnavailable, vs_of
 
 ALL_OBSTRUCTIONS = frozenset({"s", "vs", "gamma", "friend"})
 
@@ -78,13 +78,14 @@ class EngineConfig:
 
     ``max_k = None`` means: cap at the record's upper bound when one is
     known, else at ``DEFAULT_MAX_K``.  ``parallelism`` is validated and
-    accepted for compatibility, but the search is serial at every value.
+    accepted for compatibility, but the search is serial at every value,
+    so it takes no part in equality or hash.
     """
 
     max_k: int | None = None
     obstructions: frozenset[str] = ALL_OBSTRUCTIONS
     gamma_c_sweep: bool = False
-    parallelism: int = 1
+    parallelism: int = field(default=1, compare=False)
 
     def __post_init__(self) -> None:
         if self.max_k is not None and self.max_k < 0:
@@ -165,18 +166,16 @@ def _gamma_walk(a: tuple[int, ...], sweep: bool) -> tuple[tuple[tuple[int, ...],
     the index and eta): 0^(m-j) 1^j, j = 0..m, on each run of m equal even
     entries, and 0 on odd ones, where a_i - 2*c_i is odd either way.  These
     prod(m_j + 1) vectors come in lexicographic order, so the first killing
-    c is that of the full 2^n sweep.  16*kappa = #odd entries +
-    4 * #{i : a_i - 2*c_i = 2 mod 4}, so flipping an even entry adds 4 when
-    a_i = 0 mod 4 and -4 when a_i = 2 mod 4.  Kept per class as one
-    immutable tuple of (c, 16*kappa) pairs, built run by run.
+    c is that of the full 2^n sweep.  Each c's 16*kappa is
+    :func:`~slicedeg.lattice.kappa16`.  Kept per class as one immutable
+    tuple of (c, 16*kappa) pairs.
     """
-    runs = [(x, len(list(group))) for x, group in itertools.groupby(a)]
-    walk = [((), sum(m if x % 2 else 4 * m if x % 4 else 0 for x, m in runs))]
-    for x, m in runs:
+    walk: list[tuple[int, ...]] = [()]
+    for x, group in itertools.groupby(a):
+        m = len(list(group))
         ones = range(m + 1) if sweep and x % 2 == 0 else (0,)
-        step = -4 if x % 4 else 4
-        walk = [(c + (0,) * (m - j) + (1,) * j, e + j * step) for c, e in walk for j in ones]
-    return tuple(walk)
+        walk = [c + (0,) * (m - j) + (1,) * j for c in walk for j in ones]
+    return tuple((c, kappa16(a, c)) for c in walk)
 
 
 class RuleVerdict(NamedTuple):
@@ -218,7 +217,7 @@ class ClassBattery:
         if record.tau is not None:
             self.betas.append(("beta[2tau]", 2 * record.tau))
         if self.v is not None:
-            self.betas.append(("beta[2nu+]", 2 * nu_plus(self.v)))
+            self.betas.append(("beta[2nu+]", 2 * self.v.nu))
         self.rules: list[tuple[str, int | None]] = [*self.betas] if "s" in cfg.obstructions else []
         self.rules += [("gamma", None)] if "gamma" in cfg.obstructions and record.gamma else []
         self.rules += [("vs", None)] if "vs" in cfg.obstructions and self.v is not None else []
@@ -552,14 +551,13 @@ def _report(
     """Lower-bound search capped at ``upper`` (unless cfg sets a cap), paired with it.
 
     ``searches``, when given, keeps the latest 1024 successful searches by
-    their inputs: the record's search fields, ``upper`` and ``cfg`` but its
-    ``parallelism``.  A failed search is not stored, so it fails again.
+    their inputs: the record's search fields, ``upper`` and ``cfg`` (equal
+    at any ``parallelism``).  A failed search is not stored, so it fails again.
     Raises DatabaseError when the certified lower bound exceeds ``upper``.
     """
     key = search = None
     if searches is not None:
-        serial = replace(cfg, parallelism=1) if cfg.parallelism > 1 else cfg
-        key = (_search_key(record), upper, serial)
+        key = (_search_key(record), upper, cfg)
         search = searches.pop(key, None)  # put back last, as most recently used
     if search is None:
         if cfg.max_k is None:

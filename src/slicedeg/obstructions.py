@@ -53,7 +53,7 @@ def beta_adjunction(cls: HomologyClass, beta: int) -> Verdict:
     """Adjunction-type bound: the class survives only if beta <= k - sum(a_i).
 
     Applied with beta = s_p (any stored characteristic), beta = 2*tau and
-    beta = 2*nu_plus.
+    beta = 2*nu+.
     """
     rhs = cls.norm - sum(cls.a)
     if beta > rhs:
@@ -74,25 +74,18 @@ def stau_bound(s_p: int) -> int:
     return k
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class _SuffixTable:
     """Least cost sum(lambda_i^2 - 1) of odd lambda on a suffix of a class, per dot product.
 
     ``costs[i]`` is the least cost reaching d = lo + 2i (every d has the
     parity of the suffix sum); a value above ``cap`` means no lambda within
-    ``cap`` reaches d.  Tables compare by identity: a cached table stands
-    for its (suffix, cap), so it keys the cache entry of each longer suffix.
+    ``cap`` reaches d.  The empty suffix's table is ``_SuffixTable(cap, 0, (0,))``.
     """
 
     cap: int
     lo: int
     costs: tuple[int, ...]
-
-
-@lru_cache(maxsize=64)
-def _empty_table(cap: int) -> _SuffixTable:
-    """The table of the empty suffix, one object per cap."""
-    return _SuffixTable(cap, 0, (0,))
 
 
 def _build(head: int, rest: _SuffixTable) -> _SuffixTable:
@@ -116,38 +109,37 @@ def _build(head: int, rest: _SuffixTable) -> _SuffixTable:
 
 
 class _TableCache:
-    """Least-recently-used memo of suffix tables, bounded by the costs it keeps alive.
+    """Least-recently-used memo of suffix tables by value, bounded by what its entries hold.
 
-    An entry maps (head, table of the suffix) to the table of the longer
-    suffix, so it holds two tables and is charged both lengths.  Entries
+    An entry maps (suffix, cap) to the suffix's table and is charged both
+    lengths, so evicting a short suffix keeps every longer entry.  Entries
     are evicted, oldest use first, until the charge is at most ``budget``;
-    so one long class cannot keep more than that many costs resident,
-    however many coordinates it has.
+    so one long class cannot keep more than that resident, however many
+    coordinates it has.
     """
 
     def __init__(self, budget: int) -> None:
         self.budget = budget
         self.charge = 0
-        self.entries: OrderedDict[tuple[int, _SuffixTable], _SuffixTable] = OrderedDict()
+        self.entries: OrderedDict[tuple[tuple[int, ...], int], _SuffixTable] = OrderedDict()
 
-    def extend(self, head: int, rest: _SuffixTable) -> _SuffixTable:
-        """The table of (head, *suffix) from the table ``rest`` of the suffix."""
-        key = (head, rest)
+    def extend(self, suffix: tuple[int, ...], rest: _SuffixTable) -> _SuffixTable:
+        """The table of ``suffix``, from the table ``rest`` of ``suffix[1:]``."""
+        key = (suffix, rest.cap)
         table = self.entries.get(key)
         if table is not None:
             self.entries.move_to_end(key)
             return table
-        table = _build(head, rest)
-        self.entries[key] = table
-        self.charge += len(rest.costs) + len(table.costs)
+        table = self.entries[key] = _build(suffix[0], rest)
+        self.charge += len(suffix) + len(table.costs)
         while self.charge > self.budget:
-            (_, old_rest), old = self.entries.popitem(last=False)
-            self.charge -= len(old_rest.costs) + len(old.costs)
+            (old_suffix, _), old = self.entries.popitem(last=False)
+            self.charge -= len(old_suffix) + len(old.costs)
         return table
 
 
-# 32768 costs: 256 KiB of references while costs are small ints.  The
-# torus-ladder benchmark's 276 tables are charged 8836 in all.
+# 32768 suffix entries and costs: 256 KiB of references.  The torus-ladder
+# benchmark's searches and bundled tables keep 210 tables, charged 5143.
 _TABLES = _TableCache(budget=1 << 15)
 
 
@@ -189,11 +181,11 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence) -> Verdict:
     the shortest, the least cost of each reachable d within ``cap``; the
     class is obstructed iff the full table meets 8*V_j at some d = k - 2j.
     Tables are cached by (suffix, cap), up to a bounded total size, so
-    sorted classes that share a suffix share its table.  A violation is
-    completed from a prefix with dot product ``dot`` and cost ``spent`` iff
-    ``spent + costs[i0 - j] < 8*V_j`` for some j, with i0 = (k - dot - lo) / 2
-    the index of the target j = 0; only the j whose index lies inside the
-    table are scanned.
+    sorted classes that share a suffix share its table, whatever else was
+    evicted.  A violation is completed from a prefix with dot product ``dot``
+    and cost ``spent`` iff ``spent + costs[i0 - j] < 8*V_j`` for some j, with
+    i0 = (k - dot - lo) / 2 the index of the target j = 0; only the j whose
+    index lies inside the table are scanned.
 
     The witness is rebuilt one coordinate at a time by a loop over
     mag = 1, 3, 5, ... that tries +mag, then -mag, and keeps the first
@@ -239,9 +231,9 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence) -> Verdict:
                 return True
         return False
 
-    tables = [_empty_table(cap)]  # tables[-1 - i] is the table of cls.a[i:]
-    for head in reversed(cls.a):
-        tables.append(_TABLES.extend(head, tables[-1]))
+    tables = [_SuffixTable(cap, 0, (0,))]  # tables[-1 - i] is the table of cls.a[i:]
+    for i in range(cls.n - 1, -1, -1):
+        tables.append(_TABLES.extend(cls.a[i:], tables[-1]))
     if not completes(0, 0, tables.pop()):
         return PASS
     lam: list[int] = []

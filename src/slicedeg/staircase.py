@@ -110,15 +110,14 @@ class VsSequence:
 class _ThinVs(VsSequence):
     """V_s = floor((tau + 1 - s) / 2) for s < tau, else 0: a thin knot with tau > 0.
 
-    Only tau and the values read so far are kept, so ``nu`` and ``v`` are
-    O(1), ``prefix(n)`` lists V_0 .. V_(n-1) once and slices them after,
-    and ``==``, ``hash`` and ``repr`` never list the sequence; ``values``
-    lists all tau of them.
+    Only tau is kept, so ``nu`` and ``v`` are O(1), ``prefix(n)`` computes
+    its min(n, tau) values from the formula on each call, and ``==``,
+    ``hash`` and ``repr`` never list the sequence; ``values`` lists all tau
+    of them.
     """
 
     def __init__(self, tau: int) -> None:
         object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "_head", ())
 
     @property
     def values(self) -> tuple[int, ...]:  # type: ignore[override]
@@ -129,11 +128,7 @@ class _ThinVs(VsSequence):
         return self.tau
 
     def prefix(self, n: int) -> tuple[int, ...]:
-        head = self._head
-        if len(head) < min(n, self.tau):
-            head = tuple((self.tau + 1 - s) // 2 for s in range(min(n, self.tau)))
-            object.__setattr__(self, "_head", head)
-        return head[:n]
+        return tuple((self.tau + 1 - s) // 2 for s in range(min(n, self.tau)))
 
     def v(self, s: int) -> int:
         if s < 0:
@@ -149,11 +144,6 @@ class _ThinVs(VsSequence):
 
     def __repr__(self) -> str:
         return f"vs_thin({self.tau})"
-
-
-def nu_plus(v: VsSequence) -> int:
-    """Smallest s with V_s = 0: ``v.nu``, the length of the positive prefix."""
-    return v.nu
 
 
 @dataclass(frozen=True)
@@ -344,18 +334,16 @@ def _tower_level(
     raise WindowTooSmall(f"tower not found below level {hi}")
 
 
-def vs_staircase_oracle(
-    st: Staircase, s_max: int | None = None, window: tuple[int, int] | None = None
-) -> VsSequence:
+def vs_staircase_oracle(st: Staircase, s_max: int | None = None) -> VsSequence:
     """V_s from the mod-2 homology of the truncated staircase complex.
 
     For each region A_s = {max(i, j - s) >= 0} and B = {i >= 0}, scans the
-    diagonal translates of the staircase inside the window and finds the
-    lowest level whose tower class survives; V_s is the difference of the
-    two levels.  The complex is a path, so survival at a level is exact
-    first-gap parity (see ``_tower_level``), not a general elimination.  The
-    default window is auto-sized from n_m, which provably contains both
-    levels; passing a narrower one may raise WindowTooSmall.
+    diagonal translates of the staircase inside the window (-n_m - 2, 2)
+    and finds the lowest level whose tower class survives; V_s is the
+    difference of the two levels.  The complex is a path, so survival at a
+    level is exact first-gap parity (see ``_tower_level``), not a general
+    elimination.  The window provably contains both levels; ``_tower_level``
+    still raises WindowTooSmall if a level falls at or outside its edge.
 
     The full sequence down to its vanishing point is always computed, so the
     implicit zero tail of the result is genuine; s_max (default n_m, past
@@ -366,8 +354,7 @@ def vs_staircase_oracle(
     if s_max < 0:
         raise ValueError("s_max must be non-negative")
     top = st.n[-1]
-    if window is None:
-        window = (-top - 2, 2)
+    window = (-top - 2, 2)
     positions = _generator_positions(st)
 
     level_b = _tower_level(positions, lambda i, j: i >= 0, window)

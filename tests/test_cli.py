@@ -362,6 +362,17 @@ class TestExtremeInput:
         for line in lines:
             assert line in done.stdout
 
+    # A thin record with slicing number 20 searches levels 0..80, past the
+    # levels kept in memory, and evicts V_s tables throughout.
+    def test_deep_thin_search_finishes(self, tmp_path):
+        db = tmp_path / "db.json"
+        db.write_text(json.dumps([{"name": "e", "signature": -40, "s_invariants": {"0": 40},
+                                   "tau": 20, "vs_spec": {"type": "thin"}, "slicing_number": 20}]))
+        done = self.slicedeg("bound", "e", "--db", str(db), "--json")
+        assert (done.returncode, done.stderr) == (0, "")
+        payload = json.loads(done.stdout)
+        assert (payload["interval"], payload["surviving_class"]) == ("80", [8, 4])
+
     # Listing every class of levels 0..425 once took minutes.
     def test_deep_beta_table_finishes(self, tmp_path):
         db = tmp_path / "db.json"

@@ -287,6 +287,16 @@ class TestVsObstruction:
         assert not vd.obstructed and len(built) == 2001
         assert kept <= 2 * 1024 * 1024
 
+    def test_evicted_suffix_does_not_orphan_longer_ones(self, monkeypatch):
+        # tables are keyed by (suffix, cap), not by the table of the shorter suffix
+        built = self.counting_builds(monkeypatch)
+        cls, v = HomologyClass((3, 2, 1, 1)), VsSequence((1,))
+        first = vs_obstruction(cls, v)
+        assert built == [1, 1, 2, 3]
+        obstructions._TABLES.entries.popitem(last=False)  # the table of (1,)
+        assert vs_obstruction(cls, v) == first
+        assert built[4:] == [1]
+
     def test_inconsistent_table_raises_instead_of_spinning(self, monkeypatch):
         # (2,) survives V = (1,); a forged table claims cost 0 at d = k = 4
         class Forged:

@@ -22,7 +22,6 @@ from slicedeg.staircase import (
     _ThinVs,
     _tower_level,
     _generator_positions,
-    nu_plus,
     staircase_from_alexander,
     torsion_coefficients,
     torsion_sequence,
@@ -239,7 +238,7 @@ class TestVsThin:
 
     def test_nu_plus_recovers_tau(self):
         for tau in range(0, 9):
-            assert nu_plus(vs_thin(tau)) == tau
+            assert vs_thin(tau).nu == tau
 
     def test_unit_steps_and_vanishing(self):
         for tau in range(0, 9):
@@ -262,7 +261,7 @@ class TestVsThin:
         monkeypatch.setattr(_ThinVs, "values", property(listed))
         tau = 10**30
         seq = vs_thin(tau)
-        assert nu_plus(seq) == tau and not seq.is_zero()
+        assert seq.nu == tau and not seq.is_zero()
         assert seq.v(0) == tau // 2 and seq.v(tau - 1) == 1 and seq.v(tau) == 0
         assert seq.prefix(3) == (tau // 2, tau // 2, tau // 2 - 1)
         assert seq == vs_thin(tau) and seq != vs_thin(tau + 1)
@@ -333,9 +332,9 @@ class TestStaircaseOracle:
             assert seq.v(st.n[-1]) == 0
 
     def test_window_too_small(self):
-        st = staircase_from_alexander(T45)
+        positions = _generator_positions(staircase_from_alexander(T45))
         with pytest.raises(WindowTooSmall):
-            vs_staircase_oracle(st, 3, window=(-1, 1))
+            _tower_level(positions, lambda i, j: max(i, j) >= 0, (-1, 1))
 
     def test_triple_agreement_exhaustive(self):
         # acceptance widens this to n_m <= 8; keep the unit run snappy
@@ -421,9 +420,9 @@ class TestVsSequence:
         assert not VsSequence((2,)).steps_are_unit()  # drops 2 -> 0 at the tail
 
     def test_nu_plus(self):
-        assert nu_plus(VsSequence(())) == 0
-        assert nu_plus(VsSequence((1,))) == 1
-        assert nu_plus(VsSequence((2, 1, 1))) == 3
+        assert VsSequence(()).nu == 0
+        assert VsSequence((1,)).nu == 1
+        assert VsSequence((2, 1, 1)).nu == 3
 
 
 def _record(**kw):
