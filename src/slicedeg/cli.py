@@ -1,14 +1,13 @@
 """Command-line interface.
 
-One subcommand per invocation; ``--db`` is required globally.  Payload goes
-to stdout, diagnostics to stderr.  Exit codes: 0 success, 1 data error,
-2 usage error.
+One subcommand per invocation; each needs ``--db`` except ``beta-table``,
+which reads a database only when given one.  Payload goes to stdout,
+diagnostics to stderr.  Exit codes: 0 success, 1 data error, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import difflib
 import json
 import sys
 import warnings
@@ -45,10 +44,15 @@ class DataError(Exception):
     pass
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _common(db_required: bool = True) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--db", required=True, help="path to the knot database (JSON)")
+    common.add_argument("--db", required=db_required, help="path to the knot database (JSON)")
     common.add_argument("--quiet", action="store_true", help="suppress diagnostics on stderr")
+    return common
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    common = _common()
 
     parser = argparse.ArgumentParser(
         prog="slicedeg", description="Certified slicing-degree bounds for knots."
@@ -81,7 +85,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("name")
     p.add_argument("cls", metavar="a1,a2,...")
 
-    p = sub.add_parser("beta-table", parents=[common], help="adjunction lower-bound table")
+    p = sub.add_parser(
+        "beta-table", parents=[_common(db_required=False)], help="adjunction lower-bound table"
+    )
     p.set_defaults(run=_cmd_beta_table)
     p.add_argument("--max", type=int, default=16)
 
@@ -124,6 +130,8 @@ def _reporting_cycles(args, fn, *fn_args):
 def _find_record(db: KnotDatabase, name: str) -> KnotRecord:
     record = db.get(name)
     if record is None:
+        import difflib  # only this error path uses it
+
         near = difflib.get_close_matches(name, list(db.records), n=5)
         hint = f"; close matches: {', '.join(near)}" if near else ""
         raise DataError(f"unknown knot {name!r}{hint}")
@@ -275,7 +283,8 @@ def _verdict_line(rv: RuleVerdict) -> str:
 
 
 def _cmd_beta_table(args, parser: argparse.ArgumentParser) -> int:
-    _load_db(args)
+    if args.db is not None:
+        _load_db(args)
     betas = list(range(2, args.max + 1, 2))
     if not betas:
         raise DataError(f"--max {args.max} leaves no beta values")

@@ -231,6 +231,19 @@ class TestBetaTable:
         assert lines[1] == "2 | 4 | (2)"
         assert lines[4] == "8 | 13 | (3,2)"
 
+    def test_without_db(self, capsys):
+        # The table depends only on --max: the same rows as acceptance c01.
+        code, out, err = run(capsys, "beta-table", "--max", "16")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "beta-table", "--max", "16", "--db", KNOTS, "--quiet")[1]
+
+    def test_given_db_is_still_validated(self, capsys, tmp_path):
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps([{"name": "bad", "signature": 1}]))
+        code, out, err = run(capsys, "beta-table", "--max", "4", "--db", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid database:")
+
 
 class TestTable:
     def test_md(self, capsys):
