@@ -3,26 +3,19 @@
 One subcommand per invocation; each needs ``--db`` except ``beta-table``,
 which reads a database only when given one.  Payload goes to stdout,
 diagnostics to stderr.  Exit codes: 0 success, 1 data error, 2 usage error.
+Only the subcommands that search or certify import the engine, so ``vs``
+and ``classes`` load a database without it.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import sys
 import warnings
+from typing import TYPE_CHECKING
 
-from .engine import (
-    ALL_OBSTRUCTIONS,
-    ClassBattery,
-    CyclicRelationWarning,
-    EngineConfig,
-    RuleVerdict,
-    beta_table,
-    bound_report,
-    report_table,
-    report_to_jsonable,
-)
 from .knots import DatabaseError, KnotDatabase, KnotRecord, load_knot_db
 from .lattice import HomologyClass, iter_classes
 from .staircase import (
@@ -35,6 +28,41 @@ from .staircase import (
     vs_of,
     vs_staircase_oracle,
 )
+
+if TYPE_CHECKING:
+    from .engine import (
+        ALL_OBSTRUCTIONS,
+        ClassBattery,
+        CyclicRelationWarning,
+        EngineConfig,
+        RuleVerdict,
+        beta_table,
+        bound_report,
+        report_table,
+        report_to_jsonable,
+    )
+
+# The engine names the commands call.  They are bound here on first need, by
+# a command or by reading one off this module (bench/tracing.py wraps
+# bound_report, report_table and report_to_jsonable here).
+_ENGINE_NAMES = (
+    "ALL_OBSTRUCTIONS", "ClassBattery", "CyclicRelationWarning", "EngineConfig",
+    "beta_table", "bound_report", "report_table", "report_to_jsonable",
+)
+
+
+def _bind_engine() -> None:
+    from . import engine
+
+    for name in _ENGINE_NAMES:
+        globals().setdefault(name, getattr(engine, name))  # a name bound already stays
+
+
+def __getattr__(name: str):
+    if name not in _ENGINE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_engine()
+    return globals()[name]
 
 USAGE_ERROR = 2
 DATA_ERROR = 1
@@ -130,8 +158,6 @@ def _reporting_cycles(args, fn, *fn_args):
 def _find_record(db: KnotDatabase, name: str) -> KnotRecord:
     record = db.get(name)
     if record is None:
-        import difflib  # only this error path uses it
-
         near = difflib.get_close_matches(name, list(db.records), n=5)
         hint = f"; close matches: {', '.join(near)}" if near else ""
         raise DataError(f"unknown knot {name!r}{hint}")
@@ -166,6 +192,7 @@ def _print_vs(label: str, seq: VsSequence | None, max_s: int | None) -> None:
 def _cmd_bound(args, parser: argparse.ArgumentParser) -> int:
     if args.max_k is not None and args.max_k < 0:
         parser.error("--max-k must be non-negative")
+    _bind_engine()
     db = _load_db(args)
     record = _find_record(db, args.name)
     try:
@@ -240,6 +267,7 @@ def _parse_class(text: str) -> list[int]:
 
 
 def _cmd_check_class(args, parser: argparse.ArgumentParser) -> int:
+    _bind_engine()
     db = _load_db(args)
     record = _find_record(db, args.name)
     try:
@@ -283,6 +311,7 @@ def _verdict_line(rv: RuleVerdict) -> str:
 
 
 def _cmd_beta_table(args, parser: argparse.ArgumentParser) -> int:
+    _bind_engine()
     if args.db is not None:
         _load_db(args)
     betas = list(range(2, args.max + 1, 2))
@@ -295,6 +324,7 @@ def _cmd_beta_table(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_table(args, parser: argparse.ArgumentParser) -> int:
+    _bind_engine()
     db = _load_db(args)
     rows = _reporting_cycles(args, report_table, db)
     if args.format == "json":

@@ -93,11 +93,30 @@ def test_loading_databases_leaves_engine_unimported():
     assert loaded == ["slicedeg", "slicedeg.knots", "slicedeg.staircase"]
 
 
-def test_cli_import_leaves_out_difflib():
-    # Counted against the interpreter's own start-up modules, which may include it.
-    assert fresh(
-        "import json, sys\n"
-        "before = set(sys.modules)\n"
+@pytest.mark.parametrize("argv", [["vs", "3_1"], ["classes", "2"]])
+def test_cli_without_search_leaves_engine_unimported(argv):
+    # `vs` and `classes` load the database but neither search nor certify.
+    loaded = fresh(
+        "import contextlib, io, json, sys\n"
+        "from slicedeg import bundled_database_path\n"
         "from slicedeg.cli import main\n"
-        "print(json.dumps('difflib' in set(sys.modules) - before))\n"
-    ) is False
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r} + ['--db', str(bundled_database_path())])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('slicedeg'))]))\n"
+    )
+    assert loaded[0] == 0
+    assert not {"slicedeg.engine", "slicedeg.obstructions"} & set(loaded[1])
+
+
+def test_cli_calls_engine_names_through_its_module(monkeypatch, capsys):
+    # A wrapper set on `slicedeg.cli` before a command runs is the one the
+    # command calls, as when the engine was imported at the top of cli.py.
+    from slicedeg import cli, engine
+
+    assert cli.report_to_jsonable is engine.report_to_jsonable
+    calls = []
+    monkeypatch.setattr(cli, "bound_report", lambda *a: calls.append(a) or engine.bound_report(*a))
+    assert cli.main(["bound", "3_1", "--json", "--db", str(slicedeg.bundled_database_path())]) == 0
+    assert len(calls) == 1 and json.loads(capsys.readouterr().out)["name"] == "3_1"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
