@@ -322,8 +322,7 @@ def lower_bound(record: KnotRecord, cfg: EngineConfig | None = None) -> LowerBou
         if k == 0:
             vd = null_class_check(record, battery.v)
             if vd.obstructed:
-                witness = MappingProxyType(vd.witness)  # type: ignore[arg-type]
-                certificates.append(LevelCertificate(0, "null_class", witness=witness))
+                certificates.append(LevelCertificate(0, "null_class", witness=vd.witness))
                 continue
             return LowerBoundSearch(0, False, HomologyClass(()), tuple(certificates))
         kills = []
@@ -331,9 +330,7 @@ def lower_bound(record: KnotRecord, cfg: EngineConfig | None = None) -> LowerBou
             kill = battery.first_kill(cls, margin)
             if kill is None:
                 return LowerBoundSearch(k, False, cls, tuple(certificates))
-            rule, vd = kill  # a new verdict; kept searches share it, so its witness is read-only
-            object.__setattr__(vd, "witness", MappingProxyType(vd.witness))  # type: ignore[arg-type]
-            kills.append(ClassCertificate(cls, rule, vd))
+            kills.append(ClassCertificate(cls, *kill))
         certificates.append(LevelCertificate(k, "classes", classes=tuple(kills)))
     return LowerBoundSearch(cap + 1, True, None, tuple(certificates))
 

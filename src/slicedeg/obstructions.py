@@ -15,6 +15,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .lattice import HomologyClass, eta, kappa16
@@ -33,8 +34,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class Verdict:
     """Outcome of one obstruction check.
 
-    ``witness`` is present exactly when the check obstructs; ``note``
-    records a non-conclusive oddity (e.g. a non-integral instanton index).
+    ``witness``, kept as a read-only view, is present exactly when the check
+    obstructs; ``note`` records an oddity, e.g. a non-integral index.
     """
 
     obstructed: bool
@@ -42,7 +43,9 @@ class Verdict:
     note: str | None = None
 
     def __post_init__(self) -> None:
-        if self.obstructed and self.witness is None:
+        if self.witness is not None:
+            object.__setattr__(self, "witness", MappingProxyType(self.witness))
+        elif self.obstructed:
             raise ValueError("an obstructing verdict must carry a witness")
 
 
@@ -68,10 +71,8 @@ def stau_bound(s_p: int) -> int:
     """
     if s_p <= 0:
         return 0
-    k = s_p
-    while not (k - s_p) ** 2 >= k:
-        k += 1
-    return k
+    t = (math.isqrt(4 * s_p + 1) + 1) // 2  # k = s_p + t, the least t with t^2 - t >= s_p
+    return s_p + t + (t * t - t < s_p)
 
 
 @dataclass(frozen=True)
@@ -155,7 +156,7 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence) -> Verdict:
 
     Cost 0 first: lambda = (1, ..., 1) reaches d = sum(a_i) at cost 0, so
     it violates iff V_j0 > 0, j0 = (k - sum(a_i)) / 2; it is then the first
-    witness of the rebuild below (+1 first everywhere) and is returned
+    witness of the loop below (+1 first everywhere) and is returned
     before any table is built.  As V_j0 > 0 iff 2*nu+ > k - sum(a_i), the
     battery's beta[2nu+] kills such a class first whenever it runs, so the
     shortcut fires only in V_s-only searches and ``check-class``.
@@ -177,29 +178,31 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence) -> Verdict:
     Targets are lowered to min(8*V_j, cap + 1), so neither an unreached
     entry (cap + 1) nor a lambda costing more than cap completes one.
 
-    The check builds, for every suffix a[i:] and in one explicit loop from
-    the shortest, the least cost of each reachable d within ``cap``; the
-    class is obstructed iff the full table meets 8*V_j at some d = k - 2j.
-    Tables are cached by (suffix, cap), up to a bounded total size, so
-    sorted classes that share a suffix share its table, whatever else was
-    evicted.  A violation is completed from a prefix with dot product ``dot``
-    and cost ``spent`` iff ``spent + costs[i0 - j] < 8*V_j`` for some j, with
-    i0 = (k - dot - lo) / 2 the index of the target j = 0; only the j whose
-    index lies inside the table are scanned.
+    The check builds, for every suffix a[1:], ..., a[n-1:] and in one
+    explicit loop from the shortest, the least cost of each reachable d
+    within ``cap``.  Tables are cached by (suffix, cap), up to a bounded
+    total size, so sorted classes that share a suffix share its table,
+    whatever else was evicted.  A violation is completed from a prefix with
+    dot product ``dot`` and cost ``spent`` iff ``spent + costs[i0 - j]`` is
+    below target j, with i0 = (k - dot - lo) / 2 the index of j = 0; only
+    the j whose index lies inside the table are scanned.
 
-    The witness is rebuilt one coordinate at a time by a loop over
+    The witness is built one coordinate at a time by a loop over
     mag = 1, 3, 5, ... that tries +mag, then -mag, and keeps the first
     value whose suffix table still completes a violation: it is the first
     violating lambda with cost <= cap of the depth-first enumeration
     (:func:`~slicedeg.lattice.enumerate_odd_vectors`), and the first
-    violating lambda outright when cap = 8*V_0 - 1.  The loop stops at
+    violating lambda outright when cap = 8*V_0 - 1.  The first coordinate
+    decides: the class passes iff no lambda_0 with lambda_0^2 - 1 <= cap
+    completes against the table of a[1:], which is what the whole class's
+    table, never built, would say.  A later coordinate stops at
     mag^2 - 1 > cap - spent with a ``RuntimeError``, which a consistent
     table never reaches.
 
     Work: with M the largest odd magnitude, M^2 <= cap + 1, a table holds
-    at most M*sum(a) + 1 <= M*k + 1 entries, and each coordinate costs that
-    times the (M + 1)/2 magnitudes, folded into one row of that width; so
-    O(n * k * min(V_0, (a_1 + 2)^2 * k)) time and
+    at most M*sum(a) + 1 <= M*k + 1 entries, and each of the n - 1 tables
+    costs that times the (M + 1)/2 magnitudes, folded into one row of that
+    width; so O(n * k * min(V_0, (a_1 + 2)^2 * k)) time and
     O(n * k * sqrt(min(V_0, (a_1 + 2)^2 * k))) memory in all.  The
     witness adds, per coordinate, at most M + 1 candidates, each scanning
     the at most min(nu+, k/2 + 1) targets that fall inside the table.
@@ -215,10 +218,9 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence) -> Verdict:
     if v.is_zero():
         return PASS
     cap = 8 * v.v(0) - 1
-    rhs = [8 * v_j for v_j in v.prefix(k // 2 + 1)]
     if cap > 8 * k:  # B >= 9k - n >= 8k, so only then can B lower the cap
         cap = min(cap, (max(cls.a) + 2) ** 2 * k - cls.n)
-        rhs = [min(r, cap + 1) for r in rhs]
+    rhs = [min(8 * v_j, cap + 1) for v_j in v.prefix(k // 2 + 1)]
     n_rhs = len(rhs)
 
     def completes(dot: int, spent: int, rest: _SuffixTable) -> bool:
@@ -231,11 +233,9 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence) -> Verdict:
                 return True
         return False
 
-    tables = [_SuffixTable(cap, 0, (0,))]  # tables[-1 - i] is the table of cls.a[i:]
-    for i in range(cls.n - 1, -1, -1):
+    tables = [_SuffixTable(cap, 0, (0,))]  # tables[-1 - i] is the table of cls.a[i + 1:]
+    for i in range(cls.n - 1, 0, -1):
         tables.append(_TABLES.extend(cls.a[i:], tables[-1]))
-    if not completes(0, 0, tables.pop()):
-        return PASS
     lam: list[int] = []
     dot = spent = 0
     for a_i in cls.a:
@@ -244,6 +244,8 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence) -> Verdict:
         while True:
             cost = spent + mag * mag - 1
             if cost > cap:
+                if not lam:
+                    return PASS
                 raise RuntimeError(f"no witness value completes the suffix table of {cls}")
             if completes(dot + mag * a_i, cost, rest):
                 val = mag

@@ -240,9 +240,10 @@ def torsion_coefficients(coeffs: Sequence[int], s: int) -> int:
 
 
 def torsion_sequence(coeffs: Sequence[int]) -> VsSequence:
-    """All torsion coefficients t_0, t_1, ... as a VsSequence."""
-    g = _genus(coeffs)
-    return VsSequence.from_values([torsion_coefficients(coeffs, s) for s in range(g + 1)])
+    """Torsion coefficients t_0, t_1, ... in O(g): t_g = 0, t_s - t_(s+1) = sum_{i>s} a_i."""
+    check_alexander(coeffs)
+    tails = accumulate(reversed(coeffs[_genus(coeffs) + 1 :]))  # sum_{i>s} a_i, s = g-1 .. 0
+    return VsSequence.from_values(reversed([0, *accumulate(tails)]))
 
 
 def vs_thin(tau: int) -> VsSequence:

@@ -327,6 +327,10 @@ class TestExtremeInput:
     HUGE_V0 = [
         {"name": "x", "signature": 0, "vs_spec": {"type": "explicit", "values": [10**12]}}
     ]
+    THIN_D = [
+        {"name": "d", "signature": -34, "s_invariants": {"0": 34}, "tau": 17,
+         "vs_spec": {"type": "thin"}, "slicing_number": 17}
+    ]
     STEEP_DROP = "warning: record 'x': warning: field 'vs_spec': V_s drops by more than 1\n"
 
     @staticmethod
@@ -351,9 +355,11 @@ class TestExtremeInput:
         assert (done.returncode, done.stderr) == (0, "")
         assert line in done.stdout
 
-    # Each once died with a MemoryError traceback: the V_s tables grew with
-    # sqrt(V_0), one table's shifted rows were all held at once (cap about
-    # 6.8e6 for the class (50)), and `vs` listed all tau values.
+    # Each once died with a MemoryError traceback or ran out of time: the V_s
+    # tables grew with sqrt(V_0), one table's shifted rows were all held at
+    # once (cap about 6.8e6 for the class (50)), the whole class's table was
+    # built (cap about 1.35e7 for (50, 50), and 7e9 entries for (10^9)), and
+    # `vs` listed all tau values.
     @pytest.mark.parametrize(
         "records, command, lines",
         [
@@ -361,10 +367,13 @@ class TestExtremeInput:
             (HUGE_TAU, ["bound", "t", "--obstructions", "vs"], ["interval: [65,?]"]),
             (HUGE_TAU, ["check-class", "t", "1"], ["vs: OBSTRUCTED (lambda = (1), j = 0, "]),
             (HUGE_V0, ["check-class", "x", "50"], ["vs: pass"]),
+            (HUGE_V0, ["check-class", "x", "50,50"], ["vs: OBSTRUCTED (lambda = (1,99), j = 0, "]),
+            (THIN_D, ["check-class", "d", "1000000000"], ["vs: pass"]),
             # V_0 .. V_255, then the suffix
             (HUGE_TAU, ["vs", "t"], [f"{(10**30 - 254) // 2}, ...] (V_s = 0 for s >= {10**30})"]),
         ],
-        ids=["bound-x", "bound-t-vs", "check-class-t-1", "check-class-x-50", "vs-t"],
+        ids=["bound-x", "bound-t-vs", "check-class-t-1", "check-class-x-50",
+             "check-class-x-50-50", "check-class-d-1e9", "vs-t"],
     )
     def test_vs_paths_finish(self, tmp_path, records, command, lines):
         db = tmp_path / "db.json"

@@ -198,6 +198,26 @@ class TestStauBound:
             assert (k - s) ** 2 >= k > 0
             assert k - 1 < s or (k - 1 - s) ** 2 < k - 1
 
+    @staticmethod
+    def reference_stau_bound(s_p):
+        """The search the closed form replaced: step k up from s_p."""
+        if s_p <= 0:
+            return 0
+        k = s_p
+        while not (k - s_p) ** 2 >= k:
+            k += 1
+        return k
+
+    def test_closed_form_matches_search(self):
+        for s in range(-3, 10**4 + 1):
+            assert stau_bound(s) == self.reference_stau_bound(s), s
+
+    def test_huge_s_p(self):
+        s = 10**30
+        k = stau_bound(s)
+        assert (k - s) ** 2 >= k
+        assert not (k - 1 - s) ** 2 >= k - 1
+
 
 class TestVsObstruction:
     def test_four_ones_killed_by_v1(self):
@@ -270,7 +290,7 @@ class TestVsObstruction:
         n = 2 * sys.getrecursionlimit()
         built = self.counting_builds(monkeypatch)
         vd = vs_obstruction(HomologyClass((2,) + (1,) * n), VsSequence((2,)))
-        assert len(built) == n + 1
+        assert len(built) == n  # the tables of a[1:] .. a[n:], none of the whole class
         assert vd.witness == {"rule": "vs", "lambda": (1,) * n + (3,), "j": 0, "lhs": 8, "rhs": 16}
 
     def test_long_surviving_class_keeps_bounded_tables(self, monkeypatch):
@@ -284,7 +304,7 @@ class TestVsObstruction:
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert not vd.obstructed and len(built) == 2001
+        assert not vd.obstructed and len(built) == 2000
         assert kept <= 2 * 1024 * 1024
 
     def test_evicted_suffix_does_not_orphan_longer_ones(self, monkeypatch):
@@ -292,20 +312,21 @@ class TestVsObstruction:
         built = self.counting_builds(monkeypatch)
         cls, v = HomologyClass((3, 2, 1, 1)), VsSequence((1,))
         first = vs_obstruction(cls, v)
-        assert built == [1, 1, 2, 3]
+        assert built == [1, 1, 2]  # (1,), (1, 1), (2, 1, 1); the whole class has none
         obstructions._TABLES.entries.popitem(last=False)  # the table of (1,)
         assert vs_obstruction(cls, v) == first
-        assert built[4:] == [1]
+        assert built[3:] == [1]
 
     def test_inconsistent_table_raises_instead_of_spinning(self, monkeypatch):
-        # (2,) survives V = (1,); a forged table claims cost 0 at d = k = 4
+        # (2, 1) survives V = (1,); a forged table of (1,) claims cost 0 at d = 3,
+        # so lambda_0 = 1 reaches d = k = 5, and no lambda_1 within the cap 7 does
         class Forged:
-            def extend(self, head, rest):
-                return obstructions._SuffixTable(rest.cap, 4, (0,))
+            def extend(self, suffix, rest):
+                return obstructions._SuffixTable(rest.cap, 3, (0,))
 
         monkeypatch.setattr(obstructions, "_TABLES", Forged())
         with pytest.raises(RuntimeError, match="no witness value"):
-            vs_obstruction(HomologyClass((2,)), VsSequence((1,)))
+            vs_obstruction(HomologyClass((2, 1)), VsSequence((1,)))
 
     def test_torus_ladder_tables_stay_resident(self, monkeypatch):
         # the torus-ladder benchmark's searches: thin T(2,2m+1) and vs-only explicit V_s
@@ -653,9 +674,10 @@ class TestGammaPartsCache:
         second = gamma_general(cls, tuple(c), -2, gamma)
         assert first.obstructed and first == second
         assert first.witness is not second.witness
-        first.witness["eta"] = "changed"
+        with pytest.raises(TypeError):
+            first.witness["eta"] = "changed"
         third = gamma_general(cls, c, -2, gamma)
-        assert third == second and third.witness["eta"] == second.witness["eta"] != "changed"
+        assert third == second == first and third.witness["eta"] != "changed"
         # the same (a, c) under another sigma keeps its parts but names its own index
         other = gamma_general(cls, c, -6, {3: Fraction(2)})
         assert (other.witness["i"], other.witness["kappa_min"]) == (3, second.witness["kappa_min"])

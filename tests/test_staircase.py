@@ -222,6 +222,20 @@ class TestTorsionCoefficients:
     def test_t45_sequence(self):
         assert torsion_sequence(T45).values == (3, 2, 1, 1, 1, 1)
 
+    def test_sequence_checks_once_and_matches_each_coefficient(self, monkeypatch):
+        import slicedeg.staircase as sc
+
+        fixtures = [T23, T25, T34, T45, torus_alexander(5, 6)]
+        fixtures += [staircase_coeffs(st) for st in all_staircases(6)]
+        want = [[torsion_coefficients(c, s) for s in range(len(c) // 2 + 1)] for c in fixtures]
+        calls = []
+        check = sc.check_alexander
+        monkeypatch.setattr(sc, "check_alexander", lambda coeffs: calls.append(1) or check(coeffs))
+        for coeffs, values in zip(fixtures, want):
+            before = len(calls)
+            assert torsion_sequence(coeffs) == VsSequence.from_values(values)
+            assert len(calls) == before + 1
+
 
 class TestVsThin:
     def test_tau_one(self):
