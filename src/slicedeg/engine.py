@@ -4,16 +4,16 @@
 certifying each level obstructed until one survives: level 0 via the
 null-class check, higher levels either by a surgery-friend certificate or
 by killing every candidate class with the per-class battery
-(:class:`ClassBattery`: adjunction bounds first, then the instanton energy
-check, then the V_s check; the fixed order decides which rule a
-certificate names).  The first unobstructed level is a sound lower bound
-because every check is a necessary condition for the disk.  Each level
-stops at its first survivor.  Levels up to ``DEFAULT_MAX_K`` are listed
-once per process as (class, k - sum(a)) pairs that every search shares
-(:func:`_level`); deeper ones stream.  Only a class's first kill calls a
-decider (:meth:`ClassBattery.first_kill`), and an instanton kill is priced
-from cached immutable data: the class's orbit walk (:func:`_gamma_walk`)
-and the witness parts of its (a, c) (:func:`~.obstructions.gamma_general`).
+(:class:`ClassBattery`, in one fixed order: the adjunction bounds
+``betas``, then the instanton check ``gamma``, then the V_s check ``vs``;
+the order decides which rule a certificate names).  The first unobstructed
+level is a sound lower bound because every check is a necessary condition
+for the disk.  Each level stops at its first survivor.  Levels up to
+``DEFAULT_MAX_K`` are listed once per process as (class, k - sum(a)) pairs
+that every search shares (:func:`_level`); deeper ones stream.  Only a
+class's first kill calls a decider (:meth:`ClassBattery.first_kill`), and
+the battery keeps each level's instanton killing energies
+(:func:`~.obstructions.gamma_killing_energies`, from the one kill test).
 
 ``upper_bound`` takes the minimum over the record's direct constructions
 (4 * positive clasp number, 4 * slicing number, explicit witnesses) and
@@ -38,26 +38,26 @@ byte-identical serialized output.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings as _warnings
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
-from functools import lru_cache
 from operator import attrgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .knots import INT_KEYED_FIELDS, DatabaseError, KnotDatabase, KnotRecord, format_rational
 # enumerate_classes stays importable here because bench/tracing.py wraps it at this module.
-from .lattice import HomologyClass, enumerate_classes, iter_classes, kappa16  # noqa: F401
+from .lattice import HomologyClass, enumerate_classes, iter_classes  # noqa: F401
 from .obstructions import (
     Verdict,
     beta_adjunction,
     friend_rule,
     gamma_general,
+    gamma_killing_energies,
+    gamma_walk,
     null_class_check,
     vs_obstruction,
 )
@@ -157,27 +157,6 @@ def display_interval(lower: int, upper: int | None) -> str:
 # --- lower bounds -----------------------------------------------------------
 
 
-@lru_cache(maxsize=1 << 10)
-def _gamma_walk(a: tuple[int, ...], sweep: bool) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Each c the instanton check tries on the sorted class ``a``, with 16*kappa_min(a, c).
-
-    Without the sweep only c = 0.  With it, the lexicographically least c
-    of each orbit under permuting equal entries of ``a`` (which keeps kappa,
-    the index and eta): 0^(m-j) 1^j, j = 0..m, on each run of m equal even
-    entries, and 0 on odd ones, where a_i - 2*c_i is odd either way.  These
-    prod(m_j + 1) vectors come in lexicographic order, so the first killing
-    c is that of the full 2^n sweep.  Each c's 16*kappa is
-    :func:`~slicedeg.lattice.kappa16`.  Kept per class as one immutable
-    tuple of (c, 16*kappa) pairs.
-    """
-    walk: list[tuple[int, ...]] = [()]
-    for x, group in itertools.groupby(a):
-        m = len(list(group))
-        ones = range(m + 1) if sweep and x % 2 == 0 else (0,)
-        walk = [c + (0,) * (m - j) + (1,) * j for c in walk for j in ones]
-    return tuple((c, kappa16(a, c)) for c in walk)
-
-
 class RuleVerdict(NamedTuple):
     """One battery rule's verdict on one class.
 
@@ -196,14 +175,13 @@ class ClassBattery:
 
     The record's V_s sequence (``v``, None when the record has no route to
     it; ``OracleDisagreement`` propagates) and its adjunction-type scalar
-    bounds (``betas``: each stored s_p, 2*tau, 2*nu+) are computed once,
-    here, and shared by every class checked.  So is ``rules``, the enabled
-    rules with data on the record (betas, "gamma", "vs") that :meth:`verdicts`
-    and :meth:`first_kill` both read; the latter calls a decider only for the
-    kill it returns.  A beta kills iff beta > k - sum(a), and the instanton
-    check iff 16*kappa, read from the class's cached :func:`_gamma_walk`, is
-    one of the level's killing energies k + 2*sigma + 4*i with
-    Gamma(i) > 2*kappa, which are computed once per level.
+    bounds (each stored s_p, 2*tau, 2*nu+) are computed once, here, and
+    shared by every class checked.  The enabled rules with data on the
+    record run in one fixed order, ``betas``, ``gamma``, ``vs``, in both
+    :meth:`verdicts` and :meth:`first_kill`; the latter calls a decider only
+    for the kill it returns.  A beta kills iff beta > k - sum(a), and the
+    instanton check iff some c's 16*kappa is one of the level's
+    :func:`~.obstructions.gamma_killing_energies`, kept in ``energies``.
     """
 
     def __init__(self, record: KnotRecord, cfg: EngineConfig) -> None:
@@ -213,56 +191,47 @@ class ClassBattery:
             self.v: VsSequence | None = vs_of(record)
         except VsUnavailable:
             self.v = None
-        self.betas = [(f"beta[s_{p}]", record.s_invariants[p]) for p in sorted(record.s_invariants)]
-        if record.tau is not None:
-            self.betas.append(("beta[2tau]", 2 * record.tau))
-        if self.v is not None:
-            self.betas.append(("beta[2nu+]", 2 * self.v.nu))
-        self.rules: list[tuple[str, int | None]] = [*self.betas] if "s" in cfg.obstructions else []
-        self.rules += [("gamma", None)] if "gamma" in cfg.obstructions and record.gamma else []
-        self.rules += [("vs", None)] if "vs" in cfg.obstructions and self.v is not None else []
-        self.gammas = [(i, g.numerator, g.denominator) for i, g in record.gamma.items() if i >= 0]
+        betas = [(f"beta[s_{p}]", record.s_invariants[p]) for p in sorted(record.s_invariants)]
+        betas += [("beta[2tau]", 2 * record.tau)] if record.tau is not None else []
+        betas += [("beta[2nu+]", 2 * self.v.nu)] if self.v is not None else []
+        self.betas = betas if "s" in cfg.obstructions else []
+        self.gamma = "gamma" in cfg.obstructions and bool(record.gamma)
+        self.vs = "vs" in cfg.obstructions and self.v is not None
         self.energies: dict[int, frozenset[int]] = {}  # level k -> its killing 16*kappa values
 
-    def _killing_energies(self, k: int) -> frozenset[int]:
-        """The 16*kappa values k + 2*sigma + 4*i with Gamma(i) > 2*kappa, once per level."""
-        if k not in self.energies:
-            base = k + 2 * self.record.signature  # 16*kappa at index 0
-            kills = (base + 4 * i for i, p, q in self.gammas if 8 * p > (base + 4 * i) * q)
-            self.energies[k] = frozenset(kills)
-        return self.energies[k]
-
     def verdicts(self, cls: HomologyClass) -> Iterator[RuleVerdict]:
-        """Each rule's verdict on the class, in ``rules`` order; the instanton check's per c."""
+        """Each rule's verdict on the class, in the fixed order; the instanton check's per c."""
         record = self.record
         rhs = cls.norm - sum(cls.a)
-        for rule, beta in self.rules:
-            if beta is not None:
-                yield RuleVerdict(rule, beta_adjunction(cls, beta), beta, rhs)
-            elif rule == "gamma":
-                for c, _ in _gamma_walk(cls.a, self.cfg.gamma_c_sweep):
-                    yield RuleVerdict(rule, gamma_general(cls, c, record.signature, record.gamma))
-            else:
-                yield RuleVerdict(rule, vs_obstruction(cls, self.v))
+        for rule, beta in self.betas:
+            yield RuleVerdict(rule, beta_adjunction(cls, beta), beta, rhs)
+        if self.gamma:
+            for c, _ in gamma_walk(cls.a, self.cfg.gamma_c_sweep):
+                yield RuleVerdict("gamma", gamma_general(cls, c, record.signature, record.gamma))
+        if self.vs:
+            yield RuleVerdict("vs", vs_obstruction(cls, self.v))
 
     def first_kill(self, cls: HomologyClass, margin: int) -> tuple[str, Verdict] | None:
         """The rule and verdict of the first obstructing :meth:`verdicts` entry, or None.
 
         ``margin`` is the class's k - sum(a), as :func:`_level` pairs it.
         """
-        for rule, beta in self.rules:
-            if beta is not None:
-                if beta > margin:
-                    return rule, beta_adjunction(cls, beta)
-            elif rule == "gamma":
-                kills = self._killing_energies(cls.norm)
-                for c, energy in _gamma_walk(cls.a, self.cfg.gamma_c_sweep) if kills else ():
-                    if energy in kills:
-                        return rule, gamma_general(cls, c, self.record.signature, self.record.gamma)
-            else:
-                verdict = vs_obstruction(cls, self.v)
-                if verdict.obstructed:
-                    return rule, verdict
+        record = self.record
+        for rule, beta in self.betas:
+            if beta > margin:
+                return rule, beta_adjunction(cls, beta)
+        if self.gamma:
+            k = cls.norm
+            if k not in self.energies:
+                self.energies[k] = gamma_killing_energies(k, record.signature, record.gamma)
+            kills = self.energies[k]
+            for c, energy in gamma_walk(cls.a, self.cfg.gamma_c_sweep) if kills else ():
+                if energy in kills:
+                    return "gamma", gamma_general(cls, c, record.signature, record.gamma)
+        if self.vs:
+            verdict = vs_obstruction(cls, self.v)
+            if verdict.obstructed:
+                return "vs", verdict
         return None
 
 

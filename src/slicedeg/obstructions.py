@@ -10,6 +10,7 @@ obstruct.  All arithmetic is exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -264,6 +265,39 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence) -> Verdict:
     )
 
 
+def _gamma_kills(energy16: int, g: Fraction | int) -> bool:
+    """Whether Gamma_K(i) = g = p/q exceeds 2*kappa = energy16 / 8: the one instanton kill test."""
+    return 8 * g.numerator > energy16 * g.denominator
+
+
+def gamma_killing_energies(
+    k: int, sigma: int, gamma: Mapping[int, Fraction | int]
+) -> frozenset[int]:
+    """The 16*kappa = k + 2*sigma + 4*i (i >= 0) at which :func:`_gamma_kills` kills norm k."""
+    base = k + 2 * sigma  # 16*kappa at index 0
+    kills = (base + 4 * i for i, g in gamma.items() if i >= 0 and _gamma_kills(base + 4 * i, g))
+    return frozenset(kills)
+
+
+def gamma_walk(a: tuple[int, ...], sweep: bool) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each c the instanton check tries on the sorted class ``a``, with 16*kappa_min(a, c).
+
+    Without the sweep only c = 0.  With it, the lexicographically least c
+    of each orbit under permuting equal entries of ``a`` (which keeps kappa,
+    the index and eta): 0^(m-j) 1^j, j = 0..m, on each run of m equal even
+    entries, and 0 on odd ones, where a_i - 2*c_i is odd either way.  These
+    prod(m_j + 1) vectors come in lexicographic order, so the first killing
+    c is that of the full 2^n sweep.  Each c's 16*kappa is
+    :func:`~slicedeg.lattice.kappa16`.
+    """
+    walk: list[tuple[int, ...]] = [()]
+    for x, group in itertools.groupby(a):
+        m = len(list(group))
+        ones = range(m + 1) if sweep and x % 2 == 0 else (0,)
+        walk = [c + (0,) * (m - j) + (1,) * j for c in walk for j in ones]
+    return tuple((c, kappa16(a, c)) for c in walk)
+
+
 @lru_cache(maxsize=1 << 10)
 def _gamma_parts(a: tuple[int, ...], c: tuple[int, ...]) -> tuple[int, Fraction, Fraction, str]:
     """16*kappa_min(a, c), kappa_min, the bound 2*kappa_min and eta's text, kept per (a, c).
@@ -290,12 +324,12 @@ def gamma_general(
 
     Decided in integers: 16*kappa is a sum of per-coordinate minima
     (:func:`~slicedeg.lattice.kappa16`), 4*i = 16*kappa - k - 2*sigma, and
-    Gamma_K(i) = p/q (a ``Fraction`` or an ``int``; it must be rational)
-    kills iff 8*p > 16*kappa * q.  For a class, every a_i is non-zero, so
-    eta, a signed monomial times binomials 1 - T^(2*a_i), is never zero.
-    The parts that depend only on (a, c) come from :func:`_gamma_parts`;
-    each call builds its own witness dict.  Work: O(n) on a cache hit, and
-    O(n + b * sum(a)) on a miss, for eta's b binomial factors.
+    the class dies iff :func:`_gamma_kills` holds of (16*kappa, Gamma_K(i)).
+    For a class, every a_i is non-zero, so eta, a signed monomial times
+    binomials 1 - T^(2*a_i), is never zero.  The parts that depend only on
+    (a, c) come from :func:`_gamma_parts`; each call builds its own witness
+    dict.  Work: O(n) on a cache hit, and O(n + b * sum(a)) on a miss, for
+    eta's b binomial factors.
     """
     c = tuple(c)
     energy16, kappa, bound, eta_text = _gamma_parts(cls.a, c)
@@ -306,12 +340,10 @@ def gamma_general(
         return Verdict(False, note=f"non-integral index {Fraction(index4, 4)}")
     i = index4 // 4
     value = gamma.get(i)
-    if value is None:
+    if value is None or not _gamma_kills(energy16, value):
         return PASS
-    if 8 * value.numerator > energy16 * value.denominator:
-        return Verdict(True, {"rule": "gamma", "kappa_min": kappa, "i": i, "eta": eta_text,
-                              "gamma": value, "bound": bound, "c": c})
-    return PASS
+    return Verdict(True, {"rule": "gamma", "kappa_min": kappa, "i": i, "eta": eta_text,
+                          "gamma": value, "bound": bound, "c": c})
 
 
 def double_twist_gamma(m: int, n: int) -> Fraction:

@@ -280,8 +280,9 @@ def vs_lspace_formula(st: Staircase) -> VsSequence:
     ln = (0,) * (2 - st.m % 2) + st.stair_lengths()
     # (sum_{k<i} l_{2k+1}, sum_{k<i} l_{2k}) for i = 1 .. len(ln) // 2
     corners = list(zip(accumulate(ln[1::2]), accumulate(ln[0::2])))
+    w = st.width  # O(m): read once, not once per s
     return VsSequence.from_values(
-        [st.width - max(min(a, s - b) for a, b in corners) for s in range(st.n[-1] + 1)]
+        [w - max(min(a, s - b) for a, b in corners) for s in range(st.n[-1] + 1)]
     )
 
 

@@ -30,7 +30,6 @@ from slicedeg.engine import (
     upper_bound,
     _direct_upper,
     _friend_coverage,
-    _gamma_walk,
     _jsonable,
     _level,
 )
@@ -45,7 +44,7 @@ from slicedeg.knots import (
     load_knot_db,
 )
 from slicedeg.lattice import HomologyClass, iter_classes, kappa16
-from slicedeg.obstructions import gamma_general, null_class_check, stau_bound
+from slicedeg.obstructions import gamma_general, gamma_walk, null_class_check, stau_bound
 
 TREFOIL = KnotRecord(
     "3_1", -2, s_invariants={0: 2}, tau=1, vs_spec=VsSpec("thin"), clasp_plus=1
@@ -392,8 +391,8 @@ def least_in_orbit(a, c):
 
 
 def _gamma_c_vectors(a: tuple[int, ...], sweep: bool) -> list[tuple[int, ...]]:
-    """The c-vectors of the engine's cached orbit walk (:func:`_gamma_walk`), in order."""
-    return [c for c, _ in _gamma_walk(a, sweep)]
+    """The c-vectors of the instanton check's orbit walk (:func:`gamma_walk`), in order."""
+    return [c for c, _ in gamma_walk(a, sweep)]
 
 
 def reference_gamma_walk(a: tuple[int, ...], sweep: bool):
@@ -416,15 +415,14 @@ def reference_gamma_walk(a: tuple[int, ...], sweep: bool):
 
 
 class TestGammaWalk:
-    """The cached orbit walk equals the generator it replaced, and is kept per class."""
+    """The orbit walk, one tuple per class, equals the generator it replaced."""
 
     @pytest.mark.parametrize("sweep", [False, True])
     def test_every_class_up_to_norm_40(self, sweep):
         for k in range(1, 41):
             for cls in iter_classes(k):
-                walk = _gamma_walk(cls.a, sweep)
+                walk = gamma_walk(cls.a, sweep)
                 assert walk == tuple(reference_gamma_walk(cls.a, sweep)), cls
-                assert _gamma_walk(cls.a, sweep) is walk
                 assert all(energy == kappa16(cls.a, c) for c, energy in walk)
 
     @settings(max_examples=80, deadline=None, derandomize=True)
@@ -434,7 +432,7 @@ class TestGammaWalk:
     )
     def test_long_runs(self, runs, sweep):
         a = tuple(x for x in sorted(runs, reverse=True) for _ in range(runs[x]))
-        walk = _gamma_walk(a, sweep)
+        walk = gamma_walk(a, sweep)
         assert walk == tuple(reference_gamma_walk(a, sweep))
 
 

@@ -31,6 +31,7 @@ from slicedeg.obstructions import (
     double_twist_gamma,
     friend_rule,
     gamma_general,
+    gamma_killing_energies,
     null_class_check,
     stau_bound,
     vs_obstruction,
@@ -434,6 +435,14 @@ class TestVsShortcutAndCap:
                     capped += cap < 8 * v.v(0) - 1 and not v.v((k - sum(cls.a)) // 2)
         assert capped == 281  # pairs that build tables under the lowered cap
 
+    def test_unreached_entries_never_complete(self):
+        # B = 16*12 - 3 = 189 < 8*V_0 - 1, and the suffix tables of (2, 2, 2) hold
+        # unreached entries (cap + 1) between reachable d; odd lambda never reach
+        # d = k = 12, so only a target lowered to cap + 1 keeps them from completing
+        cls, v = HomologyClass((2, 2, 2)), VsSequence((40,))
+        assert class_cap(cls) < 8 * v.v(0) - 1
+        assert vs_obstruction(cls, v) == reference_vs_obstruction(cls, v) == Verdict(False)
+
     @pytest.mark.parametrize(
         "a, v0, first, capped",
         [
@@ -518,6 +527,29 @@ class TestGammaGeneral:
         base = gamma_general(HomologyClass((2, 1)), (0, 0), -2, gamma)
         for perm in [(1, 2)]:
             assert gamma_general(unsorted_class(perm), (0, 0), -2, gamma).obstructed == base.obstructed
+
+
+class TestGammaKillingEnergies:
+    """The kill test against Gamma(i) > 2*kappa, decided energy by energy."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        sigma=st.integers(-6, 2).map(lambda x: 2 * x),
+        gamma=st.dictionaries(
+            st.integers(-4, 12),
+            st.fractions(0, 12, max_denominator=16) | st.integers(0, 12),
+            max_size=8,
+        ),
+    )
+    def test_brute_force_up_to_norm_40(self, sigma, gamma):
+        for k in range(41):
+            want = set()
+            for energy16 in range(-100, 200):  # k + 2*sigma + 4*i lies in [-40, 96]
+                index4 = energy16 - k - 2 * sigma
+                value = gamma.get(index4 // 4) if index4 >= 0 and index4 % 4 == 0 else None
+                if value is not None and Fraction(value) > Fraction(energy16, 8):
+                    want.add(energy16)
+            assert gamma_killing_energies(k, sigma, gamma) == want, k
 
 
 # Gamma values on the 1/8 grid of the bound 2*kappa (so ties occur), the

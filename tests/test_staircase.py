@@ -323,6 +323,15 @@ class TestVsLspaceFormula:
     def test_matches_torsion_deep(self, st):
         assert vs_lspace_formula(st) == torsion_sequence(staircase_coeffs(st))
 
+    def test_reads_width_once(self, monkeypatch):
+        # width is O(m); read per s it made the formula O(n_m * m) in width alone
+        reads = []
+        width = Staircase.width.fget
+        monkeypatch.setattr(Staircase, "width", property(lambda st: reads.append(1) or width(st)))
+        st = staircase_from_alexander(T45)
+        assert vs_lspace_formula(st).values == (3, 2, 1, 1, 1, 1)
+        assert len(reads) == 1
+
 
 class TestStaircaseOracle:
     def test_trefoil_levels(self):

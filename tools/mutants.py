@@ -1,0 +1,190 @@
+"""Soundness mutants: each deliberate fault in a decider must fail its named tests.
+
+Usage, from the repository root:
+
+    python3 tools/mutants.py
+
+Each mutant names a file under ``src/``, a snippet that must occur there
+exactly once, its replacement, and the pytest node ids that must each fail
+once the replacement is made.  The gate first runs every named id on the
+unmutated tree; then, for each mutant, it copies ``src/``, ``tests/`` and
+``pyproject.toml`` to a temporary directory, applies the mutant there and
+runs its ids (``pyproject.toml`` puts the copied ``src/`` first on the
+import path).  It exits 1 if the unmutated ids fail, if a snippet does not
+occur exactly once (so a refactor must update its mutant and cannot drop
+it silently), or if pytest does not report each of a mutant's ids as
+failed under it (a parametrized id without its ``[param]`` suffix fails
+when any of its cases does).  The repository itself is never edited.
+Every change that adds a decider or a fast path adds its mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+OBS = "src/slicedeg/obstructions.py"
+T_OBS = "tests/test_obstructions.py::"
+T_ENG = "tests/test_engine.py::"
+
+MUTANTS = (
+    Mutant(
+        "gamma-ge",
+        OBS,
+        "return 8 * g.numerator > energy16 * g.denominator",
+        "return 8 * g.numerator >= energy16 * g.denominator",
+        (
+            T_OBS + "TestGammaGeneral::test_boundary_not_strict",
+            T_OBS + "TestGammaKillingEnergies::test_brute_force_up_to_norm_40",
+        ),
+    ),
+    Mutant(
+        "gamma-negative-index",
+        OBS,
+        "if i >= 0 and _gamma_kills(",
+        "if _gamma_kills(",
+        (T_OBS + "TestGammaKillingEnergies::test_brute_force_up_to_norm_40",),
+    ),
+    Mutant(
+        "beta-ge",
+        OBS,
+        "    if beta > rhs:\n",
+        "    if beta >= rhs:\n",
+        (
+            T_OBS + "TestBetaAdjunction::test_two_survives_at_four",
+            T_ENG + "TestFirstKill::test_every_bundled_record_and_class_up_to_norm_20",
+        ),
+    ),
+    Mutant(
+        "friend-boundary",
+        OBS,
+        "(k - friend_s) ** 2 < k",
+        "(k - friend_s) ** 2 <= k",
+        (
+            T_OBS + "TestFriendRule::test_level_four_boundary",
+            T_OBS + "TestFriendRule::test_exactness_against_float_scan",
+        ),
+    ),
+    Mutant(
+        "vs-shortcut-at-zero",
+        OBS,
+        "    if v.v(j0):\n",
+        "    if v.v(j0) >= 0:\n",
+        (
+            T_OBS + "TestVsObstruction::test_two_survives_v1",
+            T_OBS + "TestVsAgainstEnumeration::test_every_class_up_to_norm_14",
+        ),
+    ),
+    Mutant(
+        "vs-target-unclamped",
+        OBS,
+        "rhs = [min(8 * v_j, cap + 1) for v_j in",
+        "rhs = [8 * v_j for v_j in",
+        (T_OBS + "TestVsShortcutAndCap::test_unreached_entries_never_complete",),
+    ),
+    Mutant(
+        "vs-witness-sign-order",
+        OBS,
+        "if completes(dot + mag * a_i, cost, rest):\n                val = mag\n"
+        "                break\n"
+        "            if completes(dot - mag * a_i, cost, rest):\n                val = -mag\n",
+        "if completes(dot - mag * a_i, cost, rest):\n                val = -mag\n"
+        "                break\n"
+        "            if completes(dot + mag * a_i, cost, rest):\n                val = mag\n",
+        (T_OBS + "TestVsAgainstEnumeration::test_every_class_up_to_norm_14",),
+    ),
+    Mutant(
+        "vs-completes-le",
+        OBS,
+        "if spent + costs[i0 - j] < rhs[j]:",
+        "if spent + costs[i0 - j] <= rhs[j]:",
+        (T_OBS + "TestVsAgainstEnumeration::test_every_class_up_to_norm_14",),
+    ),
+    Mutant(
+        "vs-table-max",
+        OBS,
+        "[c if c < m else m for c, m in zip(",
+        "[c if c > m else m for c, m in zip(",
+        (T_OBS + "TestVsAgainstEnumeration::test_every_class_up_to_norm_14",),
+    ),
+)
+
+
+def _pytest(cwd: Path, ids: list[str]) -> tuple[int, set[str], str]:
+    """Run the ids under ``cwd``: the exit code, the node ids that failed, the output's last lines."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *ids],
+        cwd=cwd, env=env, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    failed = {line.split(" ")[1] for line in lines if line.startswith(("FAILED ", "ERROR "))}
+    return proc.returncode, failed, "\n".join(lines[-3:])
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", "*.egg-info")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def run() -> int:
+    failures = []
+    for m in MUTANTS:
+        count = (ROOT / m.path).read_text().count(m.snippet)
+        if count != 1:
+            failures.append(f"{m.name}: snippet occurs {count} times in {m.path}")
+    if failures:
+        print("\n".join(failures))
+        return 1
+
+    ids = sorted({t for m in MUTANTS for t in m.tests})
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        base = Path(tmp) / "base"
+        _copy_tree(base)
+        code, _, tail = _pytest(base, ids)
+        if code != 0:
+            print(f"unmutated tree fails its mutants' tests:\n{tail}")
+            return 1
+        print(f"unmutated: {len(ids)} test ids pass")
+        for m in MUTANTS:
+            start = time.perf_counter()
+            tree = Path(tmp) / m.name
+            _copy_tree(tree)
+            target = tree / m.path
+            target.write_text(target.read_text().replace(m.snippet, m.replacement))
+            _, failed, _ = _pytest(tree, list(m.tests))
+            shutil.rmtree(tree)
+            survived = [t for t in m.tests
+                        if not any(f == t or f.startswith(t + "[") for f in failed)]
+            verdict = "SURVIVED" if survived else "killed"
+            print(f"{m.name}: {verdict} ({time.perf_counter() - start:.1f} s)")
+            if survived:
+                failures.append(f"{m.name}: not failed: {', '.join(survived)}")
+    if failures:
+        print("\n".join(failures))
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(run())
