@@ -9,11 +9,10 @@ by killing every candidate class with the per-class battery
 the order decides which rule a certificate names).  The first unobstructed
 level is a sound lower bound because every check is a necessary condition
 for the disk.  Each level stops at its first survivor.  Levels up to
-``DEFAULT_MAX_K`` are listed once per process as (class, k - sum(a)) pairs
-that every search shares (:func:`_level`); deeper ones stream.  Only a
-class's first kill calls a decider (:meth:`ClassBattery.first_kill`), and
-the battery keeps each level's instanton killing energies
-(:func:`~.obstructions.gamma_killing_energies`, from the one kill test).
+``DEFAULT_MAX_K`` are listed once per process for every search
+(:func:`_level`); deeper ones stream.  Only a class's first kill calls a
+decider (:meth:`ClassBattery.first_kill`), and the battery keeps each
+level's instanton killing energies and the search's V_s suffix tables.
 
 ``upper_bound`` takes the minimum over the record's direct constructions
 (4 * positive clasp number, 4 * slicing number, explicit witnesses) and
@@ -54,6 +53,7 @@ from .lattice import HomologyClass, enumerate_classes, iter_classes  # noqa: F40
 from .obstructions import (
     Verdict,
     beta_adjunction,
+    beta_kills,
     friend_rule,
     gamma_general,
     gamma_killing_energies,
@@ -179,9 +179,11 @@ class ClassBattery:
     shared by every class checked.  The enabled rules with data on the
     record run in one fixed order, ``betas``, ``gamma``, ``vs``, in both
     :meth:`verdicts` and :meth:`first_kill`; the latter calls a decider only
-    for the kill it returns.  A beta kills iff beta > k - sum(a), and the
-    instanton check iff some c's 16*kappa is one of the level's
+    on a candidate kill, and keeps its verdict only if it obstructs: a beta
+    iff :func:`~.obstructions.beta_kills`, and the instanton check iff some
+    c's 16*kappa is one of the level's
     :func:`~.obstructions.gamma_killing_energies`, kept in ``energies``.
+    The V_s check shares ``tables`` over the battery's one search.
     """
 
     def __init__(self, record: KnotRecord, cfg: EngineConfig) -> None:
@@ -198,6 +200,7 @@ class ClassBattery:
         self.gamma = "gamma" in cfg.obstructions and bool(record.gamma)
         self.vs = "vs" in cfg.obstructions and self.v is not None
         self.energies: dict[int, frozenset[int]] = {}  # level k -> its killing 16*kappa values
+        self.tables: dict = {}  # (suffix, cap) -> V_s suffix table
 
     def verdicts(self, cls: HomologyClass) -> Iterator[RuleVerdict]:
         """Each rule's verdict on the class, in the fixed order; the instanton check's per c."""
@@ -209,17 +212,15 @@ class ClassBattery:
             for c, _ in gamma_walk(cls.a, self.cfg.gamma_c_sweep):
                 yield RuleVerdict("gamma", gamma_general(cls, c, record.signature, record.gamma))
         if self.vs:
-            yield RuleVerdict("vs", vs_obstruction(cls, self.v))
+            yield RuleVerdict("vs", vs_obstruction(cls, self.v, self.tables))
 
-    def first_kill(self, cls: HomologyClass, margin: int) -> tuple[str, Verdict] | None:
-        """The rule and verdict of the first obstructing :meth:`verdicts` entry, or None.
-
-        ``margin`` is the class's k - sum(a), as :func:`_level` pairs it.
-        """
+    def first_kill(self, cls: HomologyClass) -> tuple[str, Verdict] | None:
+        """The rule and verdict of the first obstructing :meth:`verdicts` entry, or None."""
         record = self.record
+        rhs = cls.norm - sum(cls.a)
         for rule, beta in self.betas:
-            if beta > margin:
-                return rule, beta_adjunction(cls, beta)
+            if beta_kills(beta, rhs) and (verdict := beta_adjunction(cls, beta)).obstructed:
+                return rule, verdict
         if self.gamma:
             k = cls.norm
             if k not in self.energies:
@@ -227,9 +228,11 @@ class ClassBattery:
             kills = self.energies[k]
             for c, energy in gamma_walk(cls.a, self.cfg.gamma_c_sweep) if kills else ():
                 if energy in kills:
-                    return "gamma", gamma_general(cls, c, record.signature, record.gamma)
+                    verdict = gamma_general(cls, c, record.signature, record.gamma)
+                    if verdict.obstructed:
+                        return "gamma", verdict
         if self.vs:
-            verdict = vs_obstruction(cls, self.v)
+            verdict = vs_obstruction(cls, self.v, self.tables)
             if verdict.obstructed:
                 return "vs", verdict
         return None
@@ -253,15 +256,15 @@ def _friend_coverage(record: KnotRecord, cfg: EngineConfig) -> tuple[int, Mappin
     return best, witness
 
 
-_LEVELS: dict[int, tuple[tuple[HomologyClass, int], ...]] = {}  # k <= DEFAULT_MAX_K
+_LEVELS: dict[int, tuple[HomologyClass, ...]] = {}  # k <= DEFAULT_MAX_K
 
 
-def _level(k: int) -> Iterable[tuple[HomologyClass, int]]:
-    """Norm-k classes in iter_classes order with margins k - sum(a); kept for k <= DEFAULT_MAX_K."""
-    pairs = ((cls, k - sum(cls.a)) for cls in iter_classes(k))
+def _level(k: int) -> Iterable[HomologyClass]:
+    """Norm-k classes in iter_classes order; kept for k <= DEFAULT_MAX_K."""
+    classes = iter_classes(k)
     if k <= DEFAULT_MAX_K and k not in _LEVELS:
-        _LEVELS[k] = tuple(pairs)
-    return _LEVELS.get(k, pairs)
+        _LEVELS[k] = tuple(classes)
+    return _LEVELS.get(k, classes)
 
 
 def lower_bound(record: KnotRecord, cfg: EngineConfig | None = None) -> LowerBoundSearch:
@@ -295,8 +298,8 @@ def lower_bound(record: KnotRecord, cfg: EngineConfig | None = None) -> LowerBou
                 continue
             return LowerBoundSearch(0, False, HomologyClass(()), tuple(certificates))
         kills = []
-        for cls, margin in _level(k):
-            kill = battery.first_kill(cls, margin)
+        for cls in _level(k):
+            kill = battery.first_kill(cls)
             if kill is None:
                 return LowerBoundSearch(k, False, cls, tuple(certificates))
             kills.append(ClassCertificate(cls, *kill))

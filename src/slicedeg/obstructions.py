@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -60,9 +59,14 @@ def beta_adjunction(cls: HomologyClass, beta: int) -> Verdict:
     beta = 2*nu+.
     """
     rhs = cls.norm - sum(cls.a)
-    if beta > rhs:
+    if beta_kills(beta, rhs):
         return Verdict(True, {"rule": "beta_adjunction", "beta": beta, "rhs": rhs})
     return PASS
+
+
+def beta_kills(beta: int, rhs: int) -> bool:
+    """Whether beta exceeds rhs = k - sum(a): the one adjunction kill test."""
+    return beta > rhs
 
 
 def stau_bound(s_p: int) -> int:
@@ -110,42 +114,7 @@ def _build(head: int, rest: _SuffixTable) -> _SuffixTable:
     return _SuffixTable(cap, rest.lo - top * head + 2 * first, tuple(costs[first : last + 1]))
 
 
-class _TableCache:
-    """Least-recently-used memo of suffix tables by value, bounded by what its entries hold.
-
-    An entry maps (suffix, cap) to the suffix's table and is charged both
-    lengths, so evicting a short suffix keeps every longer entry.  Entries
-    are evicted, oldest use first, until the charge is at most ``budget``;
-    so one long class cannot keep more than that resident, however many
-    coordinates it has.
-    """
-
-    def __init__(self, budget: int) -> None:
-        self.budget = budget
-        self.charge = 0
-        self.entries: OrderedDict[tuple[tuple[int, ...], int], _SuffixTable] = OrderedDict()
-
-    def extend(self, suffix: tuple[int, ...], rest: _SuffixTable) -> _SuffixTable:
-        """The table of ``suffix``, from the table ``rest`` of ``suffix[1:]``."""
-        key = (suffix, rest.cap)
-        table = self.entries.get(key)
-        if table is not None:
-            self.entries.move_to_end(key)
-            return table
-        table = self.entries[key] = _build(suffix[0], rest)
-        self.charge += len(suffix) + len(table.costs)
-        while self.charge > self.budget:
-            (old_suffix, _), old = self.entries.popitem(last=False)
-            self.charge -= len(old_suffix) + len(old.costs)
-        return table
-
-
-# 32768 suffix entries and costs: 256 KiB of references.  The torus-ladder
-# benchmark's searches and bundled tables keep 210 tables, charged 5143.
-_TABLES = _TableCache(budget=1 << 15)
-
-
-def vs_obstruction(cls: HomologyClass, v: VsSequence) -> Verdict:
+def vs_obstruction(cls: HomologyClass, v: VsSequence, tables: dict | None = None) -> Verdict:
     """Decide the V_s inequality over all odd lambda by a min-cost DP on the dot product.
 
     Obstructed iff some odd lambda with 0 <= d = sum(lambda_i a_i) <= k has
@@ -181,12 +150,12 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence) -> Verdict:
 
     The check builds, for every suffix a[1:], ..., a[n-1:] and in one
     explicit loop from the shortest, the least cost of each reachable d
-    within ``cap``.  Tables are cached by (suffix, cap), up to a bounded
-    total size, so sorted classes that share a suffix share its table,
-    whatever else was evicted.  A violation is completed from a prefix with
-    dot product ``dot`` and cost ``spent`` iff ``spent + costs[i0 - j]`` is
-    below target j, with i0 = (k - dot - lo) / 2 the index of j = 0; only
-    the j whose index lies inside the table are scanned.
+    within ``cap``, or reads it from ``tables``, a dict keyed by (suffix, cap)
+    that the engine's battery keeps for one search (None: one for this call).
+    A violation is completed from a prefix with dot product ``dot`` and cost
+    ``spent`` iff ``spent + costs[i0 - j]`` is below target j, with
+    i0 = (k - dot - lo) / 2 the index of j = 0; only the j whose index lies
+    inside the table are scanned.
 
     The witness is built one coordinate at a time by a loop over
     mag = 1, 3, 5, ... that tries +mag, then -mag, and keeps the first
@@ -204,7 +173,7 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence) -> Verdict:
     at most M*sum(a) + 1 <= M*k + 1 entries, and each of the n - 1 tables
     costs that times the (M + 1)/2 magnitudes, folded into one row of that
     width; so O(n * k * min(V_0, (a_1 + 2)^2 * k)) time and
-    O(n * k * sqrt(min(V_0, (a_1 + 2)^2 * k))) memory in all.  The
+    O(n * k * sqrt(min(V_0, (a_1 + 2)^2 * k))) memory beyond ``tables``.  The
     witness adds, per coordinate, at most M + 1 candidates, each scanning
     the at most min(nu+, k/2 + 1) targets that fall inside the table.
     """
@@ -234,13 +203,18 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence) -> Verdict:
                 return True
         return False
 
-    tables = [_SuffixTable(cap, 0, (0,))]  # tables[-1 - i] is the table of cls.a[i + 1:]
+    tables = {} if tables is None else tables
+    rests = [_SuffixTable(cap, 0, (0,))]  # rests[-1 - i] is the table of cls.a[i + 1:]
     for i in range(cls.n - 1, 0, -1):
-        tables.append(_TABLES.extend(cls.a[i:], tables[-1]))
+        key = (cls.a[i:], cap)
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = _build(cls.a[i], rests[-1])
+        rests.append(table)
     lam: list[int] = []
     dot = spent = 0
     for a_i in cls.a:
-        rest = tables.pop()
+        rest = rests.pop()
         mag = 1
         while True:
             cost = spent + mag * mag - 1

@@ -189,10 +189,10 @@ DEEP = KnotRecord(
 
 
 class TestLevelTable:
-    def test_levels_are_iter_classes_with_margins(self):
+    def test_levels_are_iter_classes(self):
         lower_bound(DEEP)  # the levels a search lists
         for k in range(DEFAULT_MAX_K + 1):
-            assert _level(k) == tuple((cls, k - sum(cls.a)) for cls in iter_classes(k)), k
+            assert _level(k) == tuple(iter_classes(k)), k
             assert _level(k) is _level(k)
         assert sum(len(_level(k)) for k in range(DEFAULT_MAX_K + 1)) == 3742
 
@@ -201,7 +201,7 @@ class TestLevelTable:
         assert max(engine._LEVELS) == DEFAULT_MAX_K
         deeper = _level(DEFAULT_MAX_K + 1)
         assert not isinstance(deeper, tuple)
-        assert next(iter(deeper)) == (HomologyClass((8, 1)), 65 - 9)
+        assert next(iter(deeper)) == HomologyClass((8, 1))
         assert max(engine._LEVELS) == DEFAULT_MAX_K
 
 
@@ -273,7 +273,7 @@ class TestFirstKill:
                     battery = ClassBattery(record, cfg)
                     for cls in classes:
                         want = first_obstructed(battery, cls)
-                        got = battery.first_kill(cls, cls.norm - sum(cls.a))
+                        got = battery.first_kill(cls)
                         assert got == want, (record.name, rules, sweep, cls)
                         if want is not None:
                             killers.add(want[0].partition("[")[0])
@@ -300,8 +300,8 @@ class TestFirstKill:
     )
     def test_random_records_up_to_norm_40(self, record, k, rules, sweep):
         battery = ClassBattery(record, EngineConfig(obstructions=rules, gamma_c_sweep=sweep))
-        for cls, margin in _level(k):
-            assert battery.first_kill(cls, margin) == first_obstructed(battery, cls), cls
+        for cls in _level(k):
+            assert battery.first_kill(cls) == first_obstructed(battery, cls), cls
 
     def test_killing_energies_follow_the_level(self):
         # classes of levels 1..24 in shuffled order, so the level changes between most calls
@@ -312,7 +312,7 @@ class TestFirstKill:
         random.Random(18).shuffle(classes)
         kills = 0
         for cls in classes:
-            kill = battery.first_kill(cls, cls.norm - sum(cls.a))
+            kill = battery.first_kill(cls)
             assert kill == first_obstructed(battery, cls), cls
             kills += kill is not None
         assert kills > 0 and sorted(battery.energies) == list(range(1, 25))
@@ -369,14 +369,14 @@ class TestCSweepReference:
             EngineConfig(obstructions=frozenset({"gamma"}), gamma_c_sweep=True),
         )
         for k in range(1, 25):
-            for cls, margin in _level(k):
+            for cls in _level(k):
                 want = reference_first_killing_c(cls, sigma, gamma)
                 if cls.n <= 8:  # the folded sweep against the literal one
                     literal = itertools.product((0, 1), repeat=cls.n)
                     assert want == next(
                         (c for c in literal if gamma_general(cls, c, sigma, gamma).obstructed), None
                     )
-                kill = battery.first_kill(cls, margin)
+                kill = battery.first_kill(cls)
                 assert (kill[1].witness["c"] if kill else None) == want, cls
 
 

@@ -3,8 +3,10 @@
 import gc
 import itertools
 import math
+import random
 import sys
 import tracemalloc
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 from test_engine import _gamma_c_vectors
 from test_lattice import laurent_from_terms
 
-from slicedeg.engine import EngineConfig, lower_bound
+from slicedeg import engine
+from slicedeg.engine import ClassBattery, EngineConfig, lower_bound
 from slicedeg.knots import KnotRecord, VsSpec
 from slicedeg.lattice import (
     HomologyClass,
@@ -22,6 +25,7 @@ from slicedeg.lattice import (
     enumerate_classes,
     enumerate_odd_vectors,
     eta,
+    iter_classes,
     kappa16,
 )
 from slicedeg import obstructions
@@ -276,11 +280,9 @@ class TestVsObstruction:
 
     @staticmethod
     def counting_builds(monkeypatch):
-        """A fresh table cache of the module's budget; returns the list of built heads."""
+        """The list of heads that ``_build`` is called with, from now on."""
         built = []
         build = obstructions._build
-        fresh = obstructions._TableCache(obstructions._TABLES.budget)
-        monkeypatch.setattr(obstructions, "_TABLES", fresh)
         monkeypatch.setattr(
             obstructions, "_build", lambda head, rest: built.append(head) or build(head, rest)
         )
@@ -295,6 +297,7 @@ class TestVsObstruction:
         assert vd.witness == {"rule": "vs", "lambda": (1,) * n + (3,), "j": 0, "lhs": 8, "rhs": 16}
 
     def test_long_surviving_class_keeps_bounded_tables(self, monkeypatch):
+        # the call's own dict of tables is freed when it returns
         built = self.counting_builds(monkeypatch)
         gc.collect()
         tracemalloc.start()
@@ -308,50 +311,76 @@ class TestVsObstruction:
         assert not vd.obstructed and len(built) == 2000
         assert kept <= 2 * 1024 * 1024
 
-    def test_evicted_suffix_does_not_orphan_longer_ones(self, monkeypatch):
+    def test_missing_suffix_rebuilds_only_its_table(self, monkeypatch):
         # tables are keyed by (suffix, cap), not by the table of the shorter suffix
         built = self.counting_builds(monkeypatch)
-        cls, v = HomologyClass((3, 2, 1, 1)), VsSequence((1,))
-        first = vs_obstruction(cls, v)
+        cls, v, tables = HomologyClass((3, 2, 1, 1)), VsSequence((1,)), {}
+        first = vs_obstruction(cls, v, tables)
         assert built == [1, 1, 2]  # (1,), (1, 1), (2, 1, 1); the whole class has none
-        obstructions._TABLES.entries.popitem(last=False)  # the table of (1,)
-        assert vs_obstruction(cls, v) == first
-        assert built[3:] == [1]
+        del tables[((1,), 7)]  # cap = 8 * V_0 - 1
+        assert vs_obstruction(cls, v, tables) == first
+        assert built[3:] == [1] and len(tables) == 3
 
-    def test_inconsistent_table_raises_instead_of_spinning(self, monkeypatch):
+    def test_inconsistent_table_raises_instead_of_spinning(self):
         # (2, 1) survives V = (1,); a forged table of (1,) claims cost 0 at d = 3,
         # so lambda_0 = 1 reaches d = k = 5, and no lambda_1 within the cap 7 does
-        class Forged:
-            def extend(self, suffix, rest):
-                return obstructions._SuffixTable(rest.cap, 3, (0,))
-
-        monkeypatch.setattr(obstructions, "_TABLES", Forged())
+        forged = {((1,), 7): obstructions._SuffixTable(7, 3, (0,))}
         with pytest.raises(RuntimeError, match="no witness value"):
-            vs_obstruction(HomologyClass((2, 1)), VsSequence((1,)))
+            vs_obstruction(HomologyClass((2, 1)), VsSequence((1,)), forged)
 
-    def test_torus_ladder_tables_stay_resident(self, monkeypatch):
-        # the torus-ladder benchmark's searches: thin T(2,2m+1) and vs-only explicit V_s
-        ladder = [
-            KnotRecord(f"T(2,{2 * m + 1})", -2 * m, s_invariants={0: 2 * m}, tau=m,
-                       vs_spec=VsSpec("thin"), slicing_number=m)
-            for m in range(1, 9)
-        ]
-        shapes = [
-            (2, 2, 1, 1), (2, 2, 2, 1), (2, 2, 2, 2), (3, 2, 1, 1),
-            (3, 2, 2, 2), (3, 3, 2, 2), (3, 3, 3, 2), (3, 3, 3, 3),
-        ]
-        vs_only = EngineConfig(max_k=16, obstructions=frozenset({"vs"}))
-        searches = [(record, EngineConfig()) for record in ladder] + [
-            (KnotRecord(f"V{values}", 0, vs_spec=VsSpec("explicit", values)), vs_only)
-            for values in shapes
-        ]
-        first = [lower_bound(record, cfg) for record, cfg in searches]
+    def test_search_builds_each_table_once(self, monkeypatch):
+        built = self.counting_builds(monkeypatch)
+        dicts = []
+        decide = engine.vs_obstruction
 
-        def rebuilt(head, rest):
-            raise AssertionError("a table was evicted and rebuilt")
+        def spy(cls, v, tables=None):
+            dicts.append(tables)
+            return decide(cls, v, tables)
 
-        monkeypatch.setattr(obstructions, "_build", rebuilt)
-        assert [lower_bound(record, cfg) for record, cfg in searches] == first
+        monkeypatch.setattr(engine, "vs_obstruction", spy)
+        builds = 0
+        for record, cfg in torus_ladder_searches():
+            built.clear()
+            dicts.clear()
+            lower_bound(record, cfg)
+            # one dict per search, and one build per (suffix, cap) key in it
+            assert all(tables is dicts[0] for tables in dicts), record.name
+            assert len(built) == (len(dicts[0]) if dicts else 0), record.name
+            builds += len(built)
+        assert builds > 0
+
+    def test_search_leaves_no_table_behind(self, monkeypatch):
+        made = []
+        build = obstructions._build
+
+        def tracked(head, rest):
+            table = build(head, rest)
+            made.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(obstructions, "_build", tracked)
+        for record, cfg in torus_ladder_searches():
+            lower_bound(record, cfg)
+        gc.collect()
+        assert made and all(ref() is None for ref in made)
+
+
+def torus_ladder_searches():
+    """The torus-ladder benchmark's searches: thin T(2,2m+1) and vs-only explicit V_s."""
+    ladder = [
+        KnotRecord(f"T(2,{2 * m + 1})", -2 * m, s_invariants={0: 2 * m}, tau=m,
+                   vs_spec=VsSpec("thin"), slicing_number=m)
+        for m in range(1, 9)
+    ]
+    shapes = [
+        (2, 2, 1, 1), (2, 2, 2, 1), (2, 2, 2, 2), (3, 2, 1, 1),
+        (3, 2, 2, 2), (3, 3, 2, 2), (3, 3, 3, 2), (3, 3, 3, 3),
+    ]
+    vs_only = EngineConfig(max_k=16, obstructions=frozenset({"vs"}))
+    return [(record, EngineConfig()) for record in ladder] + [
+        (KnotRecord(f"V{values}", 0, vs_spec=VsSpec("explicit", values)), vs_only)
+        for values in shapes
+    ]
 
 
 DIFFERENTIAL_SEQUENCES = [
@@ -434,6 +463,29 @@ class TestVsShortcutAndCap:
                     assert vd == reference_vs_obstruction(cls, v, cap), (cls.a, v)
                     capped += cap < 8 * v.v(0) - 1 and not v.v((k - sum(cls.a)) // 2)
         assert capped == 281  # pairs that build tables under the lowered cap
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_battery_shares_tables_over_steep_sequences(self, shuffled):
+        # the class cap varies per class here, so a table kept in the battery's
+        # dict serves a later class only under the cap it was built with: under
+        # V = (16,), the table of (2, 2) made for the class (2, 2), cap 126, would
+        # let (2, 2, 2), cap 127, complete on an unreached entry
+        classes = [cls for k in range(1, 13) for cls in iter_classes(k)]
+        if shuffled:
+            random.Random(11).shuffle(classes)
+        vs_only = EngineConfig(obstructions=frozenset({"vs"}))
+        for values in [(v0,) for v0 in range(9, 41)] + [(20, 1)]:
+            v = VsSequence(values)
+            battery = ClassBattery(KnotRecord("x", 0, vs_spec=VsSpec("explicit", values)), vs_only)
+            for cls in classes:
+                cap = min(8 * v.v(0) - 1, class_cap(cls))
+                (shared,) = battery.verdicts(cls)
+                assert shared.verdict == vs_obstruction(cls, v), (cls.a, values)
+                assert shared.verdict == reference_vs_obstruction(cls, v, cap), (cls.a, values)
+                assert battery.first_kill(cls) == (
+                    ("vs", shared.verdict) if shared.verdict.obstructed else None
+                )
+            assert battery.tables, values
 
     def test_unreached_entries_never_complete(self):
         # B = 16*12 - 3 = 189 < 8*V_0 - 1, and the suffix tables of (2, 2, 2) hold

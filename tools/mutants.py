@@ -42,7 +42,6 @@ class Mutant(NamedTuple):
 
 OBS = "src/slicedeg/obstructions.py"
 T_OBS = "tests/test_obstructions.py::"
-T_ENG = "tests/test_engine.py::"
 
 MUTANTS = (
     Mutant(
@@ -65,11 +64,11 @@ MUTANTS = (
     Mutant(
         "beta-ge",
         OBS,
-        "    if beta > rhs:\n",
-        "    if beta >= rhs:\n",
+        "    return beta > rhs\n",
+        "    return beta >= rhs\n",
         (
             T_OBS + "TestBetaAdjunction::test_two_survives_at_four",
-            T_ENG + "TestFirstKill::test_every_bundled_record_and_class_up_to_norm_20",
+            "tests/test_acceptance.py::test_c05_tables_reproduction",
         ),
     ),
     Mutant(
@@ -109,6 +108,13 @@ MUTANTS = (
         "                break\n"
         "            if completes(dot + mag * a_i, cost, rest):\n                val = mag\n",
         (T_OBS + "TestVsAgainstEnumeration::test_every_class_up_to_norm_14",),
+    ),
+    Mutant(
+        "vs-key-without-cap",
+        OBS,
+        "key = (cls.a[i:], cap)",
+        "key = cls.a[i:]",
+        (T_OBS + "TestVsShortcutAndCap::test_battery_shares_tables_over_steep_sequences",),
     ),
     Mutant(
         "vs-completes-le",
