@@ -133,18 +133,19 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence, tables: dict | None = None
 
     Otherwise the inequality sees lambda only through d and the cost
     sum(lambda_i^2 - 1), and a violation needs cost <= 8*V_0 - 1 and
-    V_j > 0.  The class caps the cost too: with a_1 the largest entry,
-    every reachable d in [0, k] has least cost at most
-    B = (a_1 + 2)^2 * k - n.  For a least-cost lambda reaching d and p != q,
+    V_j > 0.  The class caps the cost too: with a_1 and a_n its largest
+    and smallest entries and F = 1 + a_1/a_n + a_n/a_1, every reachable d
+    in [0, k] has least cost at most B = floor(F^2 * k) - n.  For a
+    least-cost lambda reaching d and p != q,
 
-        lambda_q/a_q - lambda_p/a_p <= a_p/a_q + a_q/a_p <= a_1 + 1,
+        lambda_q/a_q - lambda_p/a_p <= a_p/a_q + a_q/a_p <= F - 1,
 
     or (lambda_p + 2a_q, lambda_q - 2a_p) would keep d and cost less.  The
     a_i^2-weighted mean of lambda_i/a_i is d/k in [0, 1], so every
-    |lambda_i| <= (a_1 + 2) * a_i and sum(lambda_i^2 - 1) <= B.  So
-    ``cap = min(8*V_0 - 1, B)`` keeps the least cost of every d in [0, k]
-    and the verdict.  It is below 8*V_0 - 1 only for steep sequences:
-    V_j0 = 0 with unit steps gives V_0 <= j0 <= k/2, so 8*V_0 - 1 < 4k.
+    |lambda_i| <= (1 + a_1/a_n + a_n/a_1) * a_i, sum(lambda_i^2 - 1) <= B,
+    and ``cap = min(8*V_0 - 1, B)`` keeps every d's least cost and the
+    verdict.  Only steep sequences get cap < 8*V_0 - 1: F >= 3, so B >= 8k,
+    and V_j0 = 0 with unit steps gives V_0 <= j0 <= k/2, so 8*V_0 - 1 < 4k.
     Targets are lowered to min(8*V_j, cap + 1), so neither an unreached
     entry (cap + 1) nor a lambda costing more than cap completes one.
 
@@ -172,8 +173,8 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence, tables: dict | None = None
     Work: with M the largest odd magnitude, M^2 <= cap + 1, a table holds
     at most M*sum(a) + 1 <= M*k + 1 entries, and each of the n - 1 tables
     costs that times the (M + 1)/2 magnitudes, folded into one row of that
-    width; so O(n * k * min(V_0, (a_1 + 2)^2 * k)) time and
-    O(n * k * sqrt(min(V_0, (a_1 + 2)^2 * k))) memory beyond ``tables``.  The
+    width; so O(n * k * min(V_0, F^2 * k)) time and
+    O(n * k * sqrt(min(V_0, F^2 * k))) memory beyond ``tables``.  The
     witness adds, per coordinate, at most M + 1 candidates, each scanning
     the at most min(nu+, k/2 + 1) targets that fall inside the table.
     """
@@ -187,9 +188,8 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence, tables: dict | None = None
         )
     if v.is_zero():
         return PASS
-    cap = 8 * v.v(0) - 1
-    if cap > 8 * k:  # B >= 9k - n >= 8k, so only then can B lower the cap
-        cap = min(cap, (max(cls.a) + 2) ** 2 * k - cls.n)
+    hi, lo = cls.a[0], cls.a[-1]  # B = floor(F^2 * k) - n, F = (hi^2 + hi*lo + lo^2) / (hi*lo)
+    cap = min(8 * v.v(0) - 1, (hi * hi + hi * lo + lo * lo) ** 2 * k // (hi * lo) ** 2 - cls.n)
     rhs = [min(8 * v_j, cap + 1) for v_j in v.prefix(k // 2 + 1)]
     n_rhs = len(rhs)
 

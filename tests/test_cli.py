@@ -358,8 +358,9 @@ class TestExtremeInput:
     # Each once died with a MemoryError traceback or ran out of time: the V_s
     # tables grew with sqrt(V_0), one table's shifted rows were all held at
     # once (cap about 6.8e6 for the class (50)), the whole class's table was
-    # built (cap about 1.35e7 for (50, 50), and 7e9 entries for (10^9)), and
-    # `vs` listed all tau values.
+    # built (cap about 1.35e7 for (50, 50), and 7e9 entries for (10^9)), the
+    # class cap (a_1 + 2)^2 * k - n was about 2e7 for (50, 50, 50) (now 67497),
+    # and `vs` listed all tau values.
     @pytest.mark.parametrize(
         "records, command, lines",
         [
@@ -368,12 +369,16 @@ class TestExtremeInput:
             (HUGE_TAU, ["check-class", "t", "1"], ["vs: OBSTRUCTED (lambda = (1), j = 0, "]),
             (HUGE_V0, ["check-class", "x", "50"], ["vs: pass"]),
             (HUGE_V0, ["check-class", "x", "50,50"], ["vs: OBSTRUCTED (lambda = (1,99), j = 0, "]),
+            (HUGE_V0, ["check-class", "x", "50,50,50"], ["vs: pass"]),
+            (HUGE_V0, ["check-class", "x", "50,50,50,50"],
+             ["vs: OBSTRUCTED (lambda = (1,1,1,197), j = 0, 38808 < 8000000000000)"]),
             (THIN_D, ["check-class", "d", "1000000000"], ["vs: pass"]),
             # V_0 .. V_255, then the suffix
             (HUGE_TAU, ["vs", "t"], [f"{(10**30 - 254) // 2}, ...] (V_s = 0 for s >= {10**30})"]),
         ],
         ids=["bound-x", "bound-t-vs", "check-class-t-1", "check-class-x-50",
-             "check-class-x-50-50", "check-class-d-1e9", "vs-t"],
+             "check-class-x-50-50", "check-class-x-50-50-50", "check-class-x-50-50-50-50",
+             "check-class-d-1e9", "vs-t"],
     )
     def test_vs_paths_finish(self, tmp_path, records, command, lines):
         db = tmp_path / "db.json"

@@ -412,33 +412,58 @@ class TestVsAgainstEnumeration:
 
 
 def class_cap(cls: HomologyClass) -> int:
-    """B = (a_1 + 2)^2 * k - n, the class's bound on the least cost of any d in [0, k]."""
-    return (cls.a[0] + 2) ** 2 * cls.norm - cls.n
+    """B = floor(F^2 * k) - n, the class's bound on the least cost of any d in [0, k].
+
+    F = 1 + a_1/a_n + a_n/a_1 = (a_1^2 + a_1*a_n + a_n^2) / (a_1*a_n).
+    """
+    hi, lo = cls.a[0], cls.a[-1]
+    return (hi * hi + hi * lo + lo * lo) ** 2 * cls.norm // (hi * lo) ** 2 - cls.n
+
+
+def least_costs(cls: HomologyClass) -> dict[int, int]:
+    """The least cost of each reachable d in [0, k], by brute force over prefixes.
+
+    Every reachable d is reached with |lambda_i| <= (a_1 + 2) * a_i, the
+    exchange argument's looser bound, so no least cost is missed.
+    """
+    least = {0: 0}  # dot product of a prefix -> least cost
+    for a_i in cls.a:
+        top = (cls.a[0] + 2) * a_i
+        step: dict[int, int] = {}
+        for dot, cost in least.items():
+            for lam in range(-top | 1, top + 1, 2):
+                d, c = dot + lam * a_i, cost + lam * lam - 1
+                if c < step.get(d, c + 1):
+                    step[d] = c
+        least = step
+    period = 2 * math.gcd(*cls.a)  # d is reachable iff d = sum(a) mod period
+    return {d: least[d] for d in range(sum(cls.a) % period, cls.norm + 1, period)}
 
 
 class TestVsShortcutAndCap:
     """The cost-0 shortcut and the class cap of the V_s DP against the enumeration."""
 
     def test_cap_bounds_least_cost_up_to_norm_14(self):
-        # every reachable d in [0, k] is reached with |lambda_i| <= (a_1 + 2) * a_i
         classes = 0
         for k in range(1, 15):
             for cls in enumerate_classes(k):
-                least = {0: 0}  # dot product of a prefix -> least cost
-                for a_i in cls.a:
-                    top = (cls.a[0] + 2) * a_i
-                    step: dict[int, int] = {}
-                    for dot, cost in least.items():
-                        for lam in range(-top | 1, top + 1, 2):
-                            d, c = dot + lam * a_i, cost + lam * lam - 1
-                            if c < step.get(d, c + 1):
-                                step[d] = c
-                    least = step
-                period = 2 * math.gcd(*cls.a)  # d is reachable iff d = sum(a) mod period
-                for d in range(sum(cls.a) % period, k + 1, period):
-                    assert least[d] <= class_cap(cls), (cls.a, d)
+                for d, cost in least_costs(cls).items():
+                    assert cost <= class_cap(cls), (cls.a, d)
                 classes += 1
         assert classes == 43
+
+    def test_cap_bounds_least_cost_without_unit_entries(self):
+        # with a_n >= 2, F < a_1 + 2, so each of these classes has a tighter cap
+        # than the bound the brute force searches within
+        classes = 0
+        for k in range(1, 61):
+            for cls in enumerate_classes(k):
+                if cls.a[-1] >= 2:
+                    assert class_cap(cls) < (cls.a[0] + 2) ** 2 * k - cls.n
+                    for d, cost in least_costs(cls).items():
+                        assert cost <= class_cap(cls), (cls.a, d)
+                    classes += 1
+        assert classes == 177
 
     def test_shortcut_builds_no_table(self, monkeypatch):
         def build(head, rest):
@@ -462,14 +487,14 @@ class TestVsShortcutAndCap:
                     assert vd.obstructed == reference_vs_obstruction(cls, v).obstructed
                     assert vd == reference_vs_obstruction(cls, v, cap), (cls.a, v)
                     capped += cap < 8 * v.v(0) - 1 and not v.v((k - sum(cls.a)) // 2)
-        assert capped == 281  # pairs that build tables under the lowered cap
+        assert capped == 344  # pairs that build tables under the lowered cap
 
     @pytest.mark.parametrize("shuffled", [False, True])
     def test_battery_shares_tables_over_steep_sequences(self, shuffled):
         # the class cap varies per class here, so a table kept in the battery's
         # dict serves a later class only under the cap it was built with: under
-        # V = (16,), the table of (2, 2) made for the class (2, 2), cap 126, would
-        # let (2, 2, 2), cap 127, complete on an unreached entry
+        # V = (16,), the table of (2,) made for the class (2, 2), cap 70, would
+        # let (2, 2, 2), cap 105, complete on an unreached entry
         classes = [cls for k in range(1, 13) for cls in iter_classes(k)]
         if shuffled:
             random.Random(11).shuffle(classes)
@@ -488,7 +513,7 @@ class TestVsShortcutAndCap:
             assert battery.tables, values
 
     def test_unreached_entries_never_complete(self):
-        # B = 16*12 - 3 = 189 < 8*V_0 - 1, and the suffix tables of (2, 2, 2) hold
+        # B = 9*12 - 3 = 105 < 8*V_0 - 1, and the suffix tables of (2, 2, 2) hold
         # unreached entries (cap + 1) between reachable d; odd lambda never reach
         # d = k = 12, so only a target lowered to cap + 1 keeps them from completing
         cls, v = HomologyClass((2, 2, 2)), VsSequence((40,))
@@ -498,10 +523,10 @@ class TestVsShortcutAndCap:
     @pytest.mark.parametrize(
         "a, v0, first, capped",
         [
-            # the first violator costs 21024, above B = 121 * 163 - 3 = 19720
+            # the first violator costs 21024, above B = 16661
             ((9, 9, 1), 3000, (1, 1, 145), (1, 3, 127)),
-            # the first violator costs 12768, just within B = 100 * 129 - 3 = 12897
-            ((8, 8, 1), 2000, (1, 1, 113), (1, 1, 113)),
+            # the first violator costs 12768, above B = 10738
+            ((8, 8, 1), 2000, (1, 1, 113), (1, 3, 97)),
         ],
     )
     def test_capped_witness_is_first_within_cap(self, a, v0, first, capped):

@@ -7,14 +7,15 @@ Usage, from the repository root:
 Each mutant names a file under ``src/``, a snippet that must occur there
 exactly once, its replacement, and the pytest node ids that must each fail
 once the replacement is made.  The gate first runs every named id on the
-unmutated tree; then, for each mutant, it copies ``src/``, ``tests/`` and
-``pyproject.toml`` to a temporary directory, applies the mutant there and
-runs its ids (``pyproject.toml`` puts the copied ``src/`` first on the
-import path).  It exits 1 if the unmutated ids fail, if a snippet does not
-occur exactly once (so a refactor must update its mutant and cannot drop
-it silently), or if pytest does not report each of a mutant's ids as
-failed under it (a parametrized id without its ``[param]`` suffix fails
-when any of its cases does).  The repository itself is never edited.
+unmutated tree; then, for each mutant, it copies ``src/``, ``tests/``,
+``pyproject.toml`` and ``bench/reference.json`` (the payload hashes a test
+reads) to a temporary directory, applies the mutant there and runs its ids
+(``pyproject.toml`` puts the copied ``src/`` first on the import path).
+It exits 1 if the unmutated ids fail, if a snippet does not occur exactly
+once (so a refactor must update its mutant and cannot drop it silently),
+or if pytest does not report each of a mutant's ids as failed under it
+(a parametrized id without its ``[param]`` suffix fails when any of its
+cases does).  The repository itself is never edited.
 Every change that adds a decider or a fast path adds its mutant.
 """
 
@@ -41,7 +42,9 @@ class Mutant(NamedTuple):
 
 
 OBS = "src/slicedeg/obstructions.py"
+ENGINE = "src/slicedeg/engine.py"
 T_OBS = "tests/test_obstructions.py::"
+T_MEMO = "tests/test_table_memo.py::"
 
 MUTANTS = (
     Mutant(
@@ -69,6 +72,7 @@ MUTANTS = (
         (
             T_OBS + "TestBetaAdjunction::test_two_survives_at_four",
             "tests/test_acceptance.py::test_c05_tables_reproduction",
+            "tests/test_reference_payloads.py::test_bundled_payloads_match_reference_hashes",
         ),
     ),
     Mutant(
@@ -130,6 +134,55 @@ MUTANTS = (
         "[c if c > m else m for c, m in zip(",
         (T_OBS + "TestVsAgainstEnumeration::test_every_class_up_to_norm_14",),
     ),
+    Mutant(
+        "vs-cap-drops-middle-term",
+        OBS,
+        "hi * hi + hi * lo + lo * lo",
+        "hi * hi + lo * lo",
+        (T_OBS + "TestVsShortcutAndCap::test_capped_witness_is_first_within_cap",),
+    ),
+    Mutant(
+        "memo-no-eviction",
+        ENGINE,
+        "searches.popitem(last=False)",
+        "pass",
+        (T_MEMO + "TestDatabaseMemo::test_keeps_the_latest_1024",),
+    ),
+    Mutant(
+        "memo-no-refresh",
+        ENGINE,
+        "searches.pop(key, None)",
+        "searches.get(key)",
+        (T_MEMO + "TestDatabaseMemo::test_keeps_the_latest_1024",),
+    ),
+    Mutant(
+        "memo-bypass",
+        ENGINE,
+        "search = searches.pop(key, None)",
+        "search = None",
+        (T_MEMO + "TestDatabaseMemo::test_repeat_runs_no_search",),
+    ),
+    Mutant(
+        "key-drops-upper",
+        ENGINE,
+        "key = (_search_key(record), upper, cfg)",
+        "key = (_search_key(record), cfg)",
+        (T_MEMO + "TestKey::test_other_upper_does_not_share",),
+    ),
+    Mutant(
+        "derived-forgets",
+        "src/slicedeg/knots.py",
+        "        return self._derived[compute]\n",
+        "        return compute(self)\n",
+        ("tests/test_upper_transfer.py::TestSharedClosure::test_chain_closes_once",),
+    ),
+    Mutant(
+        "thin-eq-lists",
+        "src/slicedeg/staircase.py",
+        "        if isinstance(other, _ThinVs):\n            return self.tau == other.tau\n",
+        "",
+        ("tests/test_staircase.py::TestVsThin::test_huge_tau_is_not_listed",),
+    ),
 )
 
 
@@ -151,6 +204,8 @@ def _copy_tree(dest: Path) -> None:
     for part in ("src", "tests"):
         shutil.copytree(ROOT / part, dest / part, ignore=ignore)
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    (dest / "bench").mkdir()
+    shutil.copy2(ROOT / "bench" / "reference.json", dest / "bench" / "reference.json")
 
 
 def run() -> int:
