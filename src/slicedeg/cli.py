@@ -10,7 +10,6 @@ and ``classes`` load a database without it.
 from __future__ import annotations
 
 import argparse
-import difflib
 import json
 import sys
 import warnings
@@ -158,6 +157,8 @@ def _reporting_cycles(args, fn, *fn_args):
 def _find_record(db: KnotDatabase, name: str) -> KnotRecord:
     record = db.get(name)
     if record is None:
+        import difflib  # only an unknown name needs it; kept off start-up
+
         near = difflib.get_close_matches(name, list(db.records), n=5)
         hint = f"; close matches: {', '.join(near)}" if near else ""
         raise DataError(f"unknown knot {name!r}{hint}")

@@ -14,6 +14,19 @@ for the disk.  Each level stops at its first survivor.  Levels up to
 decider (:meth:`ClassBattery.first_kill`), and the battery keeps each
 level's instanton killing energies and the search's V_s suffix tables.
 
+The walk starts at the adjunction floor.  Let beta_max be the largest
+adjunction bound the battery applies and least[k] the least sum(a) over
+the classes of norm k (a coin change over the squares,
+:func:`_least_sums`).  A class survives every adjunction bound iff
+beta_max <= k - sum(a), and k - sum(a) <= k - least[k], so every class of
+a level below the floor F, the first k with k - least[k] >= beta_max, is
+killed by an adjunction bound, which the battery runs first (F is
+computed once per process for each beta_max).  Such levels are certified
+without listing a class; their per-class certificates are
+listed, by the same adjunction code in the same order, only when the
+search's ``certificates`` are first read (``bound --json`` reads them, a
+table never does).
+
 ``upper_bound`` takes the minimum over the record's direct constructions
 (4 * positive clasp number, 4 * slicing number, explicit witnesses) and
 closes it under concordance and connected-sum transfer by a monotone
@@ -37,12 +50,14 @@ byte-identical serialized output.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings as _warnings
 from collections import OrderedDict
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from functools import cache, partial
 from operator import attrgetter
 from types import MappingProxyType
 from typing import NamedTuple
@@ -112,14 +127,60 @@ class LevelCertificate:
     classes: tuple[ClassCertificate, ...] = ()
 
 
-@dataclass(frozen=True)
 class LowerBoundSearch:
-    """Result of the ascending level search: (L, certificates) plus extras."""
+    """Result of the ascending level search: (L, certificates) plus extras.
 
-    level: int
-    exhausted: bool
-    surviving_class: HomologyClass | None
-    certificates: tuple[LevelCertificate, ...]
+    ``certificates`` is given as a tuple, or as a function that builds it:
+    :func:`lower_bound` defers the class listing of the levels below the
+    adjunction floor that way.  The function runs on the first read of
+    ``certificates`` and its tuple is kept, so later reads return the same
+    tuple.  It is deterministic, so two threads that race to the first
+    read build equal tuples.  Searches compare equal when their level,
+    exhaustion, surviving class and certificates do.
+    """
+
+    __slots__ = ("level", "exhausted", "surviving_class", "_certificates")
+
+    def __init__(
+        self,
+        level: int,
+        exhausted: bool,
+        surviving_class: HomologyClass | None,
+        certificates: tuple[LevelCertificate, ...] | Callable[[], tuple[LevelCertificate, ...]],
+    ) -> None:
+        self.level = level
+        self.exhausted = exhausted
+        self.surviving_class = surviving_class
+        self._certificates = certificates
+
+    @property
+    def certificates(self) -> tuple[LevelCertificate, ...]:
+        certificates = self._certificates
+        if callable(certificates):
+            certificates = self._certificates = certificates()
+        return certificates
+
+    def _fields(self) -> tuple:
+        return self.level, self.exhausted, self.surviving_class, self.certificates
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LowerBoundSearch):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        level, exhausted, survivor, certificates = self._fields()
+        return (f"LowerBoundSearch(level={level!r}, exhausted={exhausted!r}, "
+                f"surviving_class={survivor!r}, certificates={certificates!r})")
+
+
+def _check_interval(knot: str, lower: int, upper: int | None) -> None:
+    """Raise DatabaseError when the certified lower bound exceeds the upper bound."""
+    if upper is not None and lower > upper:
+        raise DatabaseError(
+            f"{knot}: certified lower bound {lower} exceeds upper bound "
+            f"{upper}; the record data is inconsistent"
+        )
 
 
 @dataclass(frozen=True)
@@ -135,11 +196,7 @@ class BoundReport:
     certificates: tuple[LevelCertificate, ...]
 
     def __post_init__(self) -> None:
-        if self.upper is not None and self.lower > self.upper:
-            raise DatabaseError(
-                f"{self.knot}: certified lower bound {self.lower} exceeds upper bound "
-                f"{self.upper}; the record data is inconsistent"
-            )
+        _check_interval(self.knot, self.lower, self.upper)
 
     @property
     def display(self) -> str:
@@ -217,10 +274,9 @@ class ClassBattery:
     def first_kill(self, cls: HomologyClass) -> tuple[str, Verdict] | None:
         """The rule and verdict of the first obstructing :meth:`verdicts` entry, or None."""
         record = self.record
-        rhs = cls.norm - sum(cls.a)
-        for rule, beta in self.betas:
-            if beta_kills(beta, rhs) and (verdict := beta_adjunction(cls, beta)).obstructed:
-                return rule, verdict
+        kill = _beta_kill(self.betas, cls)
+        if kill is not None:
+            return kill
         if self.gamma:
             k = cls.norm
             if k not in self.energies:
@@ -236,6 +292,36 @@ class ClassBattery:
             if verdict.obstructed:
                 return "vs", verdict
         return None
+
+
+def _beta_kill(betas: Sequence[tuple[str, int]], cls: HomologyClass) -> tuple[str, Verdict] | None:
+    """The first of ``betas`` (rule, beta) that kills the class, with its verdict, or None."""
+    rhs = cls.norm - sum(cls.a)
+    for rule, beta in betas:
+        if beta_kills(beta, rhs) and (verdict := beta_adjunction(cls, beta)).obstructed:
+            return rule, verdict
+    return None
+
+
+def _least_sums() -> Iterator[int]:
+    """least[k] for k = 0, 1, 2, ...: the least sum(a) over the classes of norm k.
+
+    A coin change over the squares: a norm-k class is a norm-(k - i^2) class
+    with an entry i added, so least[k] = min(least[k - i^2] + i) over
+    1 <= i <= sqrt(k).  Appending a 1 to a class keeps its margin k - sum(a),
+    so k - least[k] never falls.
+    """
+    least = [0]
+    yield 0
+    for k in itertools.count(1):
+        least.append(min(least[k - i * i] + i for i in range(1, math.isqrt(k) + 1)))
+        yield least[k]
+
+
+@cache
+def _adjunction_floor(beta_max: int) -> int:
+    """The first level k with k - least[k] >= beta_max (:func:`_least_sums`)."""
+    return next(k for k, least in enumerate(_least_sums()) if k - least >= beta_max)
 
 
 def _friend_coverage(record: KnotRecord, cfg: EngineConfig) -> tuple[int, Mapping | None]:
@@ -272,10 +358,15 @@ def lower_bound(record: KnotRecord, cfg: EngineConfig | None = None) -> LowerBou
 
     Level 0 is always decided by the full null-class check; levels below a
     firing friendship are covered by its certificate; any other level k is
-    obstructed only if every class of norm k is killed.  Classes are
+    obstructed only if every class of norm k is killed.  Levels below the
+    adjunction floor (see the module docstring) are obstructed by the
+    adjunction bounds alone, so the class walk starts at the floor, or past
+    the friend coverage when that is higher; the classes of the levels it
+    skips are listed only when ``certificates`` is first read.  Classes are
     checked one at a time and the search stops at the first survivor.  If
-    the cap is reached with everything obstructed, returns cap + 1 with
-    ``exhausted`` set.  Certificate witnesses are read-only mappings.
+    the cap is reached with everything obstructed, the floor above it
+    included, returns cap + 1 with ``exhausted`` set.  Certificate
+    witnesses are read-only mappings.
     """
     cfg = cfg or EngineConfig()
     battery = ClassBattery(record, cfg)
@@ -285,26 +376,56 @@ def lower_bound(record: KnotRecord, cfg: EngineConfig | None = None) -> LowerBou
         cap = direct_upper if direct_upper is not None else DEFAULT_MAX_K
 
     friend_cap, friend_witness = _friend_coverage(record, cfg)
-    certificates: list[LevelCertificate] = []
+    head = [LevelCertificate(k, "friend", witness=friend_witness)
+            for k in range(min(friend_cap, cap + 1))]
+    if friend_cap == 0:
+        vd = null_class_check(record, battery.v)
+        if not vd.obstructed:
+            return LowerBoundSearch(0, False, HomologyClass(()), ())
+        head.append(LevelCertificate(0, "null_class", witness=vd.witness))
 
-    for k in range(0, cap + 1):
-        if k < friend_cap:
-            certificates.append(LevelCertificate(k, "friend", witness=friend_witness))
-            continue
-        if k == 0:
-            vd = null_class_check(record, battery.v)
-            if vd.obstructed:
-                certificates.append(LevelCertificate(0, "null_class", witness=vd.witness))
-                continue
-            return LowerBoundSearch(0, False, HomologyClass(()), tuple(certificates))
+    beta_max = max((beta for _, beta in battery.betas), default=0)
+    floor = cap + 1  # a floor is at least its beta_max, so past the cap it is not computed
+    if beta_max <= cap:
+        floor = min(floor, _adjunction_floor(beta_max))
+    start = max(1, friend_cap)  # the first level the classes decide
+    walk = max(start, floor)  # levels start .. walk - 1 fall to the adjunction bounds
+    tail: list[LevelCertificate] = []  # the walked levels, complete when the search returns
+    certificates = partial(_adjunction_levels, battery.betas, range(start, walk), head, tail)
+    for k in range(walk, cap + 1):
         kills = []
         for cls in _level(k):
             kill = battery.first_kill(cls)
             if kill is None:
-                return LowerBoundSearch(k, False, cls, tuple(certificates))
+                return LowerBoundSearch(k, False, cls, certificates)
             kills.append(ClassCertificate(cls, *kill))
-        certificates.append(LevelCertificate(k, "classes", classes=tuple(kills)))
-    return LowerBoundSearch(cap + 1, True, None, tuple(certificates))
+        tail.append(LevelCertificate(k, "classes", classes=tuple(kills)))
+    return LowerBoundSearch(cap + 1, True, None, certificates)
+
+
+def _adjunction_levels(
+    betas: Sequence[tuple[str, int]],
+    levels: range,
+    head: list[LevelCertificate],
+    tail: list[LevelCertificate],
+) -> tuple[LevelCertificate, ...]:
+    """``head``, the per-class certificates of ``levels``, then ``tail``, as one tuple.
+
+    Every class of ``levels`` lies below the adjunction floor of ``betas``,
+    so its first kill is :func:`_beta_kill`'s; a class that no adjunction
+    bound kills would break the floor's lemma, and raises RuntimeError.
+    """
+    listed = []
+    for k in levels:
+        kills = []
+        for cls in _level(k):
+            kill = _beta_kill(betas, cls)
+            if kill is None:
+                raise RuntimeError(f"class {cls} of level {k}, below the adjunction floor, "
+                                   "survives every adjunction bound")
+            kills.append(ClassCertificate(cls, *kill))
+        listed.append(LevelCertificate(k, "classes", classes=tuple(kills)))
+    return (*head, *listed, *tail)
 
 
 # --- upper bounds -----------------------------------------------------------
@@ -460,20 +581,18 @@ def beta_table(betas: Sequence[int]) -> list[BetaTableRow]:
     order (descending tuples, lexicographically descending); beta <= 0
     gives level 0 and the empty class.  A class lets a beta through iff
     beta <= k - sum(a), so a beta's level is the first k with
-    k - least[k] >= beta, where least[k] = min(least[k - i^2] + i) is the
-    least sum(a) over norm k (coin change over the squares).  Appending a
-    1 keeps a margin, so k - least[k] never falls and one pass over k
-    serves every beta, ascending; only the deciding level is streamed.
+    k - least[k] >= beta (:func:`_least_sums`).  k - least[k] never falls,
+    so one pass over k serves every beta, ascending; only the deciding
+    level is streamed.
     """
     if not betas:
         raise ValueError("betas must be non-empty")
-    least = [0]  # least[k]: the least sum(a) over the classes of norm k
+    levels = enumerate(_least_sums())
+    k, least = next(levels)
     rows = {}
     for beta in sorted(set(betas)):
-        while len(least) - 1 - least[-1] < beta:
-            k = len(least)
-            least.append(min(least[k - i * i] + i for i in range(1, math.isqrt(k) + 1)))
-        k = len(least) - 1
+        while k - least < beta:
+            k, least = next(levels)
         witness = next(cls for cls in iter_classes(k) if k - sum(cls.a) >= beta)
         rows[beta] = BetaTableRow(beta, k, witness)
     return [rows[beta] for beta in betas]
@@ -510,19 +629,17 @@ def _searches(db: KnotDatabase) -> OrderedDict[tuple, LowerBoundSearch]:
     return OrderedDict()  # the database's search memo, read as db.derived(_searches)
 
 
-def _report(
+def _search(
     record: KnotRecord,
     upper: int | None,
-    upper_witness: str | None,
     cfg: EngineConfig,
     searches: OrderedDict[tuple, LowerBoundSearch] | None = None,
-) -> BoundReport:
-    """Lower-bound search capped at ``upper`` (unless cfg sets a cap), paired with it.
+) -> LowerBoundSearch:
+    """Lower-bound search capped at ``upper`` (unless cfg sets a cap).
 
     ``searches``, when given, keeps the latest 1024 successful searches by
     their inputs: the record's search fields, ``upper`` and ``cfg`` (equal
     at any ``parallelism``).  A failed search is not stored, so it fails again.
-    Raises DatabaseError when the certified lower bound exceeds ``upper``.
     """
     key = search = None
     if searches is not None:
@@ -536,6 +653,21 @@ def _report(
         searches[key] = search  # type: ignore[index]
         if len(searches) > 1024:  # type: ignore[arg-type]
             searches.popitem(last=False)  # type: ignore[union-attr]
+    return search
+
+
+def _report(
+    record: KnotRecord,
+    upper: int | None,
+    upper_witness: str | None,
+    cfg: EngineConfig,
+    searches: OrderedDict[tuple, LowerBoundSearch] | None = None,
+) -> BoundReport:
+    """:func:`_search`'s search paired with ``upper``, its certificates read.
+
+    Raises DatabaseError when the certified lower bound exceeds ``upper``.
+    """
+    search = _search(record, upper, cfg, searches)
     return BoundReport(
         knot=record.name,
         lower=search.level,
@@ -572,9 +704,11 @@ def report_table(db: KnotDatabase, cfg: EngineConfig | None = None) -> list[Tabl
     searches = db.derived(_searches)
     rows = []
     for record in db:
-        try:  # a TableRow has no witness, so none is formatted
-            report = _report(record, uppers[record.name][0], None, cfg, searches)
-            rows.append(TableRow(record.name, report.lower, report.upper, report.display))
+        try:  # a TableRow has no witness or certificates, so none is formatted or listed
+            upper = uppers[record.name][0]
+            lower = _search(record, upper, cfg, searches).level
+            _check_interval(record.name, lower, upper)
+            rows.append(TableRow(record.name, lower, upper, display_interval(lower, upper)))
         except (DatabaseError, OracleDisagreement) as exc:
             rows.append(TableRow(record.name, None, None, "error", error=str(exc)))
     return rows

@@ -1,10 +1,15 @@
 """Engine tests: lower/upper bounds, beta table, report assembly."""
 
+import gc
 import itertools
 import json
 import random
+import sys
+import threading
 import time
+import weakref
 from collections.abc import Mapping
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,6 +18,7 @@ from hypothesis import strategies as st
 
 from slicedeg import engine
 from slicedeg.engine import (
+    ALL_OBSTRUCTIONS,
     DEFAULT_MAX_K,
     BetaTableRow,
     ClassBattery,
@@ -332,6 +338,179 @@ class TestReferenceWalk:
         search = lower_bound(DEEP)
         assert search == reference_lower_bound(DEEP)
         assert (search.level, len(search.certificates)) == (68, 68)
+
+
+def floor_of(record: KnotRecord, cfg: EngineConfig) -> int:
+    """The adjunction floor by beta_table: the first level where a class passes every beta."""
+    betas = [beta for _, beta in ClassBattery(record, cfg).betas]
+    return beta_table([max(betas)])[0].min_k if betas else 0
+
+
+def search_fields(search: LowerBoundSearch) -> tuple:
+    return search.level, search.exhausted, search.surviving_class, search.certificates
+
+
+def synthetic(sigma, s0, tau, nu, friend, gamma) -> KnotRecord:
+    """A record with adjunction bounds s0, 2*tau and 2*nu (None: absent).
+
+    ``friend`` is the level of a firing friendship (None: none), so the
+    friend coverage is ``friend + 1``.
+    """
+    return KnotRecord(
+        "syn",
+        sigma,
+        s_invariants={} if s0 is None else {0: s0},
+        tau=tau,
+        vs_spec=VsSpec("unknown") if nu is None else VsSpec("explicit", tuple(range(nu, 0, -1))),
+        gamma=gamma,
+        friends=() if friend is None else (FriendshipRecord(friend, "f", friend + 1),),
+    )
+
+
+OBSTRUCTION_SUBSETS = [
+    frozenset(rules)
+    for size in range(5)
+    for rules in itertools.combinations(("s", "vs", "gamma", "friend"), size)
+]
+
+
+class TestAdjunctionFloor:
+    """The walk starts at the coin-change floor; the levels below it are listed on read."""
+
+    def test_least_is_the_least_sum_up_to_norm_120(self):
+        least = list(itertools.islice(engine._least_sums(), 121))
+        assert least == [min(sum(cls.a) for cls in iter_classes(k)) for k in range(121)]
+
+    def test_small_records_match_the_reference_walk(self):
+        # floors 0, 4, 8 and 13; friend coverage 3 and 13; caps 4 and 14
+        rule_sets = (ALL_OBSTRUCTIONS, frozenset({"s", "friend"}), frozenset({"vs"}),
+                     frozenset({"gamma", "vs", "friend"}))
+        for case in itertools.product((None, 0, 3, 8), (None, 2), (None, 1, 4), (None, 2, 12),
+                                      (4, 14), rule_sets):
+            *bounds, friend, cap, rules = case
+            record = synthetic(-2, *bounds, friend, {1: Fraction(3, 5)})
+            cfg = EngineConfig(max_k=cap, obstructions=rules)
+            assert search_fields(lower_bound(record, cfg)) == search_fields(
+                reference_lower_bound(record, cfg)), case
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        record=st.builds(
+            synthetic,
+            st.integers(-4, 0),
+            st.none() | st.integers(0, 16),
+            st.none() | st.integers(0, 8),
+            st.none() | st.integers(0, 8),
+            st.none() | st.integers(0, 30),
+            st.sampled_from([{}, {1: Fraction(3, 5)}, {0: Fraction(1, 2), 2: Fraction(5, 3)}]),
+        ),
+        cap=st.integers(0, 30),
+        rules=st.sampled_from(OBSTRUCTION_SUBSETS),
+        sweep=st.booleans(),
+    )
+    def test_random_records_match_the_reference_walk(self, record, cap, rules, sweep):
+        cfg = EngineConfig(max_k=cap, obstructions=rules, gamma_c_sweep=sweep)
+        assert search_fields(lower_bound(record, cfg)) == search_fields(
+            reference_lower_bound(record, cfg))
+
+    def test_cap_below_the_floor_lists_no_class(self, monkeypatch):
+        record = synthetic(0, 16, None, None, None, {})
+        cfg = EngineConfig(max_k=5)
+        assert floor_of(record, cfg) == 24
+        calls = []
+        monkeypatch.setattr(engine, "beta_adjunction", lambda cls, beta: calls.append(cls))
+        search = lower_bound(record, cfg)
+        assert (search.level, search.exhausted, search.surviving_class) == (6, True, None)
+        assert calls == []
+        monkeypatch.undo()
+        assert search == reference_lower_bound(record, cfg)
+
+    def test_equality_reads_the_listed_levels(self):
+        search, want = lower_bound(DEEP), reference_lower_bound(DEEP)
+        assert floor_of(DEEP, EngineConfig()) == 44
+        level5 = want.certificates[5]
+        tampered = (*want.certificates[:5], replace(level5, classes=level5.classes[1:]),
+                    *want.certificates[6:])
+        assert search == want
+        assert search != LowerBoundSearch(want.level, False, want.surviving_class, tampered)
+
+    def test_survivor_below_the_floor_raises(self, monkeypatch):
+        real = engine._adjunction_floor
+        monkeypatch.setattr(engine, "_adjunction_floor", lambda beta_max: real(beta_max) + 1)
+        search = lower_bound(DEEP)
+        with pytest.raises(RuntimeError, match="below the adjunction floor"):
+            search.certificates
+
+    def test_listing_keeps_no_battery(self, monkeypatch):
+        batteries = []
+        real = ClassBattery.__init__
+
+        def init(self, record, cfg):
+            real(self, record, cfg)
+            batteries.append(weakref.ref(self))
+
+        monkeypatch.setattr(ClassBattery, "__init__", init)
+        search = lower_bound(DEEP)
+        gc.collect()
+        assert len(batteries) == 1 and batteries[0]() is None
+        assert search.certificates == reference_lower_bound(DEEP).certificates
+
+    def test_racing_readers_build_equal_certificates(self):
+        want = reference_lower_bound(DEEP).certificates
+        search = lower_bound(DEEP)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: results.append(search.certificates))
+                       for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 4 and all(r == want for r in results)
+        assert search.certificates is search.certificates
+
+
+class TestTablesSkipTheFloor:
+    """A table lists no class of a level below a record's adjunction floor."""
+
+    @pytest.mark.parametrize("name", ["knots", "families"])
+    def test_no_decider_below_the_floor(self, monkeypatch, name):
+        db = load_knot_db(bundled_database_path(name))
+        calls = []  # (record searched, norm of the class decided)
+        current = [None]
+        real_lower_bound = engine.lower_bound
+
+        def searching(record, cfg=None):
+            current[0] = record
+            try:
+                return real_lower_bound(record, cfg)
+            finally:
+                current[0] = None
+
+        def deciding(decider):
+            def decide(cls, *args):
+                calls.append((current[0], cls.norm))
+                return decider(cls, *args)
+            return decide
+
+        monkeypatch.setattr(engine, "lower_bound", searching)
+        for decider in ("beta_adjunction", "gamma_general", "vs_obstruction"):
+            monkeypatch.setattr(engine, decider, deciding(getattr(engine, decider)))
+        rows = report_table(db)
+        assert all(row.error is None for row in rows)
+        floors = {id(r): floor_of(r, EngineConfig()) for r in db}
+        skipped = [r for r in db if floors[id(r)] > max(1, _friend_coverage(r, EngineConfig())[0])]
+        assert len(skipped) == {"knots": 59, "families": 7}[name]  # not vacuous
+        assert calls and all(record is not None for record, _ in calls)
+        assert all(norm >= floors[id(record)] for record, norm in calls)
+        del calls[:]
+        assert bound_report(skipped[0], db).certificates  # read: the listing runs now
+        assert any(norm < floors[id(skipped[0])] for _, norm in calls)
 
 
 def reference_first_killing_c(cls: HomologyClass, sigma: int, gamma) -> tuple[int, ...] | None:

@@ -45,6 +45,7 @@ OBS = "src/slicedeg/obstructions.py"
 ENGINE = "src/slicedeg/engine.py"
 T_OBS = "tests/test_obstructions.py::"
 T_MEMO = "tests/test_table_memo.py::"
+T_FLOOR = "tests/test_engine.py::TestAdjunctionFloor::"
 
 MUTANTS = (
     Mutant(
@@ -140,6 +141,28 @@ MUTANTS = (
         "hi * hi + hi * lo + lo * lo",
         "hi * hi + lo * lo",
         (T_OBS + "TestVsShortcutAndCap::test_capped_witness_is_first_within_cap",),
+    ),
+    Mutant(
+        "floor-late",
+        ENGINE,
+        "walk = max(start, floor)",
+        "walk = max(start, floor + 1)",
+        (
+            T_FLOOR + "test_small_records_match_the_reference_walk",
+            T_FLOOR + "test_random_records_match_the_reference_walk",
+            "tests/test_engine.py::TestReferenceWalk::test_bundled_databases",
+        ),
+    ),
+    Mutant(
+        "least-off-by-one",
+        ENGINE,
+        "least[k - i * i] + i",
+        "least[k - i * i] + i + 1",
+        (
+            T_FLOOR + "test_least_is_the_least_sum_up_to_norm_120",
+            T_FLOOR + "test_small_records_match_the_reference_walk",
+            "tests/test_engine.py::TestBetaTable::test_dp_matches_reference_walk",
+        ),
     ),
     Mutant(
         "memo-no-eviction",
