@@ -24,8 +24,8 @@ killed by an adjunction bound, which the battery runs first (F is
 computed once per process for each beta_max).  Such levels are certified
 without listing a class; their per-class certificates are
 listed, by the same adjunction code in the same order, only when the
-search's ``certificates`` are first read (``bound --json`` reads them, a
-table never does).
+search's ``certificates`` are first read (``bound --json`` reads them; a
+table, and ``bound`` without ``--json``, never do).
 
 ``upper_bound`` takes the minimum over the record's direct constructions
 (4 * positive clasp number, 4 * slicing number, explicit witnesses) and
@@ -55,13 +55,13 @@ import math
 import warnings as _warnings
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cache, partial
 from operator import attrgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
+from . import _Frozen
 from .knots import INT_KEYED_FIELDS, DatabaseError, KnotDatabase, KnotRecord, format_rational
 # enumerate_classes stays importable here because bench/tracing.py wraps it at this module.
 from .lattice import HomologyClass, enumerate_classes, iter_classes  # noqa: F401
@@ -87,8 +87,7 @@ class CyclicRelationWarning(UserWarning):
     """Concordance / connected-sum references form a cycle."""
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(_Frozen):
     """Search cap, enabled obstruction set, gamma c-sweep, parallelism degree.
 
     ``max_k = None`` means: cap at the record's upper bound when one is
@@ -97,30 +96,28 @@ class EngineConfig:
     so it takes no part in equality or hash.
     """
 
-    max_k: int | None = None
-    obstructions: frozenset[str] = ALL_OBSTRUCTIONS
-    gamma_c_sweep: bool = False
-    parallelism: int = field(default=1, compare=False)
+    __slots__ = _fields = ("max_k", "obstructions", "gamma_c_sweep", "parallelism")
+    _key = property(attrgetter("max_k", "obstructions", "gamma_c_sweep"))
 
-    def __post_init__(self) -> None:
-        if self.max_k is not None and self.max_k < 0:
+    def __init__(self, max_k: int | None = None, obstructions: frozenset[str] = ALL_OBSTRUCTIONS,
+                 gamma_c_sweep: bool = False, parallelism: int = 1) -> None:
+        if max_k is not None and max_k < 0:
             raise ValueError("max_k must be non-negative")
-        unknown = set(self.obstructions) - ALL_OBSTRUCTIONS
+        unknown = set(obstructions) - ALL_OBSTRUCTIONS
         if unknown:
             raise ValueError(f"unknown obstructions: {', '.join(sorted(unknown))}")
-        if self.parallelism < 1:
+        if parallelism < 1:
             raise ValueError("parallelism must be at least 1")
+        self._set(max_k, obstructions, gamma_c_sweep, parallelism)
 
 
-@dataclass(frozen=True)
-class ClassCertificate:
+class ClassCertificate(NamedTuple):
     cls: HomologyClass
     rule: str
     verdict: Verdict
 
 
-@dataclass(frozen=True)
-class LevelCertificate:
+class LevelCertificate(NamedTuple):
     level: int
     kind: str  # "null_class" | "friend" | "classes"
     witness: Mapping[str, object] | None = None
@@ -183,20 +180,29 @@ def _check_interval(knot: str, lower: int, upper: int | None) -> None:
         )
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Certified interval for one knot."""
+class BoundReport(_Frozen):
+    """Certified interval for one knot.
 
-    knot: str
-    lower: int
-    lower_exhausted: bool
-    upper: int | None
-    upper_witness: str | None
-    surviving_class: HomologyClass | None
-    certificates: tuple[LevelCertificate, ...]
+    ``certificates``, a tuple or, as for :class:`LowerBoundSearch`, a function
+    that builds it, is read on first access, so a report whose certificates
+    are never read (``slicedeg bound`` without ``--json``) never lists them.
+    """
 
-    def __post_init__(self) -> None:
-        _check_interval(self.knot, self.lower, self.upper)
+    __slots__ = ("knot", "lower", "lower_exhausted", "upper", "upper_witness",
+                 "surviving_class", "_certificates")
+    _fields = (*__slots__[:-1], "certificates")
+
+    def __init__(self, knot: str, lower: int, lower_exhausted: bool, upper: int | None,
+                 upper_witness: str | None, surviving_class: HomologyClass | None,
+                 certificates: tuple[LevelCertificate, ...] | Callable[[], tuple]) -> None:
+        _check_interval(knot, lower, upper)
+        self._set(knot, lower, lower_exhausted, upper, upper_witness, surviving_class, certificates)
+
+    @property
+    def certificates(self) -> tuple[LevelCertificate, ...]:
+        if callable(self._certificates):
+            object.__setattr__(self, "_certificates", self._certificates())
+        return self._certificates
 
     @property
     def display(self) -> str:
@@ -567,8 +573,7 @@ def upper_bound(record: KnotRecord, db: KnotDatabase | None = None) -> tuple[int
 # --- tables -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BetaTableRow:
+class BetaTableRow(NamedTuple):
     beta: int
     min_k: int
     witness: HomologyClass
@@ -598,8 +603,7 @@ def beta_table(betas: Sequence[int]) -> list[BetaTableRow]:
     return [rows[beta] for beta in betas]
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     name: str
     lower: int | None
     upper: int | None
@@ -614,7 +618,7 @@ _UPPER_ONLY_FIELDS = frozenset(
     {"name", "clasp_plus", "slicing_number", "upper_witnesses", "concordant_to", "connected_sum_of"}
 )
 # Int-keyed map fields hold unhashable dicts; the key holds their sorted items.
-_SEARCH_FIELDS = [f.name for f in fields(KnotRecord) if f.name not in _UPPER_ONLY_FIELDS]
+_SEARCH_FIELDS = [f for f in KnotRecord._fields if f not in _UPPER_ONLY_FIELDS]
 _search_values = attrgetter(*(f for f in _SEARCH_FIELDS if f not in INT_KEYED_FIELDS))
 _SEARCH_MAPPINGS = [f for f in _SEARCH_FIELDS if f in INT_KEYED_FIELDS]
 
@@ -647,7 +651,8 @@ def _search(
         search = searches.pop(key, None)  # put back last, as most recently used
     if search is None:
         if cfg.max_k is None:
-            cfg = replace(cfg, max_k=upper if upper is not None else DEFAULT_MAX_K)
+            max_k = upper if upper is not None else DEFAULT_MAX_K
+            cfg = EngineConfig(max_k, cfg.obstructions, cfg.gamma_c_sweep, cfg.parallelism)
         search = lower_bound(record, cfg)
     if searches is not None:
         searches[key] = search  # type: ignore[index]
@@ -663,7 +668,7 @@ def _report(
     cfg: EngineConfig,
     searches: OrderedDict[tuple, LowerBoundSearch] | None = None,
 ) -> BoundReport:
-    """:func:`_search`'s search paired with ``upper``, its certificates read.
+    """:func:`_search`'s search paired with ``upper``, its certificates read when the report's are.
 
     Raises DatabaseError when the certified lower bound exceeds ``upper``.
     """
@@ -675,7 +680,7 @@ def _report(
         upper=upper,
         upper_witness=upper_witness,
         surviving_class=search.surviving_class,
-        certificates=search.certificates,
+        certificates=lambda: search.certificates,
     )
 
 
@@ -750,13 +755,14 @@ def report_to_jsonable(report: BoundReport) -> dict:
                 for c in cert.classes
             ]
         certs.append(entry)
+    survivor = report.surviving_class
     return {
         "name": report.knot,
         "lower": report.lower,
         "lower_exhausted": report.lower_exhausted,
         "upper": report.upper,
         "upper_witness": report.upper_witness,
-        "surviving_class": list(report.surviving_class.a) if report.surviving_class else None,
+        "surviving_class": list(survivor.a) if survivor is not None else None,
         "interval": report.display,
         "certificates": certs,
     }

@@ -22,12 +22,12 @@ search) depends only on the records and the query, whichever read made it.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple, TypeVar
 
+from . import _Frozen
 from .staircase import NotLSpaceForm, VsSequence, check_alexander, staircase_from_alexander
 
 _T = TypeVar("_T")
@@ -38,22 +38,20 @@ class DatabaseError(ValueError):
     """Fatal problem in a knot database document (syntax or invariant)."""
 
 
-@dataclass(frozen=True)
-class VsSpec:
+class VsSpec(_Frozen):
     """Tagged source of a record's V_s sequence."""
 
-    kind: str
-    values: tuple[int, ...] = ()
+    __slots__ = _fields = ("kind", "values")
 
-    def __post_init__(self) -> None:
-        if self.kind not in _VS_KINDS:
-            raise ValueError(f"unknown vs_spec type {self.kind!r}")
-        if self.values and self.kind != "explicit":
+    def __init__(self, kind: str, values: tuple[int, ...] = ()) -> None:
+        if kind not in _VS_KINDS:
+            raise ValueError(f"unknown vs_spec type {kind!r}")
+        if values and kind != "explicit":
             raise ValueError("vs_spec values are only meaningful for type 'explicit'")
+        self._set(kind, values)
 
 
-@dataclass(frozen=True)
-class FriendshipRecord:
+class FriendshipRecord(NamedTuple):
     """A knot sharing the k-surgery, with the s-invariant of the friend."""
 
     k: int
@@ -61,46 +59,61 @@ class FriendshipRecord:
     friend_s: int
 
 
-@dataclass(frozen=True)
-class UpperWitness:
+class UpperWitness(NamedTuple):
     """A known slice disk of norm k, with a human-readable construction note."""
 
     k: int
     description: str
 
 
-@dataclass(frozen=True)
-class KnotRecord:
+class _KnotFields(NamedTuple):
+    """The fields of :class:`KnotRecord`, in order, with their defaults."""
+
     name: str
     signature: int
-    s_invariants: Mapping[int, int] = field(default_factory=dict)
+    s_invariants: Mapping[int, int] = {}
     tau: int | None = None
     vs_spec: VsSpec = VsSpec("unknown")
     alexander: tuple[int, ...] | None = None
     clasp_plus: int | None = None
     slicing_number: int | None = None
-    gamma: Mapping[int, Fraction] = field(default_factory=dict)
+    gamma: Mapping[int, Fraction] = {}
     friends: tuple[FriendshipRecord, ...] = ()
     upper_witnesses: tuple[UpperWitness, ...] = ()
     concordant_to: str | None = None
     connected_sum_of: tuple[str, ...] | None = None
 
 
-@dataclass(frozen=True)
-class KnotDatabase:
+class KnotRecord(_KnotFields):
+    """One knot's invariants, a NamedTuple: derive a changed record with ``_replace``.
+
+    An int-keyed map left out gets an empty dict of its own, so no two
+    records share one mutable default.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "KnotRecord":
+        for f in ("s_invariants", "gamma"):
+            if cls._fields.index(f) >= len(args):
+                kwargs.setdefault(f, {})
+        return super().__new__(cls, *args, **kwargs)
+
+
+class KnotDatabase(_Frozen):
     """Loaded records keyed by name, plus non-fatal load diagnostics.
 
     ``records`` is kept as a read-only copy of the mapping given, so a value
     derived from it once stays valid: :meth:`derived` keeps such values, the
     engine's upper-bound closure and its lower-bound searches among them.
+    They take no part in equality or repr.
     """
 
-    records: Mapping[str, KnotRecord]
-    warnings: tuple[str, ...] = ()
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("records", "warnings", "_derived")
+    _fields = ("records", "warnings")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "records", MappingProxyType(dict(self.records)))
+    def __init__(self, records: Mapping[str, KnotRecord], warnings: tuple[str, ...] = ()) -> None:
+        self._set(MappingProxyType(dict(records)), warnings, {})
 
     def derived(self, compute: Callable[["KnotDatabase"], _T]) -> _T:
         """``compute(self)``, computed by the first call for ``compute`` and kept."""
@@ -118,8 +131,7 @@ class KnotDatabase:
         return self.records.get(name)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" | "warning"
     field: str
     message: str
@@ -465,10 +477,8 @@ def serialize_knot_db(db: KnotDatabase) -> str:
 
     Fields are written in declaration order; one that holds its default is left out.
     """
-    spec = []
-    for f in fields(KnotRecord):
-        default = f.default if f.default_factory is MISSING else f.default_factory()
-        spec.append((f.name, _CODECS[f.name].encode, default))
+    defaults = KnotRecord._field_defaults
+    spec = [(f, _CODECS[f].encode, defaults.get(f, _ABSENT)) for f in KnotRecord._fields]
     out = [
         {name: enc(v) for name, enc, default in spec if (v := getattr(record, name)) != default}
         for record in db

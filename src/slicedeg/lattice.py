@@ -21,34 +21,35 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+from . import _Frozen
 
-@dataclass(frozen=True)
-class HomologyClass:
+
+class HomologyClass(_Frozen):
     """A normalized disk homology class: positive entries, sorted descending.
 
     The empty class (n = 0) is the null-homologous disk with k = 0.  The
     stored norm k = sum(a_i^2) takes no part in equality, hash or repr.
     """
 
-    a: tuple[int, ...]
-    norm: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("a", "norm")
+    _fields = ("a",)
 
-    def __post_init__(self) -> None:
-        if any(not isinstance(x, int) or x < 1 for x in self.a):
-            raise ValueError(f"class entries must be positive integers: {self.a}")
-        if any(self.a[i] < self.a[i + 1] for i in range(len(self.a) - 1)):
-            raise ValueError(f"class entries must be sorted descending: {self.a}")
-        object.__setattr__(self, "norm", sum(x * x for x in self.a))
+    def __init__(self, a: tuple[int, ...]) -> None:
+        if any(not isinstance(x, int) or x < 1 for x in a):
+            raise ValueError(f"class entries must be positive integers: {a}")
+        if any(a[i] < a[i + 1] for i in range(len(a) - 1)):
+            raise ValueError(f"class entries must be sorted descending: {a}")
+        self._set(a, sum(x * x for x in a))
 
     @classmethod
     def _trusted(cls, a: tuple[int, ...], norm: int) -> "HomologyClass":
         """A class its caller built valid, with its norm, skipping the two scans."""
         obj = object.__new__(cls)
-        obj.__dict__.update(a=a, norm=norm)
+        object.__setattr__(obj, "a", a)
+        object.__setattr__(obj, "norm", norm)
         return obj
 
     @classmethod
@@ -64,29 +65,30 @@ class HomologyClass:
         return "(" + ",".join(str(x) for x in self.a) + ")"
 
 
-@dataclass(frozen=True)
-class OddVector:
+class OddVector(_Frozen):
     """A vector of odd integers paired with a homology class of equal length."""
 
-    values: tuple[int, ...]
+    __slots__ = _fields = ("values",)
 
-    def __post_init__(self) -> None:
-        if any(v % 2 == 0 for v in self.values):
-            raise ValueError(f"entries must be odd: {self.values}")
+    def __init__(self, values: tuple[int, ...]) -> None:
+        if any(v % 2 == 0 for v in values):
+            raise ValueError(f"entries must be odd: {values}")
+        self._set(values)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(v) for v in self.values) + ")"
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(_Frozen):
     """Integer Laurent polynomial in T, stored as exponent -> coefficient."""
 
-    coeffs: dict[int, int] = field(default_factory=dict)
+    __slots__ = _fields = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if any(c == 0 for c in self.coeffs.values()):
+    def __init__(self, coeffs: dict[int, int] | None = None) -> None:
+        coeffs = {} if coeffs is None else coeffs
+        if any(c == 0 for c in coeffs.values()):
             raise ValueError("zero coefficients must not be stored")
+        self._set(coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+from . import _Frozen
 from .lattice import HomologyClass, eta, kappa16
 
 # The reference enumeration of vs_obstruction's domain, and kappa_min with
@@ -30,23 +30,25 @@ if TYPE_CHECKING:  # pragma: no cover
     from .knots import KnotRecord
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Frozen):
     """Outcome of one obstruction check.
 
     ``witness``, kept as a read-only view, is present exactly when the check
     obstructs; ``note`` records an oddity, e.g. a non-integral index.
     """
 
-    obstructed: bool
-    witness: Mapping[str, object] | None = None
-    note: str | None = None
+    __slots__ = _fields = ("obstructed", "witness", "note")
 
-    def __post_init__(self) -> None:
-        if self.witness is not None:
-            object.__setattr__(self, "witness", MappingProxyType(self.witness))
-        elif self.obstructed:
+    def __init__(
+        self, obstructed: bool, witness: Mapping[str, object] | None = None, note: str | None = None
+    ) -> None:
+        if witness is not None:
+            witness = MappingProxyType(witness)
+        elif obstructed:
             raise ValueError("an obstructing verdict must carry a witness")
+        object.__setattr__(self, "obstructed", obstructed)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "note", note)
 
 
 PASS = Verdict(False)
@@ -80,8 +82,7 @@ def stau_bound(s_p: int) -> int:
     return s_p + t + (t * t - t < s_p)
 
 
-@dataclass(frozen=True)
-class _SuffixTable:
+class _SuffixTable(_Frozen):
     """Least cost sum(lambda_i^2 - 1) of odd lambda on a suffix of a class, per dot product.
 
     ``costs[i]`` is the least cost reaching d = lo + 2i (every d has the
@@ -89,9 +90,10 @@ class _SuffixTable:
     ``cap`` reaches d.  The empty suffix's table is ``_SuffixTable(cap, 0, (0,))``.
     """
 
-    cap: int
-    lo: int
-    costs: tuple[int, ...]
+    __slots__ = _fields = ("cap", "lo", "costs")
+
+    def __init__(self, cap: int, lo: int, costs: tuple[int, ...]) -> None:
+        self._set(cap, lo, costs)
 
 
 def _build(head: int, rest: _SuffixTable) -> _SuffixTable:

@@ -21,9 +21,10 @@ surfaced as ``OracleDisagreement``, never resolved silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Sequence
+
+from . import _Frozen
 
 if TYPE_CHECKING:  # pragma: no cover
     from .knots import KnotRecord
@@ -45,8 +46,7 @@ class WindowTooSmall(RuntimeError):
     """The translate window provably truncates a needed staircase copy."""
 
 
-@dataclass(frozen=True)
-class VsSequence:
+class VsSequence(_Frozen):
     """Non-increasing, eventually-zero sequence of non-negative integers.
 
     Only the positive prefix is stored; ``v(s)`` returns 0 past it.  The
@@ -54,14 +54,14 @@ class VsSequence:
     sequence answers from its formula (:func:`vs_thin`).
     """
 
-    values: tuple[int, ...]
+    __slots__ = _fields = ("values",)
 
-    def __post_init__(self) -> None:
-        vals = self.values
-        if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
-            raise ValueError(f"V_s must be non-increasing: {list(vals)}")
-        if any(not isinstance(x, int) or x <= 0 for x in vals):
-            raise ValueError(f"stored prefix must be positive integers: {vals}")
+    def __init__(self, values: tuple[int, ...]) -> None:
+        if any(values[i] < values[i + 1] for i in range(len(values) - 1)):
+            raise ValueError(f"V_s must be non-increasing: {list(values)}")
+        if any(not isinstance(x, int) or x <= 0 for x in values):
+            raise ValueError(f"stored prefix must be positive integers: {values}")
+        self._set(values)
 
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "VsSequence":
@@ -116,8 +116,10 @@ class _ThinVs(VsSequence):
     of them.
     """
 
+    __slots__ = _fields = ("tau",)
+
     def __init__(self, tau: int) -> None:
-        object.__setattr__(self, "tau", tau)
+        self._set(tau)
 
     @property
     def values(self) -> tuple[int, ...]:  # type: ignore[override]
@@ -146,8 +148,7 @@ class _ThinVs(VsSequence):
         return f"vs_thin({self.tau})"
 
 
-@dataclass(frozen=True)
-class Staircase:
+class Staircase(_Frozen):
     """Staircase data of an L-space-type Alexander polynomial.
 
     ``n`` lists the positive support exponents n_1 < ... < n_m.  The full
@@ -156,15 +157,14 @@ class Staircase:
     sum n_m - n_{m-1} + ... +- n_1.
     """
 
-    n: tuple[int, ...]
+    __slots__ = _fields = ("n",)
 
-    def __post_init__(self) -> None:
-        if not self.n:
+    def __init__(self, n: tuple[int, ...]) -> None:
+        if not n:
             raise ValueError("staircase needs at least one positive exponent")
-        if any(x < 1 for x in self.n) or any(
-            self.n[i] >= self.n[i + 1] for i in range(len(self.n) - 1)
-        ):
-            raise ValueError(f"exponents must be strictly increasing positives: {self.n}")
+        if any(x < 1 for x in n) or any(n[i] >= n[i + 1] for i in range(len(n) - 1)):
+            raise ValueError(f"exponents must be strictly increasing positives: {n}")
+        self._set(n)
 
     @property
     def m(self) -> int:

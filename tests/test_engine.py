@@ -9,14 +9,13 @@ import threading
 import time
 import weakref
 from collections.abc import Mapping
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slicedeg import engine
+from slicedeg import cli, engine
 from slicedeg.engine import (
     ALL_OBSTRUCTIONS,
     DEFAULT_MAX_K,
@@ -429,7 +428,7 @@ class TestAdjunctionFloor:
         search, want = lower_bound(DEEP), reference_lower_bound(DEEP)
         assert floor_of(DEEP, EngineConfig()) == 44
         level5 = want.certificates[5]
-        tampered = (*want.certificates[:5], replace(level5, classes=level5.classes[1:]),
+        tampered = (*want.certificates[:5], level5._replace(classes=level5.classes[1:]),
                     *want.certificates[6:])
         assert search == want
         assert search != LowerBoundSearch(want.level, False, want.surviving_class, tampered)
@@ -476,12 +475,12 @@ class TestAdjunctionFloor:
 
 
 class TestTablesSkipTheFloor:
-    """A table lists no class of a level below a record's adjunction floor."""
+    """A table, or `bound` without --json, lists no class below a record's adjunction floor."""
 
-    @pytest.mark.parametrize("name", ["knots", "families"])
-    def test_no_decider_below_the_floor(self, monkeypatch, name):
-        db = load_knot_db(bundled_database_path(name))
-        calls = []  # (record searched, norm of the class decided)
+    @staticmethod
+    def spy_deciders(monkeypatch) -> list:
+        """(record searched, norm of the class decided) for each later call of a class decider."""
+        calls = []
         current = [None]
         real_lower_bound = engine.lower_bound
 
@@ -501,6 +500,12 @@ class TestTablesSkipTheFloor:
         monkeypatch.setattr(engine, "lower_bound", searching)
         for decider in ("beta_adjunction", "gamma_general", "vs_obstruction"):
             monkeypatch.setattr(engine, decider, deciding(getattr(engine, decider)))
+        return calls
+
+    @pytest.mark.parametrize("name", ["knots", "families"])
+    def test_no_decider_below_the_floor(self, monkeypatch, name):
+        db = load_knot_db(bundled_database_path(name))
+        calls = self.spy_deciders(monkeypatch)
         rows = report_table(db)
         assert all(row.error is None for row in rows)
         floors = {id(r): floor_of(r, EngineConfig()) for r in db}
@@ -511,6 +516,22 @@ class TestTablesSkipTheFloor:
         del calls[:]
         assert bound_report(skipped[0], db).certificates  # read: the listing runs now
         assert any(norm < floors[id(skipped[0])] for _, norm in calls)
+
+    @pytest.mark.parametrize("name", ["knots", "families"])
+    def test_bound_text_lists_no_level_below_the_floor(self, monkeypatch, capsys, name):
+        path = str(bundled_database_path(name))
+        db = load_knot_db(path)
+        floors = {r.name: floor_of(r, EngineConfig()) for r in db}
+        calls = self.spy_deciders(monkeypatch)
+        for record in db:
+            assert cli.main(["bound", record.name, "--db", path]) == 0
+        assert calls and all(norm >= floors[record.name] for record, norm in calls)
+        del calls[:]
+        start = {r.name: max(1, _friend_coverage(r, EngineConfig())[0]) for r in db}
+        skipped = next(r for r in db if floors[r.name] > start[r.name])
+        assert cli.main(["bound", skipped.name, "--json", "--db", path]) == 0  # prints them
+        assert any(norm < floors[skipped.name] for _, norm in calls)
+        capsys.readouterr()
 
 
 def reference_first_killing_c(cls: HomologyClass, sigma: int, gamma) -> tuple[int, ...] | None:
@@ -861,7 +882,7 @@ class TestReportTable:
         assert by_name["bad"].error is not None
 
     def test_programming_error_propagates(self, monkeypatch):
-        from slicedeg import engine
+        from slicedeg import cli, engine
 
         def broken(record, cfg=None):
             raise TypeError("bug in the search")
@@ -872,7 +893,7 @@ class TestReportTable:
 
     def test_value_error_in_the_search_propagates(self, monkeypatch):
         # only data faults (DatabaseError, OracleDisagreement) become error rows
-        from slicedeg import engine
+        from slicedeg import cli, engine
 
         def broken(record, cfg=None):
             raise ValueError("bug in the search")

@@ -120,3 +120,21 @@ def test_cli_calls_engine_names_through_its_module(monkeypatch, capsys):
     assert len(calls) == 1 and json.loads(capsys.readouterr().out)["name"] == "3_1"
     with pytest.raises(AttributeError, match="no_such_name"):
         cli.no_such_name
+
+
+def test_processes_import_no_dataclasses():
+    # dataclasses imports inspect, ast, dis and tokenize: about 10 ms of every process's start-up.
+    loaded = fresh(
+        "import contextlib, io, json, sys\n"
+        "import slicedeg\n"
+        "slicedeg.load_knot_db(slicedeg.bundled_database_path('knots'))\n"
+        "slicedeg.load_knot_db(slicedeg.bundled_database_path('families'))\n"
+        "unwanted = {'dataclasses', 'inspect'}\n"
+        "after_load = sorted(unwanted & set(sys.modules))\n"
+        "from slicedeg.cli import main\n"
+        "db = str(slicedeg.bundled_database_path())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['bound', '3_1', '--json', '--db', db])\n"
+        "print(json.dumps([after_load, code, sorted(unwanted & set(sys.modules))]))\n"
+    )
+    assert loaded == [[], 0, []]

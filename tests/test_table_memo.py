@@ -12,7 +12,6 @@ them without sharing mutable witnesses or payloads.
 import copy
 import json
 import warnings
-from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -94,8 +93,8 @@ def chain(head, links):
     """``head`` and ``links`` records concordant to it in turn, each repeating its search fields."""
     records = [head]
     for i in range(1, links + 1):
-        records.append(replace(
-            head, name=f"{head.name}-link{i}", clasp_plus=None, slicing_number=None,
+        records.append(head._replace(
+            name=f"{head.name}-link{i}", clasp_plus=None, slicing_number=None,
             upper_witnesses=(), concordant_to=records[-1].name, connected_sum_of=None,
         ))
     return db_of(*records)
@@ -116,7 +115,7 @@ def searches(monkeypatch):
 
 
 def test_projection_covers_every_record_field():
-    assert set(SEARCH_FIELDS) | set(UPPER_ONLY) == {f.name for f in fields(KnotRecord)}
+    assert set(SEARCH_FIELDS) | set(UPPER_ONLY) == set(KnotRecord._fields)
 
 
 # Search inputs of bundled records with different lower bounds (0 to 9; friends,
@@ -135,7 +134,7 @@ def profiled(draw, records):
     out = []
     for record in records:
         profile = draw(st.sampled_from(PROFILES))
-        out.append(replace(record, **{f: getattr(profile, f) for f in SEARCH_FIELDS}))
+        out.append(record._replace(**{f: getattr(profile, f) for f in SEARCH_FIELDS}))
     return db_of(*out)
 
 
@@ -176,8 +175,8 @@ class TestKey:
         ("friends", (FriendshipRecord(1, "K_G", 2),)),
     ])
     def test_one_search_field_apart_do_not_share(self, searches, field, value):
-        a = replace(TREFOIL, name="a")
-        b = replace(a, name="b", **{field: value})
+        a = TREFOIL._replace(name="a")
+        b = a._replace(name="b", **{field: value})
         assert getattr(b, field) != getattr(a, field)
         db = db_of(a, b)
         assert table(db) == reference_table(db)
@@ -185,15 +184,15 @@ class TestKey:
 
     def test_upper_only_fields_apart_share(self, searches):
         db = db_of(
-            replace(TREFOIL, name="a", s_invariants={2: 2, 0: 2}),
-            replace(TREFOIL, name="b", s_invariants={0: 2, 2: 2}, clasp_plus=None,
+            TREFOIL._replace(name="a", s_invariants={2: 2, 0: 2}),
+            TREFOIL._replace(name="b", s_invariants={0: 2, 2: 2}, clasp_plus=None,
                     slicing_number=1),
-            replace(TREFOIL, name="c", s_invariants={0: 2, 2: 2}, clasp_plus=None,
+            TREFOIL._replace(name="c", s_invariants={0: 2, 2: 2}, clasp_plus=None,
                     upper_witnesses=(UpperWitness(4, "a construction"),)),
-            replace(TREFOIL, name="d", s_invariants={0: 2, 2: 2}, clasp_plus=None,
+            TREFOIL._replace(name="d", s_invariants={0: 2, 2: 2}, clasp_plus=None,
                     concordant_to="a"),
             KnotRecord("u", 0, upper_witnesses=(UpperWitness(4, "u"),)),
-            replace(TREFOIL, name="e", s_invariants={0: 2, 2: 2}, clasp_plus=None,
+            TREFOIL._replace(name="e", s_invariants={0: 2, 2: 2}, clasp_plus=None,
                     connected_sum_of=("u",)),
         )
         rows = table(db)
@@ -201,15 +200,15 @@ class TestKey:
         assert rows == reference_table(db)
 
     def test_other_upper_does_not_share(self, searches):
-        db = db_of(TREFOIL, replace(TREFOIL, name="b", clasp_plus=2))
+        db = db_of(TREFOIL, TREFOIL._replace(name="b", clasp_plus=2))
         assert [r.display for r in table(db)] == ["4", "[4,8]"]
         assert searches == ["3_1", "b"]
 
     def test_failed_report_names_each_record(self, searches):
         # Capped at upper bound 2, the shared search certifies 3: it succeeds, each report fails.
         low = (UpperWitness(2, "too low"),)
-        db = db_of(replace(TREFOIL, name="a", clasp_plus=None, upper_witnesses=low),
-                   replace(TREFOIL, name="b", clasp_plus=None, upper_witnesses=low))
+        db = db_of(TREFOIL._replace(name="a", clasp_plus=None, upper_witnesses=low),
+                   TREFOIL._replace(name="b", clasp_plus=None, upper_witnesses=low))
         rows = table(db)
         assert searches == ["a"]
         assert [r.error.split(":")[0] for r in rows] == ["a", "b"]
@@ -220,8 +219,8 @@ class TestKey:
         import slicedeg.staircase as sc
 
         monkeypatch.setattr(sc, "torsion_sequence", lambda coeffs: sc.VsSequence((9,)))
-        lspace = replace(TREFOIL, vs_spec=VsSpec("lspace"), alexander=T34_ALEXANDER)
-        db = db_of(replace(lspace, name="a"), replace(lspace, name="b"))
+        lspace = TREFOIL._replace(vs_spec=VsSpec("lspace"), alexander=T34_ALEXANDER)
+        db = db_of(lspace._replace(name="a"), lspace._replace(name="b"))
         rows = table(db)
         assert searches == ["a", "b"]  # a failed search is not stored
         assert [r.error.split(":")[0] for r in rows] == ["a", "b"]
@@ -274,20 +273,20 @@ class TestDatabaseMemo:
         assert second == first and second.certificates is first.certificates
 
     def test_after_table_runs_no_search(self, searches):
-        db = db_of(TREFOIL, replace(TREFOIL, name="b", clasp_plus=2))
+        db = db_of(TREFOIL, TREFOIL._replace(name="b", clasp_plus=2))
         rows = table(db)
         assert searches == ["3_1", "b"]
         assert [bound_report(r, db).display for r in db] == [r.display for r in rows]
         assert searches == ["3_1", "b"]
 
     def test_same_inputs_share_across_records(self, searches):
-        db = db_of(TREFOIL, replace(TREFOIL, name="b"))
+        db = db_of(TREFOIL, TREFOIL._replace(name="b"))
         bound_report(TREFOIL, db)
         assert bound_report(db.get("b"), db).knot == "b"
         assert searches == ["3_1"]
 
     def test_other_cfg_or_upper_searches_again(self, searches):
-        db = db_of(TREFOIL, replace(TREFOIL, name="b", clasp_plus=2))
+        db = db_of(TREFOIL, TREFOIL._replace(name="b", clasp_plus=2))
         bound_report(TREFOIL, db)
         bound_report(TREFOIL, db, EngineConfig(gamma_c_sweep=True))
         bound_report(TREFOIL, db, EngineConfig(max_k=6))
@@ -304,15 +303,15 @@ class TestDatabaseMemo:
     def test_outside_or_shadowing_records_share_by_inputs(self, searches):
         db = db_of(TREFOIL)
         bound_report(TREFOIL, db)
-        outside = replace(TREFOIL, name="z")
-        shadow = replace(TREFOIL)
+        outside = TREFOIL._replace(name="z")
+        shadow = TREFOIL._replace()
         assert shadow == TREFOIL and shadow is not TREFOIL
         for _ in range(2):
             assert bound_report(outside, db).knot == "z"
             bound_report(shadow, db)
         assert searches == ["3_1"]
-        bound_report(replace(TREFOIL, clasp_plus=2), db)  # shadowing, upper bound 8
-        bound_report(replace(TREFOIL, name="z", tau=0), db)  # outside, other search fields
+        bound_report(TREFOIL._replace(clasp_plus=2), db)  # shadowing, upper bound 8
+        bound_report(TREFOIL._replace(name="z", tau=0), db)  # outside, other search fields
         assert searches == ["3_1", "3_1", "z"]
 
     def test_no_db_searches_every_call(self, searches):
@@ -342,7 +341,7 @@ class TestDatabaseMemo:
         import slicedeg.staircase as sc
 
         monkeypatch.setattr(sc, "torsion_sequence", lambda coeffs: sc.VsSequence((9,)))
-        lspace = replace(TREFOIL, name="a", vs_spec=VsSpec("lspace"), alexander=T34_ALEXANDER)
+        lspace = TREFOIL._replace(name="a", vs_spec=VsSpec("lspace"), alexander=T34_ALEXANDER)
         db = db_of(lspace)
         for _ in range(2):
             with pytest.raises(OracleDisagreement, match="stair formula"):

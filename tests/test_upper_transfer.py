@@ -11,7 +11,6 @@ recursion limit.
 
 import sys
 import warnings
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -188,7 +187,7 @@ class TestOwnRecordAndCopy:
     @given(any_db())
     def test_same_value_witness_and_warning(self, db):
         for record in db:
-            copy = replace(record)
+            copy = record._replace()
             assert copy == record and copy is not record
             assert self.upper_and_warnings(copy, db) == self.upper_and_warnings(record, db)
 

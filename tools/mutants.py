@@ -16,7 +16,8 @@ once (so a refactor must update its mutant and cannot drop it silently),
 or if pytest does not report each of a mutant's ids as failed under it
 (a parametrized id without its ``[param]`` suffix fails when any of its
 cases does).  The repository itself is never edited.
-Every change that adds a decider or a fast path adds its mutant.
+Every change that adds a decider, a fast path or an equality that a memo key
+relies on adds its mutant.
 """
 
 from __future__ import annotations
@@ -191,6 +192,26 @@ MUTANTS = (
         "key = (_search_key(record), upper, cfg)",
         "key = (_search_key(record), cfg)",
         (T_MEMO + "TestKey::test_other_upper_does_not_share",),
+    ),
+    Mutant(
+        "config-eq-parallelism",
+        ENGINE,
+        'attrgetter("max_k", "obstructions", "gamma_c_sweep")',
+        'attrgetter("max_k", "obstructions", "gamma_c_sweep", "parallelism")',
+        (
+            T_MEMO + "TestDatabaseMemo::test_parallelism_does_not_split",
+            "tests/test_types.py::test_parallelism_is_not_compared",
+        ),
+    ),
+    Mutant(
+        "value-eq-identity",
+        "src/slicedeg/__init__.py",
+        "        return self._key == other._key\n",
+        "        return self is other\n",
+        (
+            T_MEMO + "TestDatabaseMemo::test_repeat_runs_no_search",
+            "tests/test_types.py::test_copies_equal_where_they_did",
+        ),
     ),
     Mutant(
         "derived-forgets",
