@@ -14,6 +14,10 @@ per-field provenance annotations.  ``concordant_to`` and
 absent); ``friends[].friend_name`` is a label, since a friendship carries
 its own ``friend_s``.
 
+A record is loaded in one pass, each value tested by its exact JSON type and
+written to its field's slot; a V_s spec without values is the one shared
+:class:`VsSpec` of its kind, and location text is built only for an error.
+
 Databases are immutable after load and safe for concurrent reads: a value
 kept by ``KnotDatabase.derived`` (the upper-bound closure, or a memoised
 search) depends only on the records and the query, whichever read made it.
@@ -23,9 +27,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, NamedTuple, TypeVar
+from typing import Any, Callable, Mapping, NamedTuple, NoReturn, TypeVar
 
 from . import _Frozen
 from .staircase import NotLSpaceForm, VsSequence, check_alexander, staircase_from_alexander
@@ -51,6 +56,10 @@ class VsSpec(_Frozen):
         self._set(kind, values)
 
 
+#: The one spec of each kind that takes no values; a parsed record holds one of these.
+_SHARED_SPECS = {kind: VsSpec(kind) for kind in _VS_KINDS if kind != "explicit"}
+
+
 class FriendshipRecord(NamedTuple):
     """A knot sharing the k-surgery, with the s-invariant of the friend."""
 
@@ -73,7 +82,7 @@ class _KnotFields(NamedTuple):
     signature: int
     s_invariants: Mapping[int, int] = {}
     tau: int | None = None
-    vs_spec: VsSpec = VsSpec("unknown")
+    vs_spec: VsSpec = _SHARED_SPECS["unknown"]
     alexander: tuple[int, ...] | None = None
     clasp_plus: int | None = None
     slicing_number: int | None = None
@@ -158,6 +167,9 @@ def _is_prime(n: int) -> bool:
     )
 
 
+_error = partial(Diagnostic, "error")
+
+
 def validate_record(record: KnotRecord) -> list[Diagnostic]:
     """All invariant violations of one record; empty iff the record is valid.
 
@@ -166,83 +178,82 @@ def validate_record(record: KnotRecord) -> list[Diagnostic]:
     step, which no staircase-derived sequence ever does.
     """
     out: list[Diagnostic] = []
-
-    def err(fld: str, msg: str) -> None:
-        out.append(Diagnostic("error", fld, msg))
-
-    def warn(fld: str, msg: str) -> None:
-        out.append(Diagnostic("warning", fld, msg))
-
+    add = out.append
     if record.signature % 2 != 0:
-        err("signature", "signature must be even")
+        add(_error("signature", "signature must be even"))
     for p, sp in record.s_invariants.items():
         if p >= _PRIME_CHECK_LIMIT:
-            err("s_invariants", f"characteristic {p} is too large to check for primality")
+            add(_error("s_invariants", f"characteristic {p} is too large to check for primality"))
         elif not (p == 0 or _is_prime(p)):
-            err("s_invariants", f"characteristic {p} is neither 0 nor prime")
+            add(_error("s_invariants", f"characteristic {p} is neither 0 nor prime"))
         if sp % 2 != 0:
-            err("s_invariants", f"s_{p} = {sp} must be even")
+            add(_error("s_invariants", f"s_{p} = {sp} must be even"))
 
     if record.alexander is not None:
         try:
             check_alexander(record.alexander)
         except ValueError as exc:
-            err("alexander", str(exc))
+            add(_error("alexander", str(exc)))
 
-    spec = record.vs_spec
-    if spec.kind == "thin" and record.tau is None:
-        err("vs_spec", "thin V_s specification requires tau")
-    if spec.kind == "lspace":
+    kind = record.vs_spec.kind
+    if kind == "thin" and record.tau is None:
+        add(_error("vs_spec", "thin V_s specification requires tau"))
+    elif kind == "lspace":
         if record.alexander is None:
-            err("vs_spec", "lspace V_s specification requires the Alexander polynomial")
+            add(_error("vs_spec", "lspace V_s specification requires the Alexander polynomial"))
         elif not any(d.field == "alexander" for d in out):
             try:
                 staircase_from_alexander(record.alexander)
             except NotLSpaceForm as exc:
-                err("vs_spec", f"Alexander polynomial is not in L-space form: {exc}")
-    if spec.kind == "explicit":
+                add(_error("vs_spec", f"Alexander polynomial is not in L-space form: {exc}"))
+    elif kind == "explicit":
         try:
-            if not VsSequence.from_values(spec.values).steps_are_unit():
-                warn("vs_spec", "V_s drops by more than 1")
+            if not VsSequence.from_values(record.vs_spec.values).steps_are_unit():
+                add(Diagnostic("warning", "vs_spec", "V_s drops by more than 1"))
         except ValueError as exc:
-            err("vs_spec", str(exc))
+            add(_error("vs_spec", str(exc)))
 
     if record.clasp_plus is not None and record.clasp_plus < 0:
-        err("clasp_plus", "positive clasp number must be non-negative")
+        add(_error("clasp_plus", "positive clasp number must be non-negative"))
     if record.slicing_number is not None and record.slicing_number < 0:
-        err("slicing_number", "slicing number must be non-negative")
+        add(_error("slicing_number", "slicing number must be non-negative"))
 
     for s, value in record.gamma.items():
         if s < 0:
-            err("gamma", f"gamma argument {s} must be non-negative")
+            add(_error("gamma", f"gamma argument {s} must be non-negative"))
         if value <= 0:
-            err("gamma", f"gamma value at {s} must be positive, got {value}")
+            add(_error("gamma", f"gamma value at {s} must be positive, got {value}"))
 
     for fr in record.friends:
         if fr.k < 0:
-            err("friends", f"friendship level {fr.k} must be non-negative")
+            add(_error("friends", f"friendship level {fr.k} must be non-negative"))
         if fr.friend_s % 2 != 0:
-            err("friends", f"friend s-invariant {fr.friend_s} must be even")
+            add(_error("friends", f"friend s-invariant {fr.friend_s} must be even"))
 
     for w in record.upper_witnesses:
         if w.k < 0:
-            err("upper_witnesses", f"witness level {w.k} must be non-negative")
+            add(_error("upper_witnesses", f"witness level {w.k} must be non-negative"))
 
     return out
 
 
 # --- JSON codec -------------------------------------------------------------
 #
-# One parser and one encoder per field kind.  A parser takes the raw JSON
-# value, the record's location ``where``, the path ``at`` inside it
-# (".gamma[1]"; the two are joined only when an error is raised) and the
-# database's count of unknown keys, which it adds its nested objects' to.
+# One parser and one encoder per field kind, run in one pass over a record.  A
+# parser takes the raw JSON value, the record's location ``where``, the path
+# ``at`` inside it and the database's count of unknown keys, which it adds its
+# nested objects' to; its value fills the field's slot.  Values are tested by
+# exact type (``json.loads`` makes no subclasses, and a JSON boolean is a
+# ``bool``, never an ``int``), a V_s spec without values is the shared one of
+# its kind, and the path to an item (".gamma[1]") is formatted only for an error.
+
+
+def _reject(obj: Any, typ: type, where: str, at: str = "", sub: str = "") -> NoReturn:
+    raise DatabaseError(f"{where}{at}{sub}: expected {typ.__name__}, got {type(obj).__name__}")
 
 
 def parse_rational(text: Any, where: str, at: str = "") -> Fraction:
-    if isinstance(text, int) and not isinstance(text, bool):
-        return Fraction(text)
-    if isinstance(text, str):
+    if type(text) is str:
         try:
             if "/" in text:
                 num, den = text.split("/", 1)
@@ -250,24 +261,21 @@ def parse_rational(text: Any, where: str, at: str = "") -> Fraction:
             return Fraction(int(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise DatabaseError(f"{where}{at}: bad rational {text!r}: {exc}") from exc
+    if type(text) is int:
+        return Fraction(text)
     raise DatabaseError(f"{where}{at}: rationals must be 'num/den' strings, got {text!r}")
 
 
 def format_rational(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(value)  # "num/den", or "num" for an integer
 
 
-def _expect(obj: Any, typ: type, where: str, at: str = "") -> Any:
-    """``obj`` if it is a ``typ``; a JSON boolean is never one, though Python's bool is an int."""
-    if isinstance(obj, typ) and not isinstance(obj, bool):
-        return obj
-    raise DatabaseError(f"{where}{at}: expected {typ.__name__}, got {type(obj).__name__}")
+def _expect(obj: Any, typ: type, where: str, at: str = "", sub: str = "") -> Any:
+    return obj if type(obj) is typ else _reject(obj, typ, where, at, sub)
 
 
-def _expect_all(items: list, typ: type, where: str, at: str) -> tuple:
-    return tuple(_expect(v, typ, where, at) for v in items)
+def _expect_all(items: list, typ: type, where: str, at: str, sub: str = "") -> tuple:
+    return tuple(v if type(v) is typ else _reject(v, typ, where, at, sub) for v in items)
 
 
 def _int_key(key: str) -> int:
@@ -290,7 +298,7 @@ def _scalar(typ: type, nullable: bool = True) -> _Codec:
     """A ``typ`` value; ``null`` means absent unless the field is required."""
 
     def parse(raw: Any, where: str, at: str, unknown: dict[str, int]) -> Any:
-        return None if raw is None and nullable else _expect(raw, typ, where, at)
+        return raw if type(raw) is typ or raw is None and nullable else _reject(raw, typ, where, at)
 
     return _Codec(parse)
 
@@ -304,8 +312,8 @@ def _optional_list(typ: type) -> _Codec:
     return _Codec(parse, list)
 
 
-def _int_map(key_label: str, parse_value: Callable, encode_value: Callable = _same) -> _Codec:
-    """An object with canonical integer keys; each key is checked before its value."""
+def _int_map(key_label: str, kept: type, parse_value: Callable, encode_value=_same) -> _Codec:
+    """Canonical integer keys, each checked before its value; a non-``kept`` value is parsed."""
 
     def parse(raw: Any, where: str, at: str, unknown: dict[str, int]) -> dict:
         out = {}
@@ -314,7 +322,7 @@ def _int_map(key_label: str, parse_value: Callable, encode_value: Callable = _sa
                 k = _int_key(key)
             except ValueError as exc:
                 raise DatabaseError(f"{where}{at}: bad {key_label} {key!r}") from exc
-            out[k] = parse_value(value, where, f"{at}[{key}]")
+            out[k] = value if type(value) is kept else parse_value(value, where, f"{at}[{key}]")
         return out
 
     return _Codec(parse, lambda m: {str(k): encode_value(v) for k, v in sorted(m.items())})
@@ -326,26 +334,24 @@ def _count_unknown(obj: dict, known: frozenset[str], prefix: str, unknown: dict[
         unknown[prefix + key] = unknown.get(prefix + key, 0) + 1
 
 
-def _objects(cls: type, *attrs: tuple) -> _Codec:
-    """A list of ``cls``, each an object of ``attrs`` ``(name, type[, default])`` in order."""
-    names = [name for name, *_ in attrs]
-    known = frozenset(names)
+def _objects(cls: type, *types: type, **defaults: Any) -> _Codec:
+    """A list of ``cls``, each an object of its ``_fields`` of ``types``, or else ``defaults``."""
+    known = frozenset(cls._fields)
+    fields = [(name, typ, defaults.get(name)) for name, typ in zip(cls._fields, types)]
 
     def parse(raw: Any, where: str, at: str, unknown: dict[str, int]) -> tuple:
         out = []
-        prefix = f"{at[1:]}[]."
-        for i, item in enumerate(_expect(raw, list, where, at)):
-            item_at = f"{at}[{i}]"
-            obj = _expect(item, dict, where, item_at)
-            _count_unknown(obj, known, prefix, unknown)
-            args = (
-                _expect(obj.get(name, *default), typ, where, f"{item_at}.{name}")
-                for name, typ, *default in attrs
-            )
-            out.append(cls(*args))
+        for i, obj in enumerate(_expect(raw, list, where, at)):
+            obj = obj if type(obj) is dict else _reject(obj, dict, where, f"{at}[{i}]")
+            _count_unknown(obj, known, f"{at[1:]}[].", unknown)
+            args = [obj.get(name, default) for name, _, default in fields]
+            for value, (name, typ, _) in zip(args, fields):
+                if type(value) is not typ:
+                    _reject(value, typ, where, f"{at}[{i}].{name}")
+            out.append(cls._make(args))
         return tuple(out)
 
-    return _Codec(parse, lambda objs: [{n: getattr(o, n) for n in names} for o in objs])
+    return _Codec(parse, lambda objs: [o._asdict() for o in objs])
 
 
 _VS_SPEC_KEYS = frozenset(("type", "values"))
@@ -354,13 +360,14 @@ _VS_SPEC_KEYS = frozenset(("type", "values"))
 def _parse_vs_spec(raw: Any, where: str, at: str, unknown: dict[str, int]) -> VsSpec:
     """``values`` is read whenever present, so :class:`VsSpec` rejects it on other kinds."""
     data = _expect(raw, dict, where, at)
-    _count_unknown(data, _VS_SPEC_KEYS, f"{at[1:]}.", unknown)
-    kind = _expect(data.get("type", "unknown"), str, where, f"{at}.type")
+    if not data.keys() <= _VS_SPEC_KEYS:
+        _count_unknown(data, _VS_SPEC_KEYS, f"{at[1:]}.", unknown)
+    kind = _expect(data.get("type", "unknown"), str, where, at, ".type")
     values = ()
     if "values" in data:
-        values = _expect_all(_expect(data["values"], list, where, at), int, where, f"{at}.values")
+        values = _expect_all(_expect(data["values"], list, where, at), int, where, at, ".values")
     try:
-        return VsSpec(kind, values)
+        return _SHARED_SPECS[kind] if kind in _SHARED_SPECS and not values else VsSpec(kind, values)
     except ValueError as exc:
         raise DatabaseError(f"{where}{at}: {exc}") from exc
 
@@ -373,8 +380,8 @@ def _encode_vs_spec(spec: VsSpec) -> dict[str, Any]:
 
 #: The KnotRecord fields holding int-keyed maps (unhashable dicts), with their codecs.
 INT_KEYED_FIELDS = {
-    "s_invariants": _int_map("characteristic", lambda v, where, at: _expect(v, int, where, at)),
-    "gamma": _int_map("argument", parse_rational, format_rational),
+    "s_invariants": _int_map("characteristic", int, lambda v, w, at: _reject(v, int, w, at)),
+    "gamma": _int_map("argument", Fraction, parse_rational, format_rational),
 }
 
 # Every field's codec, in parse order: of several faults in a record, the
@@ -382,8 +389,8 @@ INT_KEYED_FIELDS = {
 _CODECS: dict[str, _Codec] = {
     "name": _scalar(str, nullable=False),
     **INT_KEYED_FIELDS,
-    "friends": _objects(FriendshipRecord, ("k", int), ("friend_name", str), ("friend_s", int)),
-    "upper_witnesses": _objects(UpperWitness, ("k", int), ("description", str, "")),
+    "friends": _objects(FriendshipRecord, int, str, int),
+    "upper_witnesses": _objects(UpperWitness, int, str, description=""),
     "alexander": _optional_list(int),
     "connected_sum_of": _optional_list(str),
     "tau": _scalar(int),
@@ -394,29 +401,35 @@ _CODECS: dict[str, _Codec] = {
     "vs_spec": _Codec(_parse_vs_spec, _encode_vs_spec),
     "signature": _scalar(int, nullable=False),
 }
-_PARSERS = [(fld, codec.parse, "." + fld) for fld, codec in _CODECS.items() if fld != "name"]
 _KNOWN_FIELDS = frozenset(_CODECS)
+# A record's slots after its name: the defaults in order, then ``sources``, checked and not kept.
+_ROW = [None, *KnotRecord._field_defaults.values(), None]
+_SLOT = {fld: i for i, fld in enumerate((*KnotRecord._fields, "sources"))}
+_PARSERS = [(fld, codec.parse, "." + fld, _SLOT[fld]) for fld, codec in _CODECS.items()][1:]
+_MAPS = [_SLOT[fld] for fld in INT_KEYED_FIELDS]
 _ABSENT = object()
 
 
 def _parse_record(obj: Any, index: int, unknown_fields: dict[str, int]) -> KnotRecord:
-    where = f"record {index}"
-    data = _expect(obj, dict, where)
+    data = obj if type(obj) is dict else _reject(obj, dict, f"record {index}")
     if "name" not in data:
-        raise DatabaseError(f"{where}: missing required field 'name'")
-    name = _expect(data["name"], str, where, ".name")
+        raise DatabaseError(f"record {index}: missing required field 'name'")
+    if type(name := data["name"]) is not str:
+        _reject(name, str, f"record {index}", ".name")
     where = f"record {index} ({name!r})"
     if "signature" not in data:
         raise DatabaseError(f"{where}: missing required field 'signature'")
 
-    _count_unknown(data, _KNOWN_FIELDS, "", unknown_fields)
-    values = {}
-    for fld, parse, at in _PARSERS:
-        raw = data.get(fld, _ABSENT)
-        if raw is not _ABSENT:
-            values[fld] = parse(raw, where, at, unknown_fields)
-    values.pop("sources", None)
-    return KnotRecord(name, **values)
+    if not data.keys() <= _KNOWN_FIELDS:
+        _count_unknown(data, _KNOWN_FIELDS, "", unknown_fields)
+    row = [name, *_ROW]
+    for slot in _MAPS:  # an absent map gets a new dict, never a shared default
+        row[slot] = {}
+    for fld, parse, at, slot in _PARSERS:
+        if (raw := data.get(fld, _ABSENT)) is not _ABSENT:
+            row[slot] = parse(raw, where, at, unknown_fields)
+    row.pop()
+    return KnotRecord._make(row)
 
 
 def parse_knot_db(text: str) -> KnotDatabase:
@@ -430,12 +443,11 @@ def parse_knot_db(text: str) -> KnotDatabase:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise DatabaseError(
-            f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+        msg = f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        raise DatabaseError(msg) from exc
     except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
         raise DatabaseError(f"unreadable JSON: {exc}") from exc
-    if not isinstance(doc, list):
+    if type(doc) is not list:
         raise DatabaseError("top level must be an array of record objects")
 
     unknown_fields: dict[str, int] = {}
@@ -445,30 +457,22 @@ def parse_knot_db(text: str) -> KnotDatabase:
         record = _parse_record(obj, index, unknown_fields)
         if record.name in records:
             raise DatabaseError(f"duplicate name {record.name!r}")
-        diags = validate_record(record)
-        problems = [d for d in diags if d.severity == "error"]
-        if problems:
-            listing = "; ".join(str(d) for d in problems)
-            raise DatabaseError(f"record {record.name!r}: {listing}")
+        if diags := validate_record(record):
+            if problems := [d for d in diags if d.severity == "error"]:
+                raise DatabaseError(f"record {record.name!r}: " + "; ".join(map(str, problems)))
+            diag_warnings += [f"record {record.name!r}: {d}" for d in diags]
         records[record.name] = record
-        diag_warnings += [f"record {record.name!r}: {d}" for d in diags if d.severity == "warning"]
 
-    warnings = [
-        f"ignored unknown field {name!r} ({count} occurrence{'s' if count > 1 else ''})"
-        for name, count in sorted(unknown_fields.items())
-    ]
+    warnings = [f"ignored unknown field {name!r} ({count} occurrence{'s' if count > 1 else ''})"
+                for name, count in sorted(unknown_fields.items())]
     # Only the fields the upper bound follows are references; a friend's name is a label.
     for record in records.values():
-        refs: list[tuple[str, str]] = []
-        if record.concordant_to is not None:
-            refs.append(("concordant_to", record.concordant_to))
-        for other in record.connected_sum_of or ():
-            refs.append(("connected_sum_of", other))
+        refs = [("concordant_to", record.concordant_to)]
+        if record.connected_sum_of:
+            refs += [("connected_sum_of", other) for other in record.connected_sum_of]
         for fld, target in refs:
-            if target not in records:
-                warnings.append(
-                    f"record {record.name!r}: {fld} references unknown knot {target!r}"
-                )
+            if target is not None and target not in records:
+                warnings.append(f"record {record.name!r}: {fld} references unknown knot {target!r}")
     return KnotDatabase(records=records, warnings=tuple(warnings + diag_warnings))
 
 

@@ -577,6 +577,8 @@ class TestRationals:
             parse_rational(True, "t")
         with pytest.raises(DatabaseError, match=r"gamma\[1\]"):
             parse_one(dict(TREFOIL, gamma={"1": True}))
+        with pytest.raises(DatabaseError, match=r"\.tau: expected int, got bool"):
+            parse_one(dict(TREFOIL, tau=True))
 
 
 # --- differential codec test ---------------------------------------------------
@@ -627,7 +629,8 @@ FIELD_FAULTS = {
         {"type": "explicit"}, {"type": "explicit", "values": [2, 0]},
         {"type": "explicit", "values": [0, 1]}, {"type": "explicit", "values": [1, "a"]},
         {"type": "explicit", "values": "x"}, {"type": "explicit", "values": None},
-        {"type": "thin", "values": [1]}, "thin",
+        {"type": "thin", "values": [1]}, "thin", {"type": "thin", "note": 1},
+        {"type": "thin", "values": []}, {"type": "explicit", "values": []},
     ],
     "provenance": ["x"],
 }
@@ -651,6 +654,21 @@ MUTATIONS = st.lists(
     max_size=3,
 )
 
+# Changes that keep a record valid yet leave state across records: unknown keys,
+# dangling references, a V_s warning, specs the parser may share and a name
+# that two records may take.
+QUIET_MUTATIONS = st.lists(
+    st.sampled_from([
+        ("name", "twin"), ("provenance", "x"), ("concordant_to", "nope"),
+        ("connected_sum_of", ["nope"]),
+        ("vs_spec", {"type": "unknown", "note": 1}), ("vs_spec", {"type": "mirror_lspace"}),
+        ("vs_spec", {"type": "explicit", "values": [3, 1]}), ("friends", [dict(_FRIEND, x=1)]),
+        ("upper_witnesses", [{"k": 3, "descripton": "t"}]),
+    ]),
+    min_size=1,
+    max_size=3,
+)
+
 
 def db_outcome(text: str, serialize=serialize_knot_db):
     """The parsed records (by repr, so types count), warnings and serialization, or the error."""
@@ -667,18 +685,43 @@ def reference_db_outcome(text: str):
         return db_outcome(text, reference_serialize_knot_db)
 
 
+def mutate(record: dict, mutations) -> dict:
+    mutated = dict(record)
+    for fld, value in mutations:
+        if value is REMOVE:
+            mutated.pop(fld, None)
+        else:
+            mutated[fld] = value
+    return mutated
+
+
 class TestCodecMatchesReference:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(st.sampled_from(BUNDLED_RECORDS), st.sampled_from(BUNDLED_RECORDS), MUTATIONS)
     def test_mutated_records_parse_like_reference(self, record, other, mutations):
-        mutated = dict(record)
-        for fld, value in mutations:
-            if value is REMOVE:
-                mutated.pop(fld, None)
-            else:
-                mutated[fld] = value
+        mutated = mutate(record, mutations)
         text = json.dumps([mutated, other] if other["name"] != record["name"] else [mutated])
         assert db_outcome(text) == reference_db_outcome(text)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(BUNDLED_RECORDS), st.just([]) | QUIET_MUTATIONS | MUTATIONS),
+            min_size=3,
+            max_size=8,
+            unique_by=lambda drawn: drawn[0]["name"],
+        )
+    )
+    def test_documents_of_several_records_parse_like_reference(self, drawn):
+        """State kept across records: unknown-field counts, names seen, warning order, specs."""
+        text = json.dumps([mutate(record, mutations) for record, mutations in drawn])
+        outcome = db_outcome(text)
+        assert outcome == reference_db_outcome(text)
+        if not isinstance(outcome[0], type):  # parsed: each spec without values is one object
+            shared = {}
+            for record in parse_knot_db(text):
+                if record.vs_spec.kind != "explicit":
+                    assert shared.setdefault(record.vs_spec.kind, record.vs_spec) is record.vs_spec
 
     @pytest.mark.parametrize("fld", sorted(FIELD_FAULTS))
     def test_each_fault_like_reference(self, fld):

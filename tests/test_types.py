@@ -1,6 +1,7 @@
 """The value types' contract: immutable, with a fixed repr, equality, hash and copy behaviour."""
 
 import copy
+import json
 import pickle
 from fractions import Fraction
 from types import MappingProxyType
@@ -22,6 +23,7 @@ from slicedeg.knots import (
     KnotRecord,
     UpperWitness,
     VsSpec,
+    parse_knot_db,
 )
 from slicedeg.lattice import HomologyClass, LaurentPoly, OddVector
 from slicedeg.obstructions import Verdict, _SuffixTable
@@ -171,10 +173,20 @@ def test_values_of_different_types_differ():
 
 
 def test_no_default_map_is_shared():
-    a, b = KnotRecord("a", 0), KnotRecord("b", 0)
-    assert a.s_invariants == {} and a.s_invariants is not b.s_invariants
-    assert a.gamma == {} and a.gamma is not b.gamma
+    doc = json.dumps([{"name": "a", "signature": 0, "vs_spec": {"type": "thin"}, "tau": 0},
+                      {"name": "b", "signature": 0, "vs_spec": {"type": "thin"}, "tau": 0}])
+    parsed = tuple(parse_knot_db(doc))
+    for a, b in ((KnotRecord("a", 0), KnotRecord("b", 0)), parsed):
+        assert a.s_invariants == {} and a.s_invariants is not b.s_invariants
+        assert a.gamma == {} and a.gamma is not b.gamma
+        a.s_invariants[0] = 2
+        a.gamma[1] = Fraction(1)
+        assert b.s_invariants == {} and b.gamma == {}
     assert LaurentPoly().coeffs is not LaurentPoly().coeffs
+    # The parsed records share one thin spec, which stays read-only.
+    assert parsed[0].vs_spec is parsed[1].vs_spec
+    with pytest.raises(AttributeError):
+        parsed[0].vs_spec.kind = "explicit"
 
 
 def test_deferred_certificates_are_built_once():

@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 
 OBS = "src/slicedeg/obstructions.py"
 ENGINE = "src/slicedeg/engine.py"
+KNOTS = "src/slicedeg/knots.py"
 T_OBS = "tests/test_obstructions.py::"
 T_MEMO = "tests/test_table_memo.py::"
 T_FLOOR = "tests/test_engine.py::TestAdjunctionFloor::"
@@ -215,10 +216,34 @@ MUTANTS = (
     ),
     Mutant(
         "derived-forgets",
-        "src/slicedeg/knots.py",
+        KNOTS,
         "        return self._derived[compute]\n",
         "        return compute(self)\n",
         ("tests/test_upper_transfer.py::TestSharedClosure::test_chain_closes_once",),
+    ),
+    Mutant(
+        "scalar-bool-is-int",
+        KNOTS,
+        "return raw if type(raw) is typ or",
+        "return raw if isinstance(raw, typ) or",
+        (
+            "tests/test_knots.py::TestCodecMatchesReference::test_each_fault_like_reference",
+            "tests/test_knots.py::TestRationals::test_booleans_rejected_like_int_fields",
+        ),
+    ),
+    Mutant(
+        "rational-bool-is-int",
+        KNOTS,
+        "    if type(text) is int:\n",
+        "    if isinstance(text, int):\n",
+        ("tests/test_knots.py::TestRationals::test_booleans_rejected_like_int_fields",),
+    ),
+    Mutant(
+        "parsed-maps-shared",
+        KNOTS,
+        "        row[slot] = {}\n",
+        "        pass\n",
+        ("tests/test_types.py::test_no_default_map_is_shared",),
     ),
     Mutant(
         "thin-eq-lists",
