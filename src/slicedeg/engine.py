@@ -42,7 +42,8 @@ formatted as text.
 The database also keeps its 1024 latest successful lower-bound searches,
 keyed by the search's inputs, its capping upper bound and the configuration
 (``parallelism`` aside), for every ``report_table`` and ``bound_report`` call
-on it.  Reports of one search share its read-only certificates.
+on it.  Reports of one search share its read-only certificates: a search and
+its reports read them through one reader, :func:`_read_certificates`.
 
 Reports are deterministic: identical inputs and configuration produce
 byte-identical serialized output.
@@ -124,51 +125,36 @@ class LevelCertificate(NamedTuple):
     classes: tuple[ClassCertificate, ...] = ()
 
 
-class LowerBoundSearch:
+def _read_certificates(self) -> tuple[LevelCertificate, ...]:
+    """``certificates`` of a search or report: a function given in their place
+    runs on the first read, and its tuple is kept for every later read."""
+    certificates = self._certificates
+    if callable(certificates):
+        certificates = certificates()
+        object.__setattr__(self, "_certificates", certificates)
+    return certificates
+
+
+class LowerBoundSearch(_Frozen):
     """Result of the ascending level search: (L, certificates) plus extras.
 
     ``certificates`` is given as a tuple, or as a function that builds it:
     :func:`lower_bound` defers the class listing of the levels below the
     adjunction floor that way.  The function runs on the first read of
-    ``certificates`` and its tuple is kept, so later reads return the same
-    tuple.  It is deterministic, so two threads that race to the first
-    read build equal tuples.  Searches compare equal when their level,
-    exhaustion, surviving class and certificates do.
+    ``certificates`` (:func:`_read_certificates`).  It is deterministic, so
+    two threads that race to the first read build equal tuples.  Searches
+    compare equal when their level, exhaustion, surviving class and
+    certificates do.
     """
 
     __slots__ = ("level", "exhausted", "surviving_class", "_certificates")
+    _fields = (*__slots__[:-1], "certificates")
 
-    def __init__(
-        self,
-        level: int,
-        exhausted: bool,
-        surviving_class: HomologyClass | None,
-        certificates: tuple[LevelCertificate, ...] | Callable[[], tuple[LevelCertificate, ...]],
-    ) -> None:
-        self.level = level
-        self.exhausted = exhausted
-        self.surviving_class = surviving_class
-        self._certificates = certificates
+    def __init__(self, level: int, exhausted: bool, surviving_class: HomologyClass | None,
+                 certificates: tuple[LevelCertificate, ...] | Callable[[], tuple]) -> None:
+        self._set(level, exhausted, surviving_class, certificates)
 
-    @property
-    def certificates(self) -> tuple[LevelCertificate, ...]:
-        certificates = self._certificates
-        if callable(certificates):
-            certificates = self._certificates = certificates()
-        return certificates
-
-    def _fields(self) -> tuple:
-        return self.level, self.exhausted, self.surviving_class, self.certificates
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LowerBoundSearch):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        level, exhausted, survivor, certificates = self._fields()
-        return (f"LowerBoundSearch(level={level!r}, exhausted={exhausted!r}, "
-                f"surviving_class={survivor!r}, certificates={certificates!r})")
+    certificates = property(_read_certificates)
 
 
 def _check_interval(knot: str, lower: int, upper: int | None) -> None:
@@ -184,8 +170,9 @@ class BoundReport(_Frozen):
     """Certified interval for one knot.
 
     ``certificates``, a tuple or, as for :class:`LowerBoundSearch`, a function
-    that builds it, is read on first access, so a report whose certificates
-    are never read (``slicedeg bound`` without ``--json``) never lists them.
+    that builds it, is read on first access by the same
+    :func:`_read_certificates`, so a report whose certificates are never read
+    (``slicedeg bound`` without ``--json``) never lists them.
     """
 
     __slots__ = ("knot", "lower", "lower_exhausted", "upper", "upper_witness",
@@ -198,11 +185,7 @@ class BoundReport(_Frozen):
         _check_interval(knot, lower, upper)
         self._set(knot, lower, lower_exhausted, upper, upper_witness, surviving_class, certificates)
 
-    @property
-    def certificates(self) -> tuple[LevelCertificate, ...]:
-        if callable(self._certificates):
-            object.__setattr__(self, "_certificates", self._certificates())
-        return self._certificates
+    certificates = property(_read_certificates)
 
     @property
     def display(self) -> str:
@@ -633,66 +616,42 @@ def _searches(db: KnotDatabase) -> OrderedDict[tuple, LowerBoundSearch]:
     return OrderedDict()  # the database's search memo, read as db.derived(_searches)
 
 
-def _search(
-    record: KnotRecord,
-    upper: int | None,
-    cfg: EngineConfig,
-    searches: OrderedDict[tuple, LowerBoundSearch] | None = None,
-) -> LowerBoundSearch:
+def _search(record: KnotRecord, upper: int | None, cfg: EngineConfig,
+            searches: OrderedDict[tuple, LowerBoundSearch]) -> LowerBoundSearch:
     """Lower-bound search capped at ``upper`` (unless cfg sets a cap).
 
-    ``searches``, when given, keeps the latest 1024 successful searches by
-    their inputs: the record's search fields, ``upper`` and ``cfg`` (equal
-    at any ``parallelism``).  A failed search is not stored, so it fails again.
+    ``searches`` keeps the latest 1024 successful searches by their inputs:
+    the record's search fields, ``upper`` and ``cfg`` (equal at any
+    ``parallelism``).  A failed search is not stored, so it fails again.
     """
-    key = search = None
-    if searches is not None:
-        key = (_search_key(record), upper, cfg)
-        search = searches.pop(key, None)  # put back last, as most recently used
+    key = (_search_key(record), upper, cfg)
+    search = searches.pop(key, None)  # put back last, as most recently used
     if search is None:
         if cfg.max_k is None:
             max_k = upper if upper is not None else DEFAULT_MAX_K
             cfg = EngineConfig(max_k, cfg.obstructions, cfg.gamma_c_sweep, cfg.parallelism)
         search = lower_bound(record, cfg)
-    if searches is not None:
-        searches[key] = search  # type: ignore[index]
-        if len(searches) > 1024:  # type: ignore[arg-type]
-            searches.popitem(last=False)  # type: ignore[union-attr]
+    searches[key] = search
+    if len(searches) > 1024:
+        searches.popitem(last=False)
     return search
-
-
-def _report(
-    record: KnotRecord,
-    upper: int | None,
-    upper_witness: str | None,
-    cfg: EngineConfig,
-    searches: OrderedDict[tuple, LowerBoundSearch] | None = None,
-) -> BoundReport:
-    """:func:`_search`'s search paired with ``upper``, its certificates read when the report's are.
-
-    Raises DatabaseError when the certified lower bound exceeds ``upper``.
-    """
-    search = _search(record, upper, cfg, searches)
-    return BoundReport(
-        knot=record.name,
-        lower=search.level,
-        lower_exhausted=search.exhausted,
-        upper=upper,
-        upper_witness=upper_witness,
-        surviving_class=search.surviving_class,
-        certificates=lambda: search.certificates,
-    )
 
 
 def bound_report(
     record: KnotRecord, db: KnotDatabase | None = None, cfg: EngineConfig | None = None
 ) -> BoundReport:
-    """``record``'s interval and certificates; ``db`` gives its upper bound and keeps its search."""
-    upper, warning = _upper(record, db)
+    """``record``'s interval and certificates; ``db`` gives its upper bound and keeps its search.
+
+    The report lists its search's certificates when its own are first read.
+    Raises DatabaseError when the certified lower bound exceeds the upper bound.
+    """
+    (upper, upper_witness), warning = _upper(record, db)
     if warning:
         _warnings.warn(warning, stacklevel=2)
-    searches = db.derived(_searches) if db is not None else None
-    return _report(record, *upper, cfg or EngineConfig(), searches)
+    searches = db.derived(_searches) if db is not None else OrderedDict()
+    search = _search(record, upper, cfg or EngineConfig(), searches)
+    return BoundReport(record.name, search.level, search.exhausted, upper, upper_witness,
+                       search.surviving_class, lambda: search.certificates)
 
 
 def report_table(db: KnotDatabase, cfg: EngineConfig | None = None) -> list[TableRow]:

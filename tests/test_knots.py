@@ -30,7 +30,8 @@ from slicedeg.knots import (
 
 # --- reference codec: the per-field parser and serializer the table-driven codec replaced ---
 # (since extended by two rules: a non-explicit vs_spec rejects non-empty ``values``, and
-# unknown keys inside friends[], upper_witnesses[] and vs_spec are counted like unknown fields)
+# unknown keys inside friends[], upper_witnesses[] and vs_spec are counted like unknown fields).
+# It parses gamma values with its own rational parser, so a fault in ``parse_rational`` shows.
 
 REFERENCE_VS_KINDS = ("explicit", "thin", "lspace", "mirror_lspace", "unknown")
 
@@ -64,6 +65,18 @@ def reference_int_key(key: str) -> int:
     if str(value := int(key)) != key:
         raise ValueError(f"non-canonical integer {key!r}")
     return value
+
+
+def reference_parse_rational(value: Any, where: str) -> Fraction:
+    """A gamma value: a JSON integer (not a boolean), or an integer or 'num/den' string."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if not isinstance(value, str):
+        raise DatabaseError(f"{where}: rationals must be 'num/den' strings, got {value!r}")
+    try:
+        return Fraction(*(int(part) for part in value.split("/", 1)))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DatabaseError(f"{where}: bad rational {value!r}: {exc}") from exc
 
 
 def reference_count_unknown(obj: dict, known: tuple, path: str, unknown_fields: dict) -> None:
@@ -116,7 +129,7 @@ def reference_parse_record(obj: Any, index: int, unknown_fields: dict[str, int])
             s = reference_int_key(key)
         except ValueError as exc:
             raise DatabaseError(f"{where}.gamma: bad argument {key!r}") from exc
-        gamma[s] = parse_rational(value, f"{where}.gamma[{key}]")
+        gamma[s] = reference_parse_rational(value, f"{where}.gamma[{key}]")
 
     friends = []
     for i, item in enumerate(expect(data.get("friends", []), list, f"{where}.friends")):

@@ -24,10 +24,11 @@ from slicedeg import engine
 from slicedeg.cli import main
 from slicedeg.engine import (
     ALL_OBSTRUCTIONS,
+    DEFAULT_MAX_K,
+    BoundReport,
     CyclicRelationWarning,
     EngineConfig,
     TableRow,
-    _report,
     bound_report,
     report_table,
     report_to_jsonable,
@@ -61,16 +62,29 @@ def db_of(*records):
     return KnotDatabase({r.name: r for r in records})
 
 
+def reference_report(record, db, cfg):
+    """``record``'s report from one uncached ``lower_bound`` call, capped at its upper bound.
+
+    A cap that ``cfg`` sets wins; without an upper bound the cap is ``DEFAULT_MAX_K``.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CyclicRelationWarning)
+        upper, witness = upper_bound(record, db)
+    if cfg.max_k is None:
+        cap = upper if upper is not None else DEFAULT_MAX_K
+        cfg = EngineConfig(cap, cfg.obstructions, cfg.gamma_c_sweep, cfg.parallelism)
+    search = engine.lower_bound(record, cfg)
+    return BoundReport(record.name, search.level, search.exhausted, upper, witness,
+                       search.surviving_class, search.certificates)
+
+
 def reference_table(db, cfg=None):
     """One uncached search per record, with the record's own upper bound."""
     cfg = cfg or EngineConfig()
     rows = []
     for record in db:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CyclicRelationWarning)
-            upper = upper_bound(record, db)
         try:
-            report = _report(record, *upper, cfg)
+            report = reference_report(record, db, cfg)
             rows.append(TableRow(record.name, report.lower, report.upper, report.display))
         except (ValueError, OracleDisagreement) as exc:
             rows.append(TableRow(record.name, None, None, "error", error=str(exc)))
@@ -329,12 +343,12 @@ class TestDatabaseMemo:
         monkeypatch.setattr(engine, "lower_bound", fake)
         memo = engine._searches(db_of(TREFOIL))
         for upper in range(1025):
-            _report(TREFOIL, upper, None, EngineConfig(), memo)
-        _report(TREFOIL, 1, None, EngineConfig(), memo)  # hit: now the latest
-        _report(TREFOIL, 1025, None, EngineConfig(), memo)  # pushes out upper 2
+            engine._search(TREFOIL, upper, EngineConfig(), memo)
+        engine._search(TREFOIL, 1, EngineConfig(), memo)  # hit: now the latest
+        engine._search(TREFOIL, 1025, EngineConfig(), memo)  # pushes out upper 2
         assert len(memo) == 1024 and [key[1] for key in list(memo)[-2:]] == [1, 1025]
-        _report(TREFOIL, 1, None, EngineConfig(), memo)
-        _report(TREFOIL, 2, None, EngineConfig(), memo)
+        engine._search(TREFOIL, 1, EngineConfig(), memo)
+        engine._search(TREFOIL, 2, EngineConfig(), memo)
         assert calls == [*range(1026), 2]
 
     def test_failed_search_fails_every_call(self, searches, monkeypatch):
@@ -383,7 +397,7 @@ class TestDatabaseMemo:
             table(db, data.draw(cfgs))
         for record, cfg in data.draw(st.lists(st.tuples(st.sampled_from(list(db)), cfgs),
                                               min_size=1, max_size=12)):
-            want = payload(lambda: _report(record, *upper_bound(record, db), cfg))
+            want = payload(lambda: reference_report(record, db, cfg))
             assert payload(lambda: bound_report(record, db, cfg)) == want
 
 

@@ -14,6 +14,7 @@ from slicedeg.engine import (
     ClassCertificate,
     EngineConfig,
     LevelCertificate,
+    LowerBoundSearch,
     TableRow,
 )
 from slicedeg.knots import (
@@ -90,6 +91,11 @@ INSTANCES = {
         "LevelCertificate(level=0, kind='null_class', witness=mappingproxy({'rule': "
         "'null_class'}), classes=())",
     ),
+    "LowerBoundSearch": (
+        LowerBoundSearch(3, False, HomologyClass((1,)), ()),
+        "LowerBoundSearch(level=3, exhausted=False, surviving_class=HomologyClass(a=(1,)), "
+        "certificates=())",
+    ),
     "BoundReport": (
         BoundReport("0_1", 0, False, 0, "witness", HomologyClass(()), ()),
         "BoundReport(knot='0_1', lower=0, lower_exhausted=False, upper=0, "
@@ -112,6 +118,7 @@ FIELDS = {
     "HomologyClass": ("a", "norm"),
     "KnotDatabase": ("records", "warnings"),
     "vs_thin": ("tau", "values"),
+    "LowerBoundSearch": ("level", "exhausted", "surviving_class", "certificates"),
     "BoundReport": ("knot", "lower", "surviving_class", "certificates"),
 }
 NAMES = list(INSTANCES)
@@ -190,8 +197,10 @@ def test_no_default_map_is_shared():
 
 
 def test_deferred_certificates_are_built_once():
-    built = []
-    report = BoundReport("k", 0, False, None, None, HomologyClass(()),
-                         lambda: built.append(1) or ())
-    assert not built
-    assert report.certificates == () and report.certificates == () and built == [1]
+    for make in (lambda certificates: LowerBoundSearch(0, False, HomologyClass(()), certificates),
+                 lambda certificates: BoundReport("k", 0, False, None, None, HomologyClass(()),
+                                                  certificates)):
+        built = []
+        value = make(lambda: built.append(1) or ())
+        assert not built
+        assert value.certificates == () and value.certificates == () and built == [1]

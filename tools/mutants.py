@@ -215,6 +215,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "certificates-rebuilt",
+        ENGINE,
+        '        object.__setattr__(self, "_certificates", certificates)\n',
+        "        pass\n",
+        (
+            "tests/test_types.py::test_deferred_certificates_are_built_once",
+            T_MEMO + "TestDatabaseMemo::test_repeat_runs_no_search",
+        ),
+    ),
+    Mutant(
         "derived-forgets",
         KNOTS,
         "        return self._derived[compute]\n",
@@ -236,7 +246,10 @@ MUTANTS = (
         KNOTS,
         "    if type(text) is int:\n",
         "    if isinstance(text, int):\n",
-        ("tests/test_knots.py::TestRationals::test_booleans_rejected_like_int_fields",),
+        (
+            "tests/test_knots.py::TestCodecMatchesReference::test_each_fault_like_reference",
+            "tests/test_knots.py::TestRationals::test_booleans_rejected_like_int_fields",
+        ),
     ),
     Mutant(
         "parsed-maps-shared",
