@@ -327,7 +327,7 @@ def _friend_coverage(record: KnotRecord, cfg: EngineConfig) -> tuple[int, Mappin
         vd = friend_rule(fr.k, fr.friend_s)
         if vd.obstructed and fr.k + 1 > best:
             best = fr.k + 1
-            witness = MappingProxyType(dict(vd.witness or {}, friend_name=fr.friend_name))
+            witness = MappingProxyType(dict(vd.witness, friend_name=fr.friend_name))
     return best, witness
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -274,17 +273,6 @@ def gamma_walk(a: tuple[int, ...], sweep: bool) -> tuple[tuple[tuple[int, ...], 
     return tuple((c, kappa16(a, c)) for c in walk)
 
 
-@lru_cache(maxsize=1 << 10)
-def _gamma_parts(a: tuple[int, ...], c: tuple[int, ...]) -> tuple[int, Fraction, Fraction, str]:
-    """16*kappa_min(a, c), kappa_min, the bound 2*kappa_min and eta's text, kept per (a, c).
-
-    The parts are immutable, so every verdict on (a, c) shares them; a miss
-    reads ``eta`` as this module's global.
-    """
-    energy16 = kappa16(a, c)
-    return energy16, Fraction(energy16, 16), Fraction(energy16, 8), str(eta(a, c))
-
-
 def gamma_general(
     cls: HomologyClass,
     c: Sequence[int],
@@ -302,13 +290,12 @@ def gamma_general(
     (:func:`~slicedeg.lattice.kappa16`), 4*i = 16*kappa - k - 2*sigma, and
     the class dies iff :func:`_gamma_kills` holds of (16*kappa, Gamma_K(i)).
     For a class, every a_i is non-zero, so eta, a signed monomial times
-    binomials 1 - T^(2*a_i), is never zero.  The parts that depend only on
-    (a, c) come from :func:`_gamma_parts`; each call builds its own witness
-    dict.  Work: O(n) on a cache hit, and O(n + b * sum(a)) on a miss, for
-    eta's b binomial factors.
+    binomials 1 - T^(2*a_i), is never zero, and only a kill computes it,
+    through this module's ``eta``.  Work: O(n) per verdict, plus
+    O(n + b * sum(a)) for eta's b binomial factors on a kill.
     """
     c = tuple(c)
-    energy16, kappa, bound, eta_text = _gamma_parts(cls.a, c)
+    energy16 = kappa16(cls.a, c)
     index4 = energy16 - cls.norm - 2 * sigma
     if index4 < 0:
         return PASS
@@ -318,8 +305,9 @@ def gamma_general(
     value = gamma.get(i)
     if value is None or not _gamma_kills(energy16, value):
         return PASS
-    return Verdict(True, {"rule": "gamma", "kappa_min": kappa, "i": i, "eta": eta_text,
-                          "gamma": value, "bound": bound, "c": c})
+    return Verdict(True, {"rule": "gamma", "kappa_min": Fraction(energy16, 16), "i": i,
+                          "eta": str(eta(cls.a, c)), "gamma": value,
+                          "bound": Fraction(energy16, 8), "c": c})
 
 
 def double_twist_gamma(m: int, n: int) -> Fraction:

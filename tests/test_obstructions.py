@@ -26,7 +26,6 @@ from slicedeg.lattice import (
     enumerate_odd_vectors,
     eta,
     iter_classes,
-    kappa16,
 )
 from slicedeg import obstructions
 from slicedeg.obstructions import (
@@ -687,35 +686,6 @@ class TestGammaAgainstReference:
         assert gamma_general(cls, c, sigma, gamma) == reference_gamma_general(cls, c, sigma, gamma)
 
 
-def uncached_gamma_general(cls: HomologyClass, c, sigma: int, gamma) -> Verdict:
-    """The integer instanton check with its witness parts made on every call.
-
-    ``gamma_general`` before it kept 16*kappa, kappa, the bound and eta's
-    text per (a, c).
-    """
-    energy16 = kappa16(cls.a, c)
-    index4 = energy16 - cls.norm - 2 * sigma
-    if index4 < 0:
-        return Verdict(False)
-    if index4 % 4:
-        return Verdict(False, note=f"non-integral index {Fraction(index4, 4)}")
-    value = gamma.get(index4 // 4)
-    if value is None or not 8 * value.numerator > energy16 * value.denominator:
-        return Verdict(False)
-    return Verdict(
-        True,
-        {
-            "rule": "gamma",
-            "kappa_min": Fraction(energy16, 16),
-            "i": index4 // 4,
-            "eta": str(eta(cls.a, c)),
-            "gamma": value,
-            "bound": Fraction(energy16, 8),
-            "c": tuple(c),
-        },
-    )
-
-
 def same_verdict(got: Verdict, want: Verdict) -> bool:
     """Equal verdicts whose witness values also have the same types."""
     if got != want:
@@ -728,35 +698,27 @@ def same_verdict(got: Verdict, want: Verdict) -> bool:
 KILL_ALL = {i: Fraction(9, 2) for i in range(20)}
 
 
-class TestGammaPartsCache:
-    """``gamma_general`` with cached witness parts against the uncached check."""
+class TestGammaGeneralDifferential:
+    """``gamma_general`` against the Fraction and Phi_min reference, witness types included."""
 
-    def test_every_class_and_c_up_to_norm_24_cold_and_warm(self):
+    def test_every_class_and_c_up_to_norm_24(self):
         # sigma = -k and -k - 1 make 4*i = 16*kappa + k (+ 2) >= 0: every c of every class
         # reaches an integral index under one of them and a non-integral one under the other
-        cases = [
-            (cls, c, sigma, gamma)
-            for k in range(1, 25)
-            for cls in enumerate_classes(k)
-            if cls.n <= 8
-            for c in itertools.product((0, 1), repeat=cls.n)
-            for sigma in (-k, -k - 1)
-            for gamma in (KILL_ALL, GAMMA_MAPS[0])
-        ]
-        obstructions._gamma_parts.cache_clear()
-        for run in ("cold", "warm"):
-            kills = notes = 0
-            for cls, c, sigma, gamma in cases:
-                got = gamma_general(cls, c, sigma, gamma)
-                assert same_verdict(got, uncached_gamma_general(cls, c, sigma, gamma)), (
-                    run, cls, c, sigma
-                )
-                kills += got.obstructed
-                notes += got.note is not None
-            # 6040 pairs (cls, c): KILL_ALL kills each once, and each gets a note per map
-            assert (kills, notes) == (6040 + 3642, 2 * 6040), run
-        info = obstructions._gamma_parts.cache_info()
-        assert info.hits > info.misses > 0
+        kills = notes = 0
+        for k in range(1, 25):
+            for cls in enumerate_classes(k):
+                if cls.n > 8:
+                    continue
+                for c in itertools.product((0, 1), repeat=cls.n):
+                    for sigma in (-k, -k - 1):
+                        for gamma in (KILL_ALL, GAMMA_MAPS[0]):
+                            got = gamma_general(cls, c, sigma, gamma)
+                            want = reference_gamma_general(cls, c, sigma, gamma)
+                            assert same_verdict(got, want), (cls, c, sigma)
+                            kills += got.obstructed
+                            notes += got.note is not None
+        # 6040 pairs (cls, c): KILL_ALL kills each once, and each gets a note per map
+        assert (kills, notes) == (6040 + 3642, 2 * 6040)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
@@ -773,9 +735,8 @@ class TestGammaPartsCache:
     )
     def test_random_sigma_and_gamma_maps(self, cls_c, sigma, gamma):
         cls, c = cls_c
-        want = uncached_gamma_general(cls, c, sigma, gamma)
-        for _ in ("miss or hit", "hit"):
-            assert same_verdict(gamma_general(cls, c, sigma, gamma), want)
+        want = reference_gamma_general(cls, c, sigma, gamma)
+        assert same_verdict(gamma_general(cls, c, sigma, gamma), want)
 
     def test_two_kills_return_equal_but_independent_witnesses(self):
         cls, c, gamma = HomologyClass((2, 1)), [0, 0], {1: Fraction(15, 23)}
@@ -787,11 +748,11 @@ class TestGammaPartsCache:
             first.witness["eta"] = "changed"
         third = gamma_general(cls, c, -2, gamma)
         assert third == second == first and third.witness["eta"] != "changed"
-        # the same (a, c) under another sigma keeps its parts but names its own index
+        # the same (a, c) under another sigma has the same kappa but names its own index
         other = gamma_general(cls, c, -6, {3: Fraction(2)})
         assert (other.witness["i"], other.witness["kappa_min"]) == (3, second.witness["kappa_min"])
 
-    def test_eta_is_read_through_this_module_on_each_miss(self, monkeypatch):
+    def test_eta_is_read_through_this_module_once_per_kill(self, monkeypatch):
         calls = []
 
         def counted_eta(a, c):
@@ -799,13 +760,14 @@ class TestGammaPartsCache:
             return eta(a, c)
 
         monkeypatch.setattr(obstructions, "eta", counted_eta)
-        obstructions._gamma_parts.cache_clear()
-        cls, gamma = HomologyClass((3, 2, 1)), {0: Fraction(9)}
-        for sigma in (-7, -7, -9):
-            gamma_general(cls, (0, 0, 0), sigma, gamma)
-        gamma_general(cls, (0, 1, 0), -7, gamma)
-        assert calls == [((3, 2, 1), (0, 0, 0)), ((3, 2, 1), (0, 1, 0))]
-        obstructions._gamma_parts.cache_clear()
+        # 16*kappa(a, 0) = 6 and k = 14, so 4*i = -8 - 2*sigma; 16*kappa(a, (0, 1, 0)) = 2
+        cls, gamma = HomologyClass((3, 2, 1)), {0: Fraction(9), 1: Fraction(1, 16)}
+        kill = (0, 0, 0)
+        verdicts = [gamma_general(cls, kill, sigma, gamma) for sigma in (-4, -4, -5, -6, 0)]
+        verdicts.append(gamma_general(cls, (0, 1, 0), -4, gamma))
+        assert [vd.obstructed for vd in verdicts] == [True, True, False, False, False, False]
+        assert [vd.note is not None for vd in verdicts] == [False, False, True, False, False, False]
+        assert calls == [((3, 2, 1), kill)] * 2
 
 
 class TestGamma21:

@@ -60,3 +60,5 @@ def test_engine_wrap_points_fire(sweep):
     # Passing betas and c-vectors are decided without their deciders.
     for rule in ("beta", "gamma"):
         assert summary[DECIDERS[rule]]["calls"] == certified[rule], rule
+    # Each gamma kill reads eta once, for its witness, and nothing else reads it.
+    assert summary["lattice.eta"]["calls"] == certified["gamma"]
