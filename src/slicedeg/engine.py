@@ -42,8 +42,9 @@ formatted as text.
 The database also keeps its 1024 latest successful lower-bound searches,
 keyed by the search's inputs, its capping upper bound and the configuration
 (``parallelism`` aside), for every ``report_table`` and ``bound_report`` call
-on it.  Reports of one search share its read-only certificates: a search and
-its reports read them through one reader, :func:`_read_certificates`.
+on it; ``report_table`` reads it once per distinct search.  Reports of one
+search share its read-only certificates: a search and its reports read them
+through one reader, :func:`_read_certificates`.
 
 Reports are deterministic: identical inputs and configuration produce
 byte-identical serialized output.
@@ -603,13 +604,14 @@ _UPPER_ONLY_FIELDS = frozenset(
 # Int-keyed map fields hold unhashable dicts; the key holds their sorted items.
 _SEARCH_FIELDS = [f for f in KnotRecord._fields if f not in _UPPER_ONLY_FIELDS]
 _search_values = attrgetter(*(f for f in _SEARCH_FIELDS if f not in INT_KEYED_FIELDS))
-_SEARCH_MAPPINGS = [f for f in _SEARCH_FIELDS if f in INT_KEYED_FIELDS]
+_search_maps = attrgetter(*(f for f in _SEARCH_FIELDS if f in INT_KEYED_FIELDS))
 
 
 def _search_key(record: KnotRecord) -> tuple:
     """The record's search inputs as one hashable tuple."""
-    mappings = [tuple(sorted(getattr(record, f).items())) for f in _SEARCH_MAPPINGS]
-    return _search_values(record), *mappings
+    s_invariants, gamma = _search_maps(record)  # every INT_KEYED_FIELDS map, in field order
+    return (_search_values(record), tuple(sorted(s_invariants.items())) if s_invariants else (),
+            tuple(sorted(gamma.items())) if gamma else ())
 
 
 def _searches(db: KnotDatabase) -> OrderedDict[tuple, LowerBoundSearch]:
@@ -659,18 +661,23 @@ def report_table(db: KnotDatabase, cfg: EngineConfig | None = None) -> list[Tabl
 
     Records with the same search inputs (every field but the upper-only ones)
     and upper bound share one lower-bound search, kept on ``db`` for later
-    calls; a failing search or report fails, and is reported, for each record.
+    calls.  Each record is looked up once, among this call's searches, and the
+    memo only on a miss; a failing search or report fails, and is reported,
+    for each record.
     """
     cfg = cfg or EngineConfig()
     uppers, warning = db.derived(_closure)
     if warning:
         _warnings.warn(warning, stacklevel=2)
     searches = db.derived(_searches)
+    levels: dict[tuple, int] = {}  # (search inputs, upper) -> lower, for this call only
     rows = []
     for record in db:
         try:  # a TableRow has no witness or certificates, so none is formatted or listed
             upper = uppers[record.name][0]
-            lower = _search(record, upper, cfg, searches).level
+            lower = levels.get(key := (_search_key(record), upper))
+            if lower is None:
+                lower = levels[key] = _search(record, upper, cfg, searches).level
             _check_interval(record.name, lower, upper)
             rows.append(TableRow(record.name, lower, upper, display_interval(lower, upper)))
         except (DatabaseError, OracleDisagreement) as exc:

@@ -17,6 +17,8 @@ its own ``friend_s``.
 A record is loaded in one pass, each value tested by its exact JSON type and
 written to its field's slot; a V_s spec without values is the one shared
 :class:`VsSpec` of its kind, and location text is built only for an error.
+Each :func:`parse_knot_db` call keeps a plan per key order: the parsers of the
+fields present, in parse order, so a record runs only its own fields' parsers.
 
 Databases are immutable after load and safe for concurrent reads: a value
 kept by ``KnotDatabase.derived`` (the upper-bound closure, or a memoised
@@ -240,16 +242,17 @@ def validate_record(record: KnotRecord) -> list[Diagnostic]:
 # --- JSON codec -------------------------------------------------------------
 #
 # One parser and one encoder per field kind, run in one pass over a record.  A
-# parser takes the raw JSON value, the record's location ``where``, the path
-# ``at`` inside it and the database's count of unknown keys, which it adds its
-# nested objects' to; its value fills the field's slot.  Values are tested by
+# parser takes the raw JSON value, its path ``at`` inside the record (".gamma")
+# and the database's count of unknown keys, which it adds its nested objects'
+# to; its value fills the field's slot.  An error names the path, and
+# :func:`_parse_record` prefixes the record's location.  Values are tested by
 # exact type (``json.loads`` makes no subclasses, and a JSON boolean is a
 # ``bool``, never an ``int``), a V_s spec without values is the shared one of
 # its kind, and the path to an item (".gamma[1]") is formatted only for an error.
 
 
-def _reject(obj: Any, typ: type, where: str, at: str = "", sub: str = "") -> NoReturn:
-    raise DatabaseError(f"{where}{at}{sub}: expected {typ.__name__}, got {type(obj).__name__}")
+def _reject(obj: Any, typ: type, at: str, sub: str = "") -> NoReturn:
+    raise DatabaseError(f"{at}{sub}: expected {typ.__name__}, got {type(obj).__name__}")
 
 
 def parse_rational(text: Any, where: str, at: str = "") -> Fraction:
@@ -270,12 +273,12 @@ def format_rational(value: Fraction) -> str:
     return str(value)  # "num/den", or "num" for an integer
 
 
-def _expect(obj: Any, typ: type, where: str, at: str = "", sub: str = "") -> Any:
-    return obj if type(obj) is typ else _reject(obj, typ, where, at, sub)
+def _expect(obj: Any, typ: type, at: str, sub: str = "") -> Any:
+    return obj if type(obj) is typ else _reject(obj, typ, at, sub)
 
 
-def _expect_all(items: list, typ: type, where: str, at: str, sub: str = "") -> tuple:
-    return tuple(v if type(v) is typ else _reject(v, typ, where, at, sub) for v in items)
+def _expect_all(items: list, typ: type, at: str, sub: str = "") -> tuple:
+    return tuple(v if type(v) is typ else _reject(v, typ, at, sub) for v in items)
 
 
 def _int_key(key: str) -> int:
@@ -290,15 +293,15 @@ def _same(value: Any) -> Any:
 
 
 class _Codec(NamedTuple):
-    parse: Callable[[Any, str, str, dict[str, int]], Any]
+    parse: Callable[[Any, str, dict[str, int]], Any]
     encode: Callable[[Any], Any] = _same
 
 
 def _scalar(typ: type, nullable: bool = True) -> _Codec:
     """A ``typ`` value; ``null`` means absent unless the field is required."""
 
-    def parse(raw: Any, where: str, at: str, unknown: dict[str, int]) -> Any:
-        return raw if type(raw) is typ or raw is None and nullable else _reject(raw, typ, where, at)
+    def parse(raw: Any, at: str, unknown: dict[str, int]) -> Any:
+        return raw if type(raw) is typ or raw is None and nullable else _reject(raw, typ, at)
 
     return _Codec(parse)
 
@@ -306,8 +309,8 @@ def _scalar(typ: type, nullable: bool = True) -> _Codec:
 def _optional_list(typ: type) -> _Codec:
     """A list of ``typ`` kept as a tuple; ``null`` means absent, ``[]`` is kept."""
 
-    def parse(raw: Any, where: str, at: str, unknown: dict[str, int]) -> tuple | None:
-        return None if raw is None else _expect_all(_expect(raw, list, where, at), typ, where, at)
+    def parse(raw: Any, at: str, unknown: dict[str, int]) -> tuple | None:
+        return None if raw is None else _expect_all(_expect(raw, list, at), typ, at)
 
     return _Codec(parse, list)
 
@@ -315,14 +318,17 @@ def _optional_list(typ: type) -> _Codec:
 def _int_map(key_label: str, kept: type, parse_value: Callable, encode_value=_same) -> _Codec:
     """Canonical integer keys, each checked before its value; a non-``kept`` value is parsed."""
 
-    def parse(raw: Any, where: str, at: str, unknown: dict[str, int]) -> dict:
+    def parse(raw: Any, at: str, unknown: dict[str, int]) -> dict:
         out = {}
-        for key, value in _expect(raw, dict, where, at).items():
+        for key, value in _expect(raw, dict, at).items():
             try:
                 k = _int_key(key)
             except ValueError as exc:
-                raise DatabaseError(f"{where}{at}: bad {key_label} {key!r}") from exc
-            out[k] = value if type(value) is kept else parse_value(value, where, f"{at}[{key}]")
+                raise DatabaseError(f"{at}: bad {key_label} {key!r}") from exc
+            try:
+                out[k] = value if type(value) is kept else parse_value(value, "")
+            except DatabaseError as exc:
+                raise DatabaseError(f"{at}[{key}]{exc}") from exc
         return out
 
     return _Codec(parse, lambda m: {str(k): encode_value(v) for k, v in sorted(m.items())})
@@ -339,15 +345,15 @@ def _objects(cls: type, *types: type, **defaults: Any) -> _Codec:
     known = frozenset(cls._fields)
     fields = [(name, typ, defaults.get(name)) for name, typ in zip(cls._fields, types)]
 
-    def parse(raw: Any, where: str, at: str, unknown: dict[str, int]) -> tuple:
+    def parse(raw: Any, at: str, unknown: dict[str, int]) -> tuple:
         out = []
-        for i, obj in enumerate(_expect(raw, list, where, at)):
-            obj = obj if type(obj) is dict else _reject(obj, dict, where, f"{at}[{i}]")
+        for i, obj in enumerate(_expect(raw, list, at)):
+            obj = obj if type(obj) is dict else _reject(obj, dict, f"{at}[{i}]")
             _count_unknown(obj, known, f"{at[1:]}[].", unknown)
             args = [obj.get(name, default) for name, _, default in fields]
             for value, (name, typ, _) in zip(args, fields):
                 if type(value) is not typ:
-                    _reject(value, typ, where, f"{at}[{i}].{name}")
+                    _reject(value, typ, f"{at}[{i}].{name}")
             out.append(cls._make(args))
         return tuple(out)
 
@@ -357,19 +363,19 @@ def _objects(cls: type, *types: type, **defaults: Any) -> _Codec:
 _VS_SPEC_KEYS = frozenset(("type", "values"))
 
 
-def _parse_vs_spec(raw: Any, where: str, at: str, unknown: dict[str, int]) -> VsSpec:
+def _parse_vs_spec(raw: Any, at: str, unknown: dict[str, int]) -> VsSpec:
     """``values`` is read whenever present, so :class:`VsSpec` rejects it on other kinds."""
-    data = _expect(raw, dict, where, at)
+    data = _expect(raw, dict, at)
     if not data.keys() <= _VS_SPEC_KEYS:
         _count_unknown(data, _VS_SPEC_KEYS, f"{at[1:]}.", unknown)
-    kind = _expect(data.get("type", "unknown"), str, where, at, ".type")
+    kind = _expect(data.get("type", "unknown"), str, at, ".type")
     values = ()
     if "values" in data:
-        values = _expect_all(_expect(data["values"], list, where, at), int, where, at, ".values")
+        values = _expect_all(_expect(data["values"], list, at), int, at, ".values")
     try:
         return _SHARED_SPECS[kind] if kind in _SHARED_SPECS and not values else VsSpec(kind, values)
     except ValueError as exc:
-        raise DatabaseError(f"{where}{at}: {exc}") from exc
+        raise DatabaseError(f"{at}: {exc}") from exc
 
 
 def _encode_vs_spec(spec: VsSpec) -> dict[str, Any]:
@@ -380,7 +386,7 @@ def _encode_vs_spec(spec: VsSpec) -> dict[str, Any]:
 
 #: The KnotRecord fields holding int-keyed maps (unhashable dicts), with their codecs.
 INT_KEYED_FIELDS = {
-    "s_invariants": _int_map("characteristic", int, lambda v, w, at: _reject(v, int, w, at)),
+    "s_invariants": _int_map("characteristic", int, lambda v, at: _reject(v, int, at)),
     "gamma": _int_map("argument", Fraction, parse_rational, format_rational),
 }
 
@@ -410,24 +416,33 @@ _MAPS = [_SLOT[fld] for fld in INT_KEYED_FIELDS]
 _ABSENT = object()
 
 
-def _parse_record(obj: Any, index: int, unknown_fields: dict[str, int]) -> KnotRecord:
+def _plan(keys: tuple[str, ...]) -> tuple[tuple[str, ...], list]:
+    """A record's unknown keys, and the parsers of its known fields but ``name`` in parse order."""
+    return tuple(k for k in keys if k not in _KNOWN_FIELDS), [p for p in _PARSERS if p[0] in keys]
+
+
+def _parse_record(obj: Any, index: int, unknown_fields: dict[str, int], plans: dict) -> KnotRecord:
+    """One record; ``plans`` keeps a :func:`_plan` per key order for the records after it."""
     data = obj if type(obj) is dict else _reject(obj, dict, f"record {index}")
     if "name" not in data:
         raise DatabaseError(f"record {index}: missing required field 'name'")
     if type(name := data["name"]) is not str:
-        _reject(name, str, f"record {index}", ".name")
-    where = f"record {index} ({name!r})"
+        _reject(name, str, f"record {index}.name")
     if "signature" not in data:
-        raise DatabaseError(f"{where}: missing required field 'signature'")
+        raise DatabaseError(f"record {index} ({name!r}): missing required field 'signature'")
 
-    if not data.keys() <= _KNOWN_FIELDS:
-        _count_unknown(data, _KNOWN_FIELDS, "", unknown_fields)
+    if (plan := plans.get(keys := tuple(data))) is None:
+        plan = plans[keys] = _plan(keys)
+    for key in plan[0]:
+        unknown_fields[key] = unknown_fields.get(key, 0) + 1
     row = [name, *_ROW]
     for slot in _MAPS:  # an absent map gets a new dict, never a shared default
         row[slot] = {}
-    for fld, parse, at, slot in _PARSERS:
-        if (raw := data.get(fld, _ABSENT)) is not _ABSENT:
-            row[slot] = parse(raw, where, at, unknown_fields)
+    try:
+        for fld, parse, at, slot in plan[1]:
+            row[slot] = parse(data[fld], at, unknown_fields)
+    except DatabaseError as exc:
+        raise DatabaseError(f"record {index} ({name!r}){exc}") from exc
     row.pop()
     return KnotRecord._make(row)
 
@@ -451,10 +466,11 @@ def parse_knot_db(text: str) -> KnotDatabase:
         raise DatabaseError("top level must be an array of record objects")
 
     unknown_fields: dict[str, int] = {}
+    plans: dict[tuple[str, ...], tuple] = {}  # for this call only
     records: dict[str, KnotRecord] = {}
     diag_warnings: list[str] = []
     for index, obj in enumerate(doc):
-        record = _parse_record(obj, index, unknown_fields)
+        record = _parse_record(obj, index, unknown_fields, plans)
         if record.name in records:
             raise DatabaseError(f"duplicate name {record.name!r}")
         if diags := validate_record(record):
@@ -467,9 +483,10 @@ def parse_knot_db(text: str) -> KnotDatabase:
                 for name, count in sorted(unknown_fields.items())]
     # Only the fields the upper bound follows are references; a friend's name is a label.
     for record in records.values():
+        if record.concordant_to is None and not record.connected_sum_of:
+            continue
         refs = [("concordant_to", record.concordant_to)]
-        if record.connected_sum_of:
-            refs += [("connected_sum_of", other) for other in record.connected_sum_of]
+        refs += [("connected_sum_of", other) for other in record.connected_sum_of or ()]
         for fld, target in refs:
             if target is not None and target not in records:
                 warnings.append(f"record {record.name!r}: {fld} references unknown knot {target!r}")

@@ -694,7 +694,10 @@ def db_outcome(text: str, serialize=serialize_knot_db):
 
 def reference_db_outcome(text: str):
     """:func:`db_outcome` with the reference record parser and serializer."""
-    with mock.patch.object(knots, "_parse_record", reference_parse_record):
+    def reference(obj, index, unknown_fields, plans):
+        return reference_parse_record(obj, index, unknown_fields)
+
+    with mock.patch.object(knots, "_parse_record", reference):
         return db_outcome(text, reference_serialize_knot_db)
 
 
@@ -723,11 +726,17 @@ class TestCodecMatchesReference:
             min_size=3,
             max_size=8,
             unique_by=lambda drawn: drawn[0]["name"],
-        )
+        ),
+        st.data(),
     )
-    def test_documents_of_several_records_parse_like_reference(self, drawn):
-        """State kept across records: unknown-field counts, names seen, warning order, specs."""
-        text = json.dumps([mutate(record, mutations) for record, mutations in drawn])
+    def test_documents_of_several_records_parse_like_reference(self, drawn, data):
+        """State kept across records: unknown-field counts, names seen, warning order, specs,
+        and the parse plans of repeated and reordered key orders."""
+        records = []
+        for record, mutations in drawn:
+            mutated = mutate(record, mutations)
+            records.append({key: mutated[key] for key in data.draw(st.permutations(list(mutated)))})
+        text = json.dumps(records)
         outcome = db_outcome(text)
         assert outcome == reference_db_outcome(text)
         if not isinstance(outcome[0], type):  # parsed: each spec without values is one object

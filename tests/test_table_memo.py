@@ -249,6 +249,28 @@ class TestSearchCount:
         assert len(rows) == 241 and all(r.display == "4" for r in rows)
         assert searches == ["3_1"]
 
+    def test_one_search_call_per_distinct_key(self, monkeypatch):
+        calls = []
+        real = engine._search
+
+        def counting(record, upper, cfg, searches):
+            calls.append(projection(record, upper))
+            return real(record, upper, cfg, searches)
+
+        monkeypatch.setattr(engine, "_search", counting)
+        trefoil = KNOTS.get("3_1")
+        double = KnotRecord("", -4, s_invariants={0: 4}, tau=2, vs_spec=VsSpec("thin"))
+        sums = [double._replace(name=name, connected_sum_of=summands) for name, summands in (
+            ("s1", ("3_1", "3_1")), ("s2", ("3_1-link7", "3_1")), ("s3", ("3_1", "3_1-link50")),
+            ("s4", ("3_1", "s1")),
+        )]
+        db = db_of(*chain(trefoil, 50), *sums, sums[0]._replace(name="s5", tau=1))
+        rows = table(db)
+        assert rows == reference_table(db)
+        assert [r.display for r in rows[-5:]] == ["8", "8", "8", "[8,12]", "8"]
+        assert len(calls) == len(set(calls)) == 4
+        assert set(calls) == {projection(r, row.upper) for r, row in zip(db, rows)}
+
     def test_bundled_once_per_distinct_key(self, searches):
         db = load_knot_db(bundled_database_path("knots"))  # no searches kept on it yet
         keys = {projection(r, upper_bound(r, db)[0]) for r in db}

@@ -195,6 +195,28 @@ MUTANTS = (
         (T_MEMO + "TestKey::test_other_upper_does_not_share",),
     ),
     Mutant(
+        "table-shares-failure",
+        ENGINE,
+        "            if lower is None:\n"
+        "                lower = levels[key] = _search(record, upper, cfg, searches).level\n",
+        "            if isinstance(lower, Exception):\n"
+        "                raise lower\n"
+        "            if lower is None:\n"
+        "                try:\n"
+        "                    lower = levels[key] = _search(record, upper, cfg, searches).level\n"
+        "                except (DatabaseError, OracleDisagreement) as exc:\n"
+        "                    levels[key] = exc\n"
+        "                    raise\n",
+        (T_MEMO + "TestKey::test_failed_search_names_each_record",),
+    ),
+    Mutant(
+        "table-key-drops-upper",
+        ENGINE,
+        "key := (_search_key(record), upper)",
+        "key := _search_key(record)",
+        (T_MEMO + "TestDatabaseMemo::test_after_table_runs_no_search",),
+    ),
+    Mutant(
         "config-eq-parallelism",
         ENGINE,
         'attrgetter("max_k", "obstructions", "gamma_c_sweep")',
@@ -250,6 +272,13 @@ MUTANTS = (
             "tests/test_knots.py::TestCodecMatchesReference::test_each_fault_like_reference",
             "tests/test_knots.py::TestRationals::test_booleans_rejected_like_int_fields",
         ),
+    ),
+    Mutant(
+        "plan-in-file-order",
+        KNOTS,
+        "[p for p in _PARSERS if p[0] in keys]",
+        "sorted((p for p in _PARSERS if p[0] in keys), key=lambda p: keys.index(p[0]))",
+        ("tests/test_knots.py::TestCodecMatchesReference::test_first_of_two_faults_like_reference",),
     ),
     Mutant(
         "parsed-maps-shared",
