@@ -10,9 +10,9 @@ the order decides which rule a certificate names).  The first unobstructed
 level is a sound lower bound because every check is a necessary condition
 for the disk.  Each level stops at its first survivor.  Levels up to
 ``DEFAULT_MAX_K`` are listed once per process for every search
-(:func:`_level`); deeper ones stream.  Only a class's first kill calls a
-decider (:meth:`ClassBattery.first_kill`), and the battery keeps each
-level's instanton killing energies and the search's V_s suffix tables.
+(:func:`_level`); deeper ones stream.  A class's checks stop at its first
+kill (:meth:`ClassBattery.first_kill`), and the battery keeps the search's
+V_s suffix tables.
 
 The walk starts at the adjunction floor.  Let beta_max be the largest
 adjunction bound the battery applies and least[k] the least sum(a) over
@@ -73,7 +73,6 @@ from .obstructions import (
     beta_kills,
     friend_rule,
     gamma_general,
-    gamma_killing_energies,
     gamma_walk,
     null_class_check,
     vs_obstruction,
@@ -156,6 +155,8 @@ class LowerBoundSearch(_Frozen):
         self._set(level, exhausted, surviving_class, certificates)
 
     certificates = property(_read_certificates)
+    # Certificates hold read-only mappings, so hashing fails, and fails before listing them.
+    __hash__ = None
 
 
 def _check_interval(knot: str, lower: int, upper: int | None) -> None:
@@ -187,6 +188,7 @@ class BoundReport(_Frozen):
         self._set(knot, lower, lower_exhausted, upper, upper_witness, surviving_class, certificates)
 
     certificates = property(_read_certificates)
+    __hash__ = None  # as LowerBoundSearch's
 
     @property
     def display(self) -> str:
@@ -224,13 +226,12 @@ class ClassBattery:
     it; ``OracleDisagreement`` propagates) and its adjunction-type scalar
     bounds (each stored s_p, 2*tau, 2*nu+) are computed once, here, and
     shared by every class checked.  The enabled rules with data on the
-    record run in one fixed order, ``betas``, ``gamma``, ``vs``, in both
-    :meth:`verdicts` and :meth:`first_kill`; the latter calls a decider only
-    on a candidate kill, and keeps its verdict only if it obstructs: a beta
-    iff :func:`~.obstructions.beta_kills`, and the instanton check iff some
-    c's 16*kappa is one of the level's
-    :func:`~.obstructions.gamma_killing_energies`, kept in ``energies``.
-    The V_s check shares ``tables`` over the battery's one search.
+    record run in one fixed order, ``betas``, ``gamma`` (per c of
+    :func:`~.obstructions.gamma_walk`), ``vs``, in both :meth:`verdicts` and
+    :meth:`first_kill`; the latter stops at the first verdict that
+    obstructs, and calls a beta's decider only when
+    :func:`~.obstructions.beta_kills`.  The V_s check shares ``tables`` over
+    the battery's one search.
     """
 
     def __init__(self, record: KnotRecord, cfg: EngineConfig) -> None:
@@ -246,7 +247,6 @@ class ClassBattery:
         self.betas = betas if "s" in cfg.obstructions else []
         self.gamma = "gamma" in cfg.obstructions and bool(record.gamma)
         self.vs = "vs" in cfg.obstructions and self.v is not None
-        self.energies: dict[int, frozenset[int]] = {}  # level k -> its killing 16*kappa values
         self.tables: dict = {}  # (suffix, cap) -> V_s suffix table
 
     def verdicts(self, cls: HomologyClass) -> Iterator[RuleVerdict]:
@@ -256,7 +256,7 @@ class ClassBattery:
         for rule, beta in self.betas:
             yield RuleVerdict(rule, beta_adjunction(cls, beta), beta, rhs)
         if self.gamma:
-            for c, _ in gamma_walk(cls.a, self.cfg.gamma_c_sweep):
+            for c in gamma_walk(cls.a, self.cfg.gamma_c_sweep):
                 yield RuleVerdict("gamma", gamma_general(cls, c, record.signature, record.gamma))
         if self.vs:
             yield RuleVerdict("vs", vs_obstruction(cls, self.v, self.tables))
@@ -268,15 +268,10 @@ class ClassBattery:
         if kill is not None:
             return kill
         if self.gamma:
-            k = cls.norm
-            if k not in self.energies:
-                self.energies[k] = gamma_killing_energies(k, record.signature, record.gamma)
-            kills = self.energies[k]
-            for c, energy in gamma_walk(cls.a, self.cfg.gamma_c_sweep) if kills else ():
-                if energy in kills:
-                    verdict = gamma_general(cls, c, record.signature, record.gamma)
-                    if verdict.obstructed:
-                        return "gamma", verdict
+            for c in gamma_walk(cls.a, self.cfg.gamma_c_sweep):
+                verdict = gamma_general(cls, c, record.signature, record.gamma)
+                if verdict.obstructed:
+                    return "gamma", verdict
         if self.vs:
             verdict = vs_obstruction(cls, self.v, self.tables)
             if verdict.obstructed:
@@ -311,7 +306,7 @@ def _least_sums() -> Iterator[int]:
 @cache
 def _adjunction_floor(beta_max: int) -> int:
     """The first level k with k - least[k] >= beta_max (:func:`_least_sums`)."""
-    return next(k for k, least in enumerate(_least_sums()) if k - least >= beta_max)
+    return next(k for k, least in enumerate(_least_sums()) if not beta_kills(beta_max, k - least))
 
 
 def _friend_coverage(record: KnotRecord, cfg: EngineConfig) -> tuple[int, Mapping | None]:
@@ -580,9 +575,9 @@ def beta_table(betas: Sequence[int]) -> list[BetaTableRow]:
     k, least = next(levels)
     rows = {}
     for beta in sorted(set(betas)):
-        while k - least < beta:
+        while beta_kills(beta, k - least):
             k, least = next(levels)
-        witness = next(cls for cls in iter_classes(k) if k - sum(cls.a) >= beta)
+        witness = next(cls for cls in iter_classes(k) if not beta_kills(beta, k - sum(cls.a)))
         rows[beta] = BetaTableRow(beta, k, witness)
     return [rows[beta] for beta in betas]
 

@@ -245,32 +245,22 @@ def _gamma_kills(energy16: int, g: Fraction | int) -> bool:
     return 8 * g.numerator > energy16 * g.denominator
 
 
-def gamma_killing_energies(
-    k: int, sigma: int, gamma: Mapping[int, Fraction | int]
-) -> frozenset[int]:
-    """The 16*kappa = k + 2*sigma + 4*i (i >= 0) at which :func:`_gamma_kills` kills norm k."""
-    base = k + 2 * sigma  # 16*kappa at index 0
-    kills = (base + 4 * i for i, g in gamma.items() if i >= 0 and _gamma_kills(base + 4 * i, g))
-    return frozenset(kills)
-
-
-def gamma_walk(a: tuple[int, ...], sweep: bool) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Each c the instanton check tries on the sorted class ``a``, with 16*kappa_min(a, c).
+def gamma_walk(a: tuple[int, ...], sweep: bool) -> list[tuple[int, ...]]:
+    """Each c the instanton check tries on the sorted class ``a``.
 
     Without the sweep only c = 0.  With it, the lexicographically least c
     of each orbit under permuting equal entries of ``a`` (which keeps kappa,
     the index and eta): 0^(m-j) 1^j, j = 0..m, on each run of m equal even
     entries, and 0 on odd ones, where a_i - 2*c_i is odd either way.  These
     prod(m_j + 1) vectors come in lexicographic order, so the first killing
-    c is that of the full 2^n sweep.  Each c's 16*kappa is
-    :func:`~slicedeg.lattice.kappa16`.
+    c is that of the full 2^n sweep.
     """
     walk: list[tuple[int, ...]] = [()]
     for x, group in itertools.groupby(a):
         m = len(list(group))
         ones = range(m + 1) if sweep and x % 2 == 0 else (0,)
         walk = [c + (0,) * (m - j) + (1,) * j for c in walk for j in ones]
-    return tuple((c, kappa16(a, c)) for c in walk)
+    return walk
 
 
 def gamma_general(

@@ -297,7 +297,8 @@ class TestFirstKill:
                 [VsSpec("unknown"), VsSpec("thin")]
                 + [VsSpec("explicit", values) for values in ((3, 2, 1), (5,))]
             ),
-            st.dictionaries(st.integers(0, 8), st.fractions(0, 12, max_denominator=16), max_size=5),
+            st.dictionaries(st.integers(0, 60), st.fractions(0, 12, max_denominator=16),
+                            max_size=40),
         ),
         k=st.integers(21, 40),
         rules=st.sampled_from(RULE_SETS),
@@ -309,7 +310,7 @@ class TestFirstKill:
             assert battery.first_kill(cls) == first_obstructed(battery, cls), cls
 
     def test_killing_energies_follow_the_level(self):
-        # classes of levels 1..24 in shuffled order, so the level changes between most calls
+        # classes of levels 1..24 in shuffled order: no first kill depends on an earlier call
         record = KnotRecord("g", -2, gamma={0: Fraction(1, 3), 1: Fraction(3, 5), 3: Fraction(2)})
         rules = frozenset({"gamma"})
         battery = ClassBattery(record, EngineConfig(obstructions=rules, gamma_c_sweep=True))
@@ -320,7 +321,7 @@ class TestFirstKill:
             kill = battery.first_kill(cls)
             assert kill == first_obstructed(battery, cls), cls
             kills += kill is not None
-        assert kills > 0 and sorted(battery.energies) == list(range(1, 25))
+        assert kills > 0
 
 
 class TestReferenceWalk:
@@ -401,7 +402,8 @@ class TestAdjunctionFloor:
             st.none() | st.integers(0, 8),
             st.none() | st.integers(0, 8),
             st.none() | st.integers(0, 30),
-            st.sampled_from([{}, {1: Fraction(3, 5)}, {0: Fraction(1, 2), 2: Fraction(5, 3)}]),
+            st.sampled_from([{}, {1: Fraction(3, 5)}, {0: Fraction(1, 2), 2: Fraction(5, 3)},
+                             {i: Fraction(1000) for i in range(40)}]),
         ),
         cap=st.integers(0, 30),
         rules=st.sampled_from(OBSTRUCTION_SUBSETS),
@@ -590,40 +592,31 @@ def least_in_orbit(a, c):
     )
 
 
-def _gamma_c_vectors(a: tuple[int, ...], sweep: bool) -> list[tuple[int, ...]]:
-    """The c-vectors of the instanton check's orbit walk (:func:`gamma_walk`), in order."""
-    return [c for c, _ in gamma_walk(a, sweep)]
-
-
 def reference_gamma_walk(a: tuple[int, ...], sweep: bool):
     """The orbit walk as a generator over per-run choices, as the engine built it before caching.
 
-    Yields each c with 16*kappa_min(a, c): per run of m equal entries, the
-    choices 0^(m-j) 1^j (only j = 0 for odd entries or without the sweep),
-    each with its step of 16*kappa, and the product of the choices in order.
+    Yields each c: per run of m equal entries, the choices 0^(m-j) 1^j
+    (only j = 0 for odd entries or without the sweep), and the product of
+    the choices in order.
     """
     runs = [(x, len(list(group))) for x, group in itertools.groupby(a)]
-    energy = sum(m if x % 2 else 4 * m if x % 4 else 0 for x, m in runs)
     choices = [
-        [((0,) * (m - j) + (1,) * j, j * (-4 if x % 4 else 4)) for j in range(m + 1)]
-        if sweep and x % 2 == 0 else [((0,) * m, 0)]
+        [(0,) * (m - j) + (1,) * j for j in range(m + 1)]
+        if sweep and x % 2 == 0 else [(0,) * m]
         for x, m in runs
     ]
     for parts in itertools.product(*choices):
-        c = tuple(itertools.chain.from_iterable(part for part, _ in parts))
-        yield c, energy + sum(step for _, step in parts)
+        yield tuple(itertools.chain.from_iterable(parts))
 
 
 class TestGammaWalk:
-    """The orbit walk, one tuple per class, equals the generator it replaced."""
+    """The orbit walk, one list per class, equals the generator it replaced."""
 
     @pytest.mark.parametrize("sweep", [False, True])
     def test_every_class_up_to_norm_40(self, sweep):
         for k in range(1, 41):
             for cls in iter_classes(k):
-                walk = gamma_walk(cls.a, sweep)
-                assert walk == tuple(reference_gamma_walk(cls.a, sweep)), cls
-                assert all(energy == kappa16(cls.a, c) for c, energy in walk)
+                assert gamma_walk(cls.a, sweep) == list(reference_gamma_walk(cls.a, sweep)), cls
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
@@ -632,13 +625,12 @@ class TestGammaWalk:
     )
     def test_long_runs(self, runs, sweep):
         a = tuple(x for x in sorted(runs, reverse=True) for _ in range(runs[x]))
-        walk = gamma_walk(a, sweep)
-        assert walk == tuple(reference_gamma_walk(a, sweep))
+        assert gamma_walk(a, sweep) == list(reference_gamma_walk(a, sweep))
 
 
 class TestGammaCVectors:
     def test_without_sweep_only_zero(self):
-        assert _gamma_c_vectors((3, 1, 1), False) == [(0, 0, 0)]
+        assert gamma_walk((3, 1, 1), False) == [(0, 0, 0)]
 
     @pytest.mark.parametrize("a", [(1,), (2, 1), (2, 2), (3, 2, 2, 1, 1, 1), (4, 3, 3, 2, 1, 1)])
     def test_one_least_member_per_orbit_in_lex_order(self, a):
@@ -648,11 +640,11 @@ class TestGammaCVectors:
             for c in itertools.product((0, 1), repeat=len(a))
             if not any(ci and ai % 2 for ai, ci in zip(a, c))
         }
-        assert _gamma_c_vectors(a, True) == sorted(orbits)
+        assert gamma_walk(a, True) == sorted(orbits)
 
     def test_sixteen_ones(self):
-        assert _gamma_c_vectors((1,) * 16, True) == [(0,) * 16]
-        vectors = _gamma_c_vectors((2,) * 16, True)
+        assert gamma_walk((1,) * 16, True) == [(0,) * 16]
+        vectors = gamma_walk((2,) * 16, True)
         assert len(vectors) == 17
         assert all(x < y for x, y in zip(vectors, vectors[1:]))
         # with all entries equal, a vector is least in its orbit iff it is non-decreasing

@@ -13,7 +13,6 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_engine import _gamma_c_vectors
 from test_lattice import laurent_from_terms
 
 from slicedeg import engine
@@ -34,7 +33,7 @@ from slicedeg.obstructions import (
     double_twist_gamma,
     friend_rule,
     gamma_general,
-    gamma_killing_energies,
+    gamma_walk,
     null_class_check,
     stau_bound,
     vs_obstruction,
@@ -554,6 +553,8 @@ class TestGammaGeneral:
         for sigma in (0, -2, -4, -6):
             vd = gamma_general(HomologyClass((4,)), (0,), sigma, {0: Fraction(1)})
             assert not vd.obstructed
+        # at sigma = -6 the index is -1: a value stored there is never read
+        assert not gamma_general(HomologyClass((4,)), (0,), -6, {-1: Fraction(100)}).obstructed
 
     def test_class_four_zero_index_obstructs(self):
         # at sigma = -8 the index reaches 0 and any positive Gamma(0) beats 2*kappa = 0
@@ -605,29 +606,6 @@ class TestGammaGeneral:
             assert gamma_general(unsorted_class(perm), (0, 0), -2, gamma).obstructed == base.obstructed
 
 
-class TestGammaKillingEnergies:
-    """The kill test against Gamma(i) > 2*kappa, decided energy by energy."""
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        sigma=st.integers(-6, 2).map(lambda x: 2 * x),
-        gamma=st.dictionaries(
-            st.integers(-4, 12),
-            st.fractions(0, 12, max_denominator=16) | st.integers(0, 12),
-            max_size=8,
-        ),
-    )
-    def test_brute_force_up_to_norm_40(self, sigma, gamma):
-        for k in range(41):
-            want = set()
-            for energy16 in range(-100, 200):  # k + 2*sigma + 4*i lies in [-40, 96]
-                index4 = energy16 - k - 2 * sigma
-                value = gamma.get(index4 // 4) if index4 >= 0 and index4 % 4 == 0 else None
-                if value is not None and Fraction(value) > Fraction(energy16, 8):
-                    want.add(energy16)
-            assert gamma_killing_energies(k, sigma, gamma) == want, k
-
-
 # Gamma values on the 1/8 grid of the bound 2*kappa (so ties occur), the
 # bundled double-twist values, and a sparse map.
 GAMMA_MAPS = (
@@ -644,13 +622,13 @@ class TestGammaAgainstReference:
         """Every verdict matches, and so does the first kill of each sweep.
 
         The full sweep runs over sorted({0,1}^n) with the reference check, the
-        engine's over one c per orbit (``_gamma_c_vectors``) with the integer one.
+        engine's over one c per orbit (``gamma_walk``) with the integer one.
         """
         pairs = kills = notes = first_kills = 0
         for k in range(1, 13):
             for cls in enumerate_classes(k):
                 full = sorted(itertools.product((0, 1), repeat=cls.n))
-                orbits = _gamma_c_vectors(cls.a, True)
+                orbits = gamma_walk(cls.a, True)
                 for sigma in range(-6, 3):
                     for gamma in GAMMA_MAPS:
                         first = None

@@ -57,8 +57,8 @@ def test_engine_wrap_points_fire(sweep):
     )
     for rule, name in DECIDERS.items():
         assert summary[name].get("kill", 0) == certified[rule], rule
-    # Passing betas and c-vectors are decided without their deciders.
-    for rule in ("beta", "gamma"):
-        assert summary[DECIDERS[rule]]["calls"] == certified[rule], rule
+    # Passing betas are decided without their decider; every c-vector walked reaches its own.
+    assert summary[DECIDERS["beta"]]["calls"] == certified["beta"]
+    assert summary[DECIDERS["gamma"]]["calls"] >= certified["gamma"]
     # Each gamma kill reads eta once, for its witness, and nothing else reads it.
     assert summary["lattice.eta"]["calls"] == certified["gamma"]

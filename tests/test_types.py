@@ -7,6 +7,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
+from test_engine import DEEP
 
 from slicedeg.engine import (
     BetaTableRow,
@@ -16,6 +17,8 @@ from slicedeg.engine import (
     LevelCertificate,
     LowerBoundSearch,
     TableRow,
+    bound_report,
+    lower_bound,
 )
 from slicedeg.knots import (
     Diagnostic,
@@ -204,3 +207,10 @@ def test_deferred_certificates_are_built_once():
         value = make(lambda: built.append(1) or ())
         assert not built
         assert value.certificates == () and value.certificates == () and built == [1]
+
+
+def test_hashing_a_search_or_report_fails_before_listing_certificates():
+    for value in (lower_bound(DEEP), bound_report(DEEP)):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+        assert callable(value._certificates)

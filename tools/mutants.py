@@ -55,17 +55,14 @@ MUTANTS = (
         OBS,
         "return 8 * g.numerator > energy16 * g.denominator",
         "return 8 * g.numerator >= energy16 * g.denominator",
-        (
-            T_OBS + "TestGammaGeneral::test_boundary_not_strict",
-            T_OBS + "TestGammaKillingEnergies::test_brute_force_up_to_norm_40",
-        ),
+        (T_OBS + "TestGammaGeneral::test_boundary_not_strict",),
     ),
     Mutant(
         "gamma-negative-index",
         OBS,
-        "if i >= 0 and _gamma_kills(",
-        "if _gamma_kills(",
-        (T_OBS + "TestGammaKillingEnergies::test_brute_force_up_to_norm_40",),
+        "    if index4 < 0:\n        return PASS\n",
+        "",
+        (T_OBS + "TestGammaGeneral::test_class_four_negative_index_passes",),
     ),
     Mutant(
         "beta-ge",
@@ -74,6 +71,7 @@ MUTANTS = (
         "    return beta >= rhs\n",
         (
             T_OBS + "TestBetaAdjunction::test_two_survives_at_four",
+            "tests/test_engine.py::TestBetaTable::test_expected_rows",
             "tests/test_acceptance.py::test_c05_tables_reproduction",
             "tests/test_reference_payloads.py::test_bundled_payloads_match_reference_hashes",
         ),
