@@ -22,10 +22,11 @@ beta_max <= k - sum(a), and k - sum(a) <= k - least[k], so every class of
 a level below the floor F, the first k with k - least[k] >= beta_max, is
 killed by an adjunction bound, which the battery runs first (F is
 computed once per process for each beta_max).  Such levels are certified
-without listing a class; their per-class certificates are
-listed, by the same adjunction code in the same order, only when the
-search's ``certificates`` are first read (``bound --json`` reads them; a
-table, and ``bound`` without ``--json``, never do).
+without listing a class.  Their per-class certificates, by the same
+adjunction code in the same order, and the friend-covered levels and
+level 0's null-class certificate, are listed only when the search's
+``certificates`` are first read (``bound --json`` reads them; a table, and
+``bound`` without ``--json``, never do).
 
 ``upper_bound`` takes the minimum over the record's direct constructions
 (4 * positive clasp number, 4 * slicing number, explicit witnesses) and
@@ -36,8 +37,8 @@ first ``upper_bound``, ``bound_report`` or ``report_table`` call on it,
 and kept on the database.  A record outside the database or shadowing one
 in it, and any record of a database with a cycle (so that it warns only
 about a cycle it depends on), is walked alone over the records it
-references, directly or not.  Only the queried record's witness is
-formatted as text.
+references, directly or not.  Each walked record's direct witness is
+formatted as text; a transfer's text waits for the queried record.
 
 The database also keeps its 1024 latest successful lower-bound searches,
 keyed by the search's inputs, its capping upper bound and the configuration
@@ -139,8 +140,8 @@ class LowerBoundSearch(_Frozen):
     """Result of the ascending level search: (L, certificates) plus extras.
 
     ``certificates`` is given as a tuple, or as a function that builds it:
-    :func:`lower_bound` defers the class listing of the levels below the
-    adjunction floor that way.  The function runs on the first read of
+    :func:`lower_bound` defers the listing of every level it did not walk
+    that way.  The function runs on the first read of
     ``certificates`` (:func:`_read_certificates`).  It is deterministic, so
     two threads that race to the first read build equal tuples.  Searches
     compare equal when their level, exhaustion, surviving class and
@@ -346,8 +347,9 @@ def lower_bound(record: KnotRecord, cfg: EngineConfig | None = None) -> LowerBou
     obstructed only if every class of norm k is killed.  Levels below the
     adjunction floor (see the module docstring) are obstructed by the
     adjunction bounds alone, so the class walk starts at the floor, or past
-    the friend coverage when that is higher; the classes of the levels it
-    skips are listed only when ``certificates`` is first read.  Classes are
+    the friend coverage when that is higher.  No level the walk skips is
+    listed until ``certificates`` is first read: not a friend-covered level,
+    nor level 0, nor the classes below the floor.  Classes are
     checked one at a time and the search stops at the first survivor.  If
     the cap is reached with everything obstructed, the floor above it
     included, returns cap + 1 with ``exhausted`` set.  Certificate
@@ -361,13 +363,11 @@ def lower_bound(record: KnotRecord, cfg: EngineConfig | None = None) -> LowerBou
         cap = direct_upper if direct_upper is not None else DEFAULT_MAX_K
 
     friend_cap, friend_witness = _friend_coverage(record, cfg)
-    head = [LevelCertificate(k, "friend", witness=friend_witness)
-            for k in range(min(friend_cap, cap + 1))]
+    null = None  # level 0's verdict, when no friendship covers it
     if friend_cap == 0:
-        vd = null_class_check(record, battery.v)
-        if not vd.obstructed:
+        null = null_class_check(record, battery.v)
+        if not null.obstructed:
             return LowerBoundSearch(0, False, HomologyClass(()), ())
-        head.append(LevelCertificate(0, "null_class", witness=vd.witness))
 
     beta_max = max((beta for _, beta in battery.betas), default=0)
     floor = cap + 1  # a floor is at least its beta_max, so past the cap it is not computed
@@ -376,7 +376,8 @@ def lower_bound(record: KnotRecord, cfg: EngineConfig | None = None) -> LowerBou
     start = max(1, friend_cap)  # the first level the classes decide
     walk = max(start, floor)  # levels start .. walk - 1 fall to the adjunction bounds
     tail: list[LevelCertificate] = []  # the walked levels, complete when the search returns
-    certificates = partial(_adjunction_levels, battery.betas, range(start, walk), head, tail)
+    certificates = partial(_deferred_certificates, friend_witness, range(min(friend_cap, cap + 1)),
+                           null, battery.betas, range(start, walk), tail)
     for k in range(walk, cap + 1):
         kills = []
         for cls in _level(k):
@@ -388,19 +389,20 @@ def lower_bound(record: KnotRecord, cfg: EngineConfig | None = None) -> LowerBou
     return LowerBoundSearch(cap + 1, True, None, certificates)
 
 
-def _adjunction_levels(
-    betas: Sequence[tuple[str, int]],
-    levels: range,
-    head: list[LevelCertificate],
-    tail: list[LevelCertificate],
-) -> tuple[LevelCertificate, ...]:
-    """``head``, the per-class certificates of ``levels``, then ``tail``, as one tuple.
+def _deferred_certificates(friend_witness: Mapping | None, friend_levels: range,
+                           null: Verdict | None, betas: Sequence[tuple[str, int]], levels: range,
+                           tail: list[LevelCertificate]) -> tuple[LevelCertificate, ...]:
+    """A search's certificates as one tuple, listed when they are first read.
 
+    ``friend_levels`` by ``friend_witness``, level 0 by the ``null`` class
+    verdict (if any), the per-class certificates of ``levels``, then ``tail``.
     Every class of ``levels`` lies below the adjunction floor of ``betas``,
     so its first kill is :func:`_beta_kill`'s; a class that no adjunction
     bound kills would break the floor's lemma, and raises RuntimeError.
     """
-    listed = []
+    listed = [LevelCertificate(k, "friend", witness=friend_witness) for k in friend_levels]
+    if null is not None:
+        listed.append(LevelCertificate(0, "null_class", witness=null.witness))
     for k in levels:
         kills = []
         for cls in _level(k):
@@ -410,7 +412,7 @@ def _adjunction_levels(
                                    "survives every adjunction bound")
             kills.append(ClassCertificate(cls, *kill))
         listed.append(LevelCertificate(k, "classes", classes=tuple(kills)))
-    return (*head, *listed, *tail)
+    return (*listed, *tail)
 
 
 # --- upper bounds -----------------------------------------------------------

@@ -4,7 +4,7 @@ Three independent routes produce the non-increasing sequence V_0, V_1, ...
 for a knot whose full knot Floer complex is a single staircase:
 
 * ``vs_thin``          -- closed formula in tau for Floer thin knots;
-* ``vs_lspace_formula``-- one max-min over the stair lengths l_k read off
+* ``vs_lspace_formula``-- one walk over the stair lengths l_k read off
                           an L-space-form Alexander polynomial;
 * ``vs_staircase_oracle`` -- mod-2 homology of the truncated staircase
                           complex, decided per translate level by the
@@ -22,6 +22,7 @@ surfaced as ``OracleDisagreement``, never resolved silently.
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import sub
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import _Frozen
@@ -256,7 +257,7 @@ def vs_thin(tau: int) -> VsSequence:
 
 
 def vs_lspace_formula(st: Staircase) -> VsSequence:
-    """Closed formula for V_s in the stair lengths, as one max-min.
+    """Closed formula for V_s in the stair lengths, as one walk over the stairs.
 
     The paper states it piecewise.  With l_0 = 0, l_{m+1} = +infinity and w
     the staircase width (indices of l are 0-based over l_0..l_{m+1}; empty
@@ -267,23 +268,18 @@ def vs_lspace_formula(st: Staircase) -> VsSequence:
     * m even: on s in [sum_{k<N} l_{2k+1}, sum_{k<=N} l_{2k+1}), 0 <= N <= m/2:
         V_s = w - max_{0<=i<=N} min(sum_{k<=i} l_{2k}, s - sum_{k<i} l_{2k+1})
 
-    Both cases are the odd one over ln = (0,) * (2 - m % 2) + (l_1, ..., l_m):
+    The inner max rises by 1 per step of s along every other stair, ending
+    with the last stair l_m, and is level along the rest.  So V_0 = w, and
+    V_s falls by 1 per step on l_m, l_{m-2}, l_{m-4}, ... and stays level on
+    l_{m-1}, l_{m-3}, ...; those falls add up to w, so V_(n_m) = 0.
 
-    * for m even, a leading stair of length 0 shifts every index by one and
-      turns the even statement into the odd one;
-    * the max may run over every i = 1 .. len(ln) // 2 rather than only up to
-      the interval N containing s: a term with i > N has
-      s - sum_{k<i} l_{2k} < 0, while the i = 1 term is min(l_1, s) >= 0.
-
-    Work: O(n_m * m) for s = 0 .. n_m.
+    Work: O(n_m + m).
     """
-    ln = (0,) * (2 - st.m % 2) + st.stair_lengths()
-    # (sum_{k<i} l_{2k+1}, sum_{k<i} l_{2k}) for i = 1 .. len(ln) // 2
-    corners = list(zip(accumulate(ln[1::2]), accumulate(ln[0::2])))
-    w = st.width  # O(m): read once, not once per s
-    return VsSequence.from_values(
-        [w - max(min(a, s - b) for a, b in corners) for s in range(st.n[-1] + 1)]
-    )
+    falls = []
+    for k, length in enumerate(st.stair_lengths()):
+        fall = (st.m - k) % 2
+        falls += [fall] * length
+    return VsSequence.from_values(accumulate(falls, sub, initial=st.width))
 
 
 # --- staircase homology oracle ---------------------------------------------

@@ -186,6 +186,20 @@ class TestLazyLevels:
         assert (search.level, search.surviving_class.a) == (level, survivor)
         assert [c.kind for c in search.certificates] == ["friend"] * level
 
+    def test_friend_levels_are_listed_on_read(self, monkeypatch):
+        # a friendship at k = 10^6 covers levels 0..10^6: a search that listed them
+        # took seconds, and one ten times deeper ran out of memory
+        k = 10**6
+        record = KnotRecord("far", 0, friends=(FriendshipRecord(k, "f", k),),
+                            upper_witnesses=(UpperWitness(k + 1, "w"),))
+        built = []
+        real = engine.LevelCertificate
+        monkeypatch.setattr(engine, "LevelCertificate",
+                            lambda *args, **kwargs: built.append(args) or real(*args, **kwargs))
+        search = lower_bound(record)
+        assert (search.level, search.surviving_class.a) == (k + 1, (1000, 1))
+        assert built == []
+
 
 # A thin record with slicing number 17: its search walks levels 0..68, past the level table.
 DEEP = KnotRecord(

@@ -299,7 +299,7 @@ class TestVsLspaceFormula:
         assert vs_lspace_formula(staircase_from_alexander(T45)).values == (3, 2, 1, 1, 1, 1)
 
     def test_agrees_with_thin_on_t2_family(self):
-        for m in range(1, 7):
+        for m in (*range(1, 7), 20000):
             st = Staircase(tuple(range(1, m + 1)))
             assert vs_lspace_formula(st) == vs_thin(m)
 
@@ -321,7 +321,9 @@ class TestVsLspaceFormula:
         )
     )
     def test_matches_torsion_deep(self, st):
-        assert vs_lspace_formula(st) == torsion_sequence(staircase_coeffs(st))
+        formula = vs_lspace_formula(st)
+        assert formula == reference_vs_lspace_formula(st)
+        assert formula == torsion_sequence(staircase_coeffs(st))
 
     def test_reads_width_once(self, monkeypatch):
         # width is O(m); read per s it made the formula O(n_m * m) in width alone

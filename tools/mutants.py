@@ -165,6 +165,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "friend-levels-past-cap",
+        ENGINE,
+        "range(min(friend_cap, cap + 1))",
+        "range(friend_cap)",
+        (T_FLOOR + "test_small_records_match_the_reference_walk",),
+    ),
+    Mutant(
         "memo-no-eviction",
         ENGINE,
         "searches.popitem(last=False)",
@@ -291,6 +298,16 @@ MUTANTS = (
         "        if isinstance(other, _ThinVs):\n            return self.tau == other.tau\n",
         "",
         ("tests/test_staircase.py::TestVsThin::test_huge_tau_is_not_listed",),
+    ),
+    Mutant(
+        "stair-walk-parity",
+        "src/slicedeg/staircase.py",
+        "fall = (st.m - k) % 2",
+        "fall = k % 2",
+        (
+            "tests/test_staircase.py::TestVsLspaceFormula::test_matches_reference_and_torsion_exhaustive",
+            "tests/test_acceptance.py::test_c06_vs_triple_agreement",
+        ),
     ),
 )
 
