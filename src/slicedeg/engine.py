@@ -12,7 +12,7 @@ for the disk.  Each level stops at its first survivor.  Levels up to
 ``DEFAULT_MAX_K`` are listed once per process for every search
 (:func:`_level`); deeper ones stream.  A class's checks stop at its first
 kill (:meth:`ClassBattery.first_kill`), and the battery keeps the search's
-V_s suffix tables.
+V_s cost layers.
 
 The walk starts at the adjunction floor.  Let beta_max be the largest
 adjunction bound the battery applies and least[k] the least sum(a) over
@@ -231,8 +231,8 @@ class ClassBattery:
     :func:`~.obstructions.gamma_walk`), ``vs``, in both :meth:`verdicts` and
     :meth:`first_kill`; the latter stops at the first verdict that
     obstructs, and calls a beta's decider only when
-    :func:`~.obstructions.beta_kills`.  The V_s check shares ``tables`` over
-    the battery's one search.
+    :func:`~.obstructions.beta_kills`.  The V_s check shares its suffix
+    layers, ``tables``, over the battery's one search.
     """
 
     def __init__(self, record: KnotRecord, cfg: EngineConfig) -> None:
@@ -248,7 +248,7 @@ class ClassBattery:
         self.betas = betas if "s" in cfg.obstructions else []
         self.gamma = "gamma" in cfg.obstructions and bool(record.gamma)
         self.vs = "vs" in cfg.obstructions and self.v is not None
-        self.tables: dict = {}  # (suffix, cap) -> V_s suffix table
+        self.tables: dict = {}  # (suffix, cap) -> that suffix's V_s cost layers
 
     def verdicts(self, cls: HomologyClass) -> Iterator[RuleVerdict]:
         """Each rule's verdict on the class, in the fixed order; the instanton check's per c."""

@@ -158,7 +158,7 @@ def enumerate_odd_vectors(cls: HomologyClass, v0: int) -> Iterator[OddVector]:
     all-ones vector comes first.
 
     This is the reference enumeration, not the engine path: the engine
-    decides the V_s check by the dot-product DP of
+    decides the V_s check by the cost-layer bitsets of
     :func:`slicedeg.obstructions.vs_obstruction`, whose witness is the first
     violating vector of cost <= cap in this order (the first violating one
     outright when cap = 8*V_0 - 1), and the tests compare the two.  The

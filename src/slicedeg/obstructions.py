@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import and_, lshift, rshift
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -81,42 +82,44 @@ def stau_bound(s_p: int) -> int:
     return s_p + t + (t * t - t < s_p)
 
 
-class _SuffixTable(_Frozen):
-    """Least cost sum(lambda_i^2 - 1) of odd lambda on a suffix of a class, per dot product.
+class _Layers(_Frozen):
+    """The dot products odd lambda reach on a suffix of a class, one int per cost layer.
 
-    ``costs[i]`` is the least cost reaching d = lo + 2i (every d has the
-    parity of the suffix sum); a value above ``cap`` means no lambda within
-    ``cap`` reaches d.  The empty suffix's table is ``_SuffixTable(cap, 0, (0,))``.
+    Bit (d + offset) / 2 of ``layers[c]`` is set iff the least cost sum(lambda_i^2 - 1) of
+    odd lambda on the suffix reaching d is 8*c, so each d is in one layer at most; ``offset``
+    = M * sum(suffix), M the largest magnitude allowed.  Empty: ``_Layers(0, (1,))``.
     """
 
-    __slots__ = _fields = ("cap", "lo", "costs")
+    __slots__ = _fields = ("offset", "layers")
 
-    def __init__(self, cap: int, lo: int, costs: tuple[int, ...]) -> None:
-        self._set(cap, lo, costs)
+    def __init__(self, offset: int, layers: tuple[int, ...]) -> None:
+        self._set(offset, layers)
 
 
-def _build(head: int, rest: _SuffixTable) -> _SuffixTable:
-    """The table of (head, *suffix) from the table ``rest`` of the suffix."""
-    cap = rest.cap
-    unreached = cap + 1
-    top = math.isqrt(cap + 1)  # the largest odd M with M^2 - 1 <= cap
-    if top % 2 == 0:
-        top -= 1
-    width = len(rest.costs) + top * head
-    costs = [unreached] * width
-    for mag in range(1, top + 1, 2):
-        spent = mag * mag - 1
-        moved = [c + spent if c + spent <= cap else unreached for c in rest.costs]
-        for shift in ((top - mag) * head // 2, (top + mag) * head // 2):
-            end = shift + len(moved)
-            costs[shift:end] = [c if c < m else m for c, m in zip(costs[shift:end], moved)]
-    first = next(i for i in range(width) if costs[i] <= cap)
-    last = next(i for i in range(width - 1, -1, -1) if costs[i] <= cap)
-    return _SuffixTable(cap, rest.lo - top * head + 2 * first, tuple(costs[first : last + 1]))
+_EMPTY = _Layers(0, (1,))
+
+
+def _build(head: int, rest: _Layers, top: int) -> _Layers:
+    """The layers 0 .. ``top`` of (head, *suffix) from the layers ``rest`` of the suffix."""
+    top_mag = math.isqrt(8 * top + 1) - 1 | 1  # the largest odd M with (M^2 - 1) / 8 <= top
+    layers = [0] * (top + 1)
+    reached = [(c, bits) for c, bits in enumerate(rest.layers) if bits]
+    for mag in range(1, top_mag + 1, 2):
+        up = mag * mag >> 3
+        low, high = (top_mag - mag) // 2 * head, (top_mag + mag) // 2 * head  # -mag, +mag
+        for c, bits in reached:
+            if c + up > top:
+                break
+            layers[c + up] |= bits << low | bits << high
+    below = 0  # the d reached below c: layer c keeps only the d it reaches first
+    for c, bits in enumerate(layers):
+        if bits:
+            below, layers[c] = below | bits, bits & ~below
+    return _Layers(rest.offset + top_mag * head, tuple(layers))
 
 
 def vs_obstruction(cls: HomologyClass, v: VsSequence, tables: dict | None = None) -> Verdict:
-    """Decide the V_s inequality over all odd lambda by a min-cost DP on the dot product.
+    """Decide the V_s inequality over all odd lambda on cost-layer bitsets of the dot product.
 
     Obstructed iff some odd lambda with 0 <= d = sum(lambda_i a_i) <= k has
 
@@ -128,7 +131,7 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence, tables: dict | None = None
     Cost 0 first: lambda = (1, ..., 1) reaches d = sum(a_i) at cost 0, so
     it violates iff V_j0 > 0, j0 = (k - sum(a_i)) / 2; it is then the first
     witness of the loop below (+1 first everywhere) and is returned
-    before any table is built.  As V_j0 > 0 iff 2*nu+ > k - sum(a_i), the
+    before any layer is built.  As V_j0 > 0 iff 2*nu+ > k - sum(a_i), the
     battery's beta[2nu+] kills such a class first whenever it runs, so the
     shortcut fires only in V_s-only searches and ``check-class``.
 
@@ -147,37 +150,32 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence, tables: dict | None = None
     and ``cap = min(8*V_0 - 1, B)`` keeps every d's least cost and the
     verdict.  Only steep sequences get cap < 8*V_0 - 1: F >= 3, so B >= 8k,
     and V_j0 = 0 with unit steps gives V_0 <= j0 <= k/2, so 8*V_0 - 1 < 4k.
-    Targets are lowered to min(8*V_j, cap + 1), so neither an unreached
-    entry (cap + 1) nor a lambda costing more than cap completes one.
 
-    The check builds, for every suffix a[1:], ..., a[n-1:] and in one
-    explicit loop from the shortest, the least cost of each reachable d
-    within ``cap``, or reads it from ``tables``, a dict keyed by (suffix, cap)
-    that the engine's battery keeps for one search (None: one for this call).
-    A violation is completed from a prefix with dot product ``dot`` and cost
-    ``spent`` iff ``spent + costs[i0 - j]`` is below target j, with
-    i0 = (k - dot - lo) / 2 the index of j = 0; only the j whose index lies
-    inside the table are scanned.
+    Every odd lambda has lambda^2 - 1 = 8 * T((|lambda| - 1) / 2), so a cost is 8*c for a
+    layer c <= top = cap // 8, and violates at j iff c < V_j.  ``masks[c]`` holds bit
+    (d - low) / 2 of each target d = k - 2j with c < V_j, low = k - 2*(nu - 1), nu the
+    positive V_j with j <= k/2.  The :class:`_Layers` of a[1:], ..., a[n-1:] are built from
+    the shortest, each from the next, or read from ``tables``, a dict keyed by (suffix, cap)
+    that the engine's battery keeps for one search (None: one for this call).  A prefix with
+    dot product ``dot`` and layer ``spent`` is completed iff bit b of some layer c of its
+    suffix meets bit b + shift of ``masks[spent + c]``, shift = (dot - offset - low) / 2,
+    skipped past the masks (so a huge norm never shifts by k); the last entry reads V_j at
+    its own d instead.  Least costs suffice: a lower layer violates at every j a higher one
+    does, and the rest of a least-cost lambda is least-cost for its own dot product.
 
-    The witness is built one coordinate at a time by a loop over
-    mag = 1, 3, 5, ... that tries +mag, then -mag, and keeps the first
-    value whose suffix table still completes a violation: it is the first
-    violating lambda with cost <= cap of the depth-first enumeration
-    (:func:`~slicedeg.lattice.enumerate_odd_vectors`), and the first
-    violating lambda outright when cap = 8*V_0 - 1.  The first coordinate
-    decides: the class passes iff no lambda_0 with lambda_0^2 - 1 <= cap
-    completes against the table of a[1:], which is what the whole class's
-    table, never built, would say.  A later coordinate stops at
-    mag^2 - 1 > cap - spent with a ``RuntimeError``, which a consistent
-    table never reaches.
+    The witness is built one coordinate at a time by a loop over mag = 1, 3, 5, ... that
+    tries +mag, then -mag, and keeps the first value whose suffix still completes a
+    violation: it is the first violating lambda with cost <= cap of the depth-first
+    enumeration (:func:`~slicedeg.lattice.enumerate_odd_vectors`), and the first violating
+    lambda outright when cap = 8*V_0 - 1.  The first coordinate decides (the class passes
+    iff no lambda_0 completes against a[1:]), so the whole class's layers are never built.
+    Once +1 on every entry left completes, the witness ends in 1s.  A later coordinate past
+    layer top raises ``RuntimeError``, which consistent layers never allow.
 
-    Work: with M the largest odd magnitude, M^2 <= cap + 1, a table holds
-    at most M*sum(a) + 1 <= M*k + 1 entries, and each of the n - 1 tables
-    costs that times the (M + 1)/2 magnitudes, folded into one row of that
-    width; so O(n * k * min(V_0, F^2 * k)) time and
-    O(n * k * sqrt(min(V_0, F^2 * k))) memory beyond ``tables``.  The
-    witness adds, per coordinate, at most M + 1 candidates, each scanning
-    the at most min(nu+, k/2 + 1) targets that fall inside the table.
+    Work: with M the largest odd magnitude, M^2 <= cap + 1, and top <= min(V_0, F^2 * k / 8),
+    a build does one shift-OR per magnitude and per non-empty layer of its suffix (at most
+    top + 1) on ints of about M*sum(a) + 2*nu bits, then O(top) ORs; the witness tries at
+    most M + 1 values per coordinate, each one AND per layer of its suffix.
     """
     if cls.n == 0:
         raise ValueError("class must be non-empty")
@@ -191,53 +189,56 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence, tables: dict | None = None
         return PASS
     hi, lo = cls.a[0], cls.a[-1]  # B = floor(F^2 * k) - n, F = (hi^2 + hi*lo + lo^2) / (hi*lo)
     cap = min(8 * v.v(0) - 1, (hi * hi + hi * lo + lo * lo) ** 2 * k // (hi * lo) ** 2 - cls.n)
-    rhs = [min(8 * v_j, cap + 1) for v_j in v.prefix(k // 2 + 1)]
-    n_rhs = len(rhs)
-
-    def completes(dot: int, spent: int, rest: _SuffixTable) -> bool:
-        """Whether some lambda on the suffix of ``rest`` completes a violation."""
-        costs = rest.costs
-        i0 = (k - dot - rest.lo) >> 1  # target j sits at costs[i0 - j]
-        first = i0 - len(costs) + 1
-        for j in range(first if first > 0 else 0, i0 + 1 if i0 < n_rhs else n_rhs):
-            if spent + costs[i0 - j] < rhs[j]:
-                return True
-        return False
+    top, prefix = cap >> 3, v.prefix(k // 2 + 1)
+    nu = len(prefix)
+    low = k - 2 * nu + 2  # the lowest target d
+    masks, reach = [], nu  # masks[c] for each layer c of a[1:], if any
+    for c in range(top + 1 if cls.n > 1 else 0):
+        while reach and prefix[reach - 1] <= c:  # reach: the j with c < V_j
+            reach -= 1
+        masks.append(((1 << reach) - 1) << (nu - reach))
 
     tables = {} if tables is None else tables
-    rests = [_SuffixTable(cap, 0, (0,))]  # rests[-1 - i] is the table of cls.a[i + 1:]
+    rests = [_EMPTY]  # rests[-1 - i] holds the layers of cls.a[i + 1:]
     for i in range(cls.n - 1, 0, -1):
         key = (cls.a[i:], cap)
-        table = tables.get(key)
-        if table is None:
-            table = tables[key] = _build(cls.a[i], rests[-1])
-        rests.append(table)
+        layers = tables.get(key)
+        if layers is None:
+            layers = tables[key] = _build(cls.a[i], rests[-1], top)
+        rests.append(layers)
     lam: list[int] = []
-    dot = spent = 0
+    dot, spent, left = 0, 0, sum(cls.a)  # left: the sum of the entries not yet decided
     for a_i in cls.a:
         rest = rests.pop()
-        mag = 1
-        while True:
-            cost = spent + mag * mag - 1
-            if cost > cap:
+        mag, val = -1, 0
+        while not val:
+            mag += 2
+            layer = spent + (mag * mag >> 3)
+            if layer > top:
                 if not lam:
                     return PASS
-                raise RuntimeError(f"no witness value completes the suffix table of {cls}")
-            if completes(dot + mag * a_i, cost, rest):
-                val = mag
-                break
-            if completes(dot - mag * a_i, cost, rest):
-                val = -mag
-                break
-            mag += 2
+                raise RuntimeError(f"no witness value completes the suffix layers of {cls}")
+            window = masks[layer : layer + len(rest.layers)]
+            for sign in (mag, -mag):
+                shift = (dot + sign * a_i - rest.offset - low) >> 1  # bit b meets mask bit b+shift
+                if -rest.offset <= shift < nu and (
+                    layer < prefix[nu - 1 - shift] if rest is _EMPTY  # last entry: d is target j
+                    else any(map(and_, rest.layers, map(
+                        rshift if shift >= 0 else lshift, window, itertools.repeat(abs(shift))
+                    )))
+                ):
+                    val = sign
+                    break
         lam.append(val)
-        dot += val * a_i
-        spent = cost
+        dot, spent, left = dot + val * a_i, layer, left - a_i
+        j = (k - dot - left) >> 1  # the j that +1 on every entry left reaches at no cost
+        if 0 <= j < nu and spent < prefix[j]:  # the loop would keep +1: the witness ends in 1s
+            lam += [1] * (cls.n - len(lam))
+            dot += left
+            break
     j = (k - dot) // 2
-    return Verdict(
-        True,
-        {"rule": "vs", "lambda": tuple(lam), "j": j, "lhs": spent, "rhs": 8 * v.v(j)},
-    )
+    witness = {"rule": "vs", "lambda": tuple(lam), "j": j, "lhs": 8 * spent, "rhs": 8 * v.v(j)}
+    return Verdict(True, witness)
 
 
 def _gamma_kills(energy16: int, g: Fraction | int) -> bool:

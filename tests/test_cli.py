@@ -420,6 +420,25 @@ class TestExtremeInput:
         assert (done.returncode, done.stderr) == (0, "")
 
 
+class TestExtremeOneEntryClass:
+    """One-entry classes under V_0 = 10^12: the cap is 9a^2 - 1, or 8*V_0 - 1 past it.
+
+    With no suffix to build, the V_s check tries about M = sqrt(cap) values,
+    each read against V_j at its own d; nothing in the check grows with
+    cap / 8 layers.  Once it listed one target mask per layer and copied the
+    masks above each value's layer, so (3000) ran out of time and (10^9)
+    asked for a list of 10^12 masks.
+    """
+
+    @pytest.mark.parametrize("entry", ["3000", "1000000000"])
+    def test_check_class_finishes(self, tmp_path, entry):
+        db = tmp_path / "db.json"
+        db.write_text(json.dumps(TestExtremeInput.HUGE_V0))
+        done = TestExtremeInput.slicedeg("check-class", "x", entry, "--db", str(db))
+        assert (done.returncode, done.stderr) == (0, TestExtremeInput.STEEP_DROP)
+        assert "vs: pass" in done.stdout
+
+
 class TestGlobals:
     def test_db_required(self, capsys):
         with pytest.raises(SystemExit) as exc:

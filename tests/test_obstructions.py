@@ -256,8 +256,8 @@ class TestVsObstruction:
         for perm in [(1, 2, 1), (1, 1, 2)]:
             assert vs_obstruction(unsorted_class(perm), v).obstructed == sorted_vd.obstructed
 
-    # The two all-ones cases below are decided at cost 0, before any table;
-    # the two after them take (2, 1, ..., 1), which reaches the tables.
+    # The two all-ones cases below are decided at cost 0, before any layer is
+    # built; the two after them take (2, 1, ..., 1), which builds layers.
     def test_class_deeper_than_recursion_limit(self):
         n = 2 * sys.getrecursionlimit()
         vd = vs_obstruction(HomologyClass((1,) * n), VsSequence((1,)))
@@ -278,11 +278,12 @@ class TestVsObstruction:
 
     @staticmethod
     def counting_builds(monkeypatch):
-        """The list of heads that ``_build`` is called with, from now on."""
+        """The list of heads that the layer builder ``_build`` is called with, from now on."""
         built = []
         build = obstructions._build
         monkeypatch.setattr(
-            obstructions, "_build", lambda head, rest: built.append(head) or build(head, rest)
+            obstructions, "_build",
+            lambda head, rest, top: built.append(head) or build(head, rest, top),
         )
         return built
 
@@ -291,11 +292,11 @@ class TestVsObstruction:
         n = 2 * sys.getrecursionlimit()
         built = self.counting_builds(monkeypatch)
         vd = vs_obstruction(HomologyClass((2,) + (1,) * n), VsSequence((2,)))
-        assert len(built) == n  # the tables of a[1:] .. a[n:], none of the whole class
+        assert len(built) == n  # the layers of a[1:] .. a[n:], none of the whole class
         assert vd.witness == {"rule": "vs", "lambda": (1,) * n + (3,), "j": 0, "lhs": 8, "rhs": 16}
 
     def test_long_surviving_class_keeps_bounded_tables(self, monkeypatch):
-        # the call's own dict of tables is freed when it returns
+        # the call's own dict of layers is freed when it returns
         built = self.counting_builds(monkeypatch)
         gc.collect()
         tracemalloc.start()
@@ -310,7 +311,7 @@ class TestVsObstruction:
         assert kept <= 2 * 1024 * 1024
 
     def test_missing_suffix_rebuilds_only_its_table(self, monkeypatch):
-        # tables are keyed by (suffix, cap), not by the table of the shorter suffix
+        # layers are keyed by (suffix, cap), not by the layers of the shorter suffix
         built = self.counting_builds(monkeypatch)
         cls, v, tables = HomologyClass((3, 2, 1, 1)), VsSequence((1,)), {}
         first = vs_obstruction(cls, v, tables)
@@ -320,9 +321,10 @@ class TestVsObstruction:
         assert built[3:] == [1] and len(tables) == 3
 
     def test_inconsistent_table_raises_instead_of_spinning(self):
-        # (2, 1) survives V = (1,); a forged table of (1,) claims cost 0 at d = 3,
-        # so lambda_0 = 1 reaches d = k = 5, and no lambda_1 within the cap 7 does
-        forged = {((1,), 7): obstructions._SuffixTable(7, 3, (0,))}
+        # (2, 1) survives V = (1,); forged layers of (1,) claim d = 3 at cost 0
+        # (bit (3 + offset) / 2 = 3), so lambda_0 = 1 reaches d = k = 5, and no
+        # lambda_1 within the cap 7 (layer 0) does
+        forged = {((1,), 7): obstructions._Layers(3, (0b1000,))}
         with pytest.raises(RuntimeError, match="no witness value"):
             vs_obstruction(HomologyClass((2, 1)), VsSequence((1,)), forged)
 
@@ -351,10 +353,10 @@ class TestVsObstruction:
         made = []
         build = obstructions._build
 
-        def tracked(head, rest):
-            table = build(head, rest)
-            made.append(weakref.ref(table))
-            return table
+        def tracked(head, rest, top):
+            layers = build(head, rest, top)
+            made.append(weakref.ref(layers))
+            return layers
 
         monkeypatch.setattr(obstructions, "_build", tracked)
         for record, cfg in torus_ladder_searches():
@@ -407,6 +409,94 @@ class TestVsAgainstEnumeration:
     )
     def test_random_sequences_at_norms_15_to_18(self, cls, v):
         assert vs_obstruction(cls, v) == reference_vs_obstruction(cls, v)
+
+
+def unit_step_sequences(v0_max: int, length: int) -> list[tuple[int, ...]]:
+    """Every unit-step V_s sequence with V_0 <= v0_max, as its values V_0 .. V_(length - 1).
+
+    A sequence cut at ``length`` may end above 1; one that ends sooner ends at 1.
+    """
+    found, grow = [()], [(v0,) for v0 in range(1, v0_max + 1)]
+    while grow:
+        found += [values for values in grow if values[-1] == 1 or len(values) == length]
+        grow = [values + (values[-1] - drop,) for values in grow if len(values) < length
+                for drop in (0, 1) if values[-1] > drop]
+    return found
+
+
+class TestVsLayersAgainstReference:
+    """The cost-layer kernel against the enumeration, and one battery's layers against fresh ones."""
+
+    def test_every_unit_step_sequence_up_to_norm_20(self):
+        # a class reads V_j only for j <= k/2, so each cut sequence stands for
+        # every unit-step sequence that begins with it.  The enumeration takes
+        # about a minute past norm 16 ((2, 1, ..., 1) of norm 20 under V = (1,)
+        # alone 9 s), so there the least costs decide the verdict alone.
+        pairs = 0
+        for k in range(1, 21):
+            sequences = [VsSequence(values) for values in unit_step_sequences(4, k // 2 + 1)]
+            for cls in enumerate_classes(k):
+                least = least_costs(cls)
+                for v in sequences:
+                    vd = vs_obstruction(cls, v)
+                    assert vd.obstructed == any(
+                        cost < 8 * v.v((k - d) // 2) for d, cost in least.items()
+                    ), (cls.a, v)
+                    if k <= 16:
+                        assert vd == reference_vs_obstruction(cls, v), (cls.a, v)
+                    pairs += 1
+        assert pairs == 26577
+
+    # Under a steep V the first violator may take a negative entry; the
+    # other differential tests never meet such a witness.
+    @pytest.mark.parametrize(
+        "a, values, first",
+        [
+            ((3, 3, 2), (60, 3, 2), (1, -1, 11)),
+            ((3, 3, 3, 2, 2), (60, 3), (1, 1, -1, 1, 15)),
+            ((4, 3, 2, 2), (30, 8, 1), (1, -1, 1, 15)),
+            ((5, 2), (60, 5), (-1, 17)),
+        ],
+    )
+    def test_first_violator_with_a_negative_entry(self, a, values, first):
+        cls, v = HomologyClass(a), VsSequence(values)
+        vd = vs_obstruction(cls, v)
+        assert vd == reference_vs_obstruction(cls, v, min(8 * v.v(0) - 1, class_cap(cls)))
+        assert vd.witness["lambda"] == first
+
+    def test_layers_kept_under_a_lower_cap_are_not_reused(self):
+        # under V = (10,) the class (2, 1, 1) keeps the layers 0 .. 8 of (1, 1)
+        # under cap 70; (3, 2, 2, 1, 1) has cap 79, and its first violator
+        # spends 72 = 8 * 9 on (1, 1), so it needs layer 9 of that suffix
+        v, tables = VsSequence((10,)), {}
+        vs_obstruction(HomologyClass((2, 1, 1)), v, tables)
+        vd = vs_obstruction(HomologyClass((3, 2, 2, 1, 1)), v, tables)
+        assert vd == vs_obstruction(HomologyClass((3, 2, 2, 1, 1)), v)
+        assert vd.witness["lambda"] == (1, 1, 1, 5, 7)
+
+    # Layers kept under (suffix, cap) serve every later class with that suffix
+    # and cap, whatever its norm; a layer whose bits were placed by the class
+    # that built it would answer wrongly for the next one.
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.integers(1, 14), min_size=1, max_size=8).map(
+            lambda values: tuple(sorted(values, reverse=True))
+        ),
+        st.lists(st.integers(1, 69), min_size=2, max_size=4, unique=True),
+        st.randoms(use_true_random=False),
+    )
+    def test_one_battery_decides_shuffled_levels_like_fresh_calls(self, values, levels, rng):
+        v = VsSequence(values)
+        vs_only = EngineConfig(obstructions=frozenset({"vs"}))
+        battery = ClassBattery(KnotRecord("x", 0, vs_spec=VsSpec("explicit", values)), vs_only)
+        classes = [cls for k in levels for cls in iter_classes(k)]
+        rng.shuffle(classes)
+        for cls in classes:
+            (shared,) = battery.verdicts(cls)
+            assert shared.verdict == vs_obstruction(cls, v), (cls.a, values)
+            if cls.norm <= 18:
+                cap = min(8 * v.v(0) - 1, class_cap(cls))
+                assert shared.verdict == reference_vs_obstruction(cls, v, cap), (cls.a, values)
 
 
 def class_cap(cls: HomologyClass) -> int:

@@ -30,7 +30,7 @@ from slicedeg.knots import (
     parse_knot_db,
 )
 from slicedeg.lattice import HomologyClass, LaurentPoly, OddVector
-from slicedeg.obstructions import Verdict, _SuffixTable
+from slicedeg.obstructions import Verdict, _Layers
 from slicedeg.staircase import Staircase, VsSequence, vs_thin
 
 KILL = Verdict(True, {"rule": "beta_adjunction", "beta": 4, "rhs": 2})
@@ -75,7 +75,7 @@ INSTANCES = {
         "Verdict(obstructed=True, witness=mappingproxy({'rule': 'beta_adjunction', 'beta': 4, "
         "'rhs': 2}), note=None)",
     ),
-    "_SuffixTable": (_SuffixTable(7, -2, (0, 3, 0)), "_SuffixTable(cap=7, lo=-2, costs=(0, 3, 0))"),
+    "_Layers": (_Layers(3, (0b1111, 0b1001)), "_Layers(offset=3, layers=(15, 9))"),
     "VsSequence": (VsSequence((3, 2, 1)), "VsSequence(values=(3, 2, 1))"),
     "vs_thin": (vs_thin(5), "vs_thin(5)"),
     "Staircase": (Staircase((1, 3)), "Staircase(n=(1, 3))"),

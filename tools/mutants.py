@@ -5,8 +5,9 @@ Usage, from the repository root:
     python3 tools/mutants.py
 
 Each mutant names a file under ``src/``, a snippet that must occur there
-exactly once, its replacement, and the pytest node ids that must each fail
-once the replacement is made.  The gate first runs every named id on the
+exactly once (or a tuple of snippets, each once), its replacement (or a
+tuple of them), and the pytest node ids that must each fail once the
+replacements are made.  The gate first runs every named id on the
 unmutated tree; then, for each mutant, it copies ``src/``, ``tests/``,
 ``pyproject.toml`` and ``bench/reference.json`` (the payload hashes a test
 reads) to a temporary directory, applies the mutant there and runs its ids
@@ -37,15 +38,22 @@ ROOT = Path(__file__).resolve().parent.parent
 class Mutant(NamedTuple):
     name: str
     path: str  # relative to the repository root
-    snippet: str
-    replacement: str
+    snippet: str | tuple[str, ...]
+    replacement: str | tuple[str, ...]
     tests: tuple[str, ...]
+
+    def hunks(self) -> list[tuple[str, str]]:
+        """The (snippet, replacement) pairs the mutant applies."""
+        if isinstance(self.snippet, str):
+            return [(self.snippet, self.replacement)]
+        return list(zip(self.snippet, self.replacement))
 
 
 OBS = "src/slicedeg/obstructions.py"
 ENGINE = "src/slicedeg/engine.py"
 KNOTS = "src/slicedeg/knots.py"
 T_OBS = "tests/test_obstructions.py::"
+T_VS = T_OBS + "TestVsLayersAgainstReference::"
 T_MEMO = "tests/test_table_memo.py::"
 T_FLOOR = "tests/test_engine.py::TestAdjunctionFloor::"
 
@@ -97,43 +105,71 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "vs-ones-tail-le",
+        OBS,
+        "if 0 <= j < nu and spent < prefix[j]:",
+        "if 0 <= j < nu and spent <= prefix[j]:",
+        (T_VS + "test_every_unit_step_sequence_up_to_norm_20",),
+    ),
+    Mutant(
         "vs-target-unclamped",
         OBS,
-        "rhs = [min(8 * v_j, cap + 1) for v_j in",
-        "rhs = [8 * v_j for v_j in",
+        "masks.append(((1 << reach) - 1) << (nu - reach))",
+        "masks.append(-1 << (nu - reach))",
         (T_OBS + "TestVsShortcutAndCap::test_unreached_entries_never_complete",),
     ),
     Mutant(
         "vs-witness-sign-order",
         OBS,
-        "if completes(dot + mag * a_i, cost, rest):\n                val = mag\n"
-        "                break\n"
-        "            if completes(dot - mag * a_i, cost, rest):\n                val = -mag\n",
-        "if completes(dot - mag * a_i, cost, rest):\n                val = -mag\n"
-        "                break\n"
-        "            if completes(dot + mag * a_i, cost, rest):\n                val = mag\n",
-        (T_OBS + "TestVsAgainstEnumeration::test_every_class_up_to_norm_14",),
+        "for sign in (mag, -mag):",
+        "for sign in (-mag, mag):",
+        (
+            T_VS + "test_every_unit_step_sequence_up_to_norm_20",
+            T_OBS + "TestVsShortcutAndCap::test_capped_witness_is_first_within_cap",
+        ),
     ),
     Mutant(
         "vs-key-without-cap",
         OBS,
         "key = (cls.a[i:], cap)",
         "key = cls.a[i:]",
-        (T_OBS + "TestVsShortcutAndCap::test_battery_shares_tables_over_steep_sequences",),
+        (T_VS + "test_layers_kept_under_a_lower_cap_are_not_reused",),
     ),
     Mutant(
         "vs-completes-le",
         OBS,
-        "if spent + costs[i0 - j] < rhs[j]:",
-        "if spent + costs[i0 - j] <= rhs[j]:",
+        "while reach and prefix[reach - 1] <= c:",
+        "while reach and prefix[reach - 1] < c:",
         (T_OBS + "TestVsAgainstEnumeration::test_every_class_up_to_norm_14",),
     ),
     Mutant(
         "vs-table-max",
         OBS,
-        "[c if c < m else m for c, m in zip(",
-        "[c if c > m else m for c, m in zip(",
+        "layers[c + up] |= bits << low | bits << high",
+        "layers[c + up] ^= bits << low | bits << high",
         (T_OBS + "TestVsAgainstEnumeration::test_every_class_up_to_norm_14",),
+    ),
+    # Every layer built in a call places its bits above an origin taken from
+    # the class (sum(a)), and the call's own check allows for it (the masks
+    # are made for a one-entry class too, whose last entry no longer sees the
+    # empty suffix): each call alone agrees, but layers kept for a suffix
+    # mislead a class of another sum.
+    Mutant(
+        "vs-layer-offset-from-class",
+        OBS,
+        (
+            "for c in range(top + 1 if cls.n > 1 else 0):",
+            "rests = [_EMPTY]",
+            "shift = (dot + sign * a_i - rest.offset - low) >> 1  # bit b meets mask bit b+shift\n"
+            "                if -rest.offset <= shift < nu and",
+        ),
+        (
+            "for c in range(top + 1):",
+            "rests = [_Layers(0, (1 << sum(cls.a),))]",
+            "shift = ((dot + sign * a_i - rest.offset - low) >> 1) - sum(cls.a)\n"
+            "                if -rest.offset - sum(cls.a) <= shift < nu and",
+        ),
+        (T_VS + "test_one_battery_decides_shuffled_levels_like_fresh_calls",),
     ),
     Mutant(
         "vs-cap-drops-middle-term",
@@ -337,9 +373,10 @@ def _copy_tree(dest: Path) -> None:
 def run() -> int:
     failures = []
     for m in MUTANTS:
-        count = (ROOT / m.path).read_text().count(m.snippet)
-        if count != 1:
-            failures.append(f"{m.name}: snippet occurs {count} times in {m.path}")
+        for snippet, _ in m.hunks():
+            count = (ROOT / m.path).read_text().count(snippet)
+            if count != 1:
+                failures.append(f"{m.name}: snippet occurs {count} times in {m.path}")
     if failures:
         print("\n".join(failures))
         return 1
@@ -358,7 +395,10 @@ def run() -> int:
             tree = Path(tmp) / m.name
             _copy_tree(tree)
             target = tree / m.path
-            target.write_text(target.read_text().replace(m.snippet, m.replacement))
+            text = target.read_text()
+            for snippet, replacement in m.hunks():
+                text = text.replace(snippet, replacement)
+            target.write_text(text)
             _, failed, _ = _pytest(tree, list(m.tests))
             shutil.rmtree(tree)
             survived = [t for t in m.tests
