@@ -10,23 +10,19 @@ the order decides which rule a certificate names).  The first unobstructed
 level is a sound lower bound because every check is a necessary condition
 for the disk.  Each level stops at its first survivor.  Levels up to
 ``DEFAULT_MAX_K`` are listed once per process for every search
-(:func:`_level`); deeper ones stream.  A class's checks stop at its first
-kill (:meth:`ClassBattery.first_kill`), and the battery keeps the search's
-V_s cost layers.
+(:func:`_level`); deeper ones stream.  The class walk only decides
+(:meth:`ClassBattery.kills`: no verdict, witness or certificate is built).
+Every level below the answer is listed when the search's ``certificates``
+are first read (``bound --json`` reads them; a table, and ``bound``
+without ``--json``, never do), by :func:`_deferred_certificates`.
 
-The walk starts at the adjunction floor.  Let beta_max be the largest
-adjunction bound the battery applies and least[k] the least sum(a) over
-the classes of norm k (a coin change over the squares,
-:func:`_least_sums`).  A class survives every adjunction bound iff
-beta_max <= k - sum(a), and k - sum(a) <= k - least[k], so every class of
-a level below the floor F, the first k with k - least[k] >= beta_max, is
-killed by an adjunction bound, which the battery runs first (F is
-computed once per process for each beta_max).  Such levels are certified
-without listing a class.  Their per-class certificates, by the same
-adjunction code in the same order, and the friend-covered levels and
-level 0's null-class certificate, are listed only when the search's
-``certificates`` are first read (``bound --json`` reads them; a table, and
-``bound`` without ``--json``, never do).
+The walk starts at the adjunction floor.  Let beta_max be the battery's
+margin below which every class dies (:class:`ClassBattery`) and least[k]
+the least sum(a) over the classes of norm k (a coin change over the
+squares, :func:`_least_sums`).  k - sum(a) <= k - least[k], so every class
+of a level below the floor F, the first k with k - least[k] >= beta_max,
+is killed, and such levels are certified without listing a class (F is
+computed once per process for each beta_max).
 
 ``upper_bound`` takes the minimum over the record's direct constructions
 (4 * positive clasp number, 4 * slicing number, explicit witnesses) and
@@ -74,8 +70,10 @@ from .obstructions import (
     beta_kills,
     friend_rule,
     gamma_general,
+    gamma_kills,
     gamma_walk,
     null_class_check,
+    vs_kills,
     vs_obstruction,
 )
 from .staircase import OracleDisagreement, VsSequence, VsUnavailable, vs_of
@@ -228,11 +226,12 @@ class ClassBattery:
     bounds (each stored s_p, 2*tau, 2*nu+) are computed once, here, and
     shared by every class checked.  The enabled rules with data on the
     record run in one fixed order, ``betas``, ``gamma`` (per c of
-    :func:`~.obstructions.gamma_walk`), ``vs``, in both :meth:`verdicts` and
-    :meth:`first_kill`; the latter stops at the first verdict that
-    obstructs, and calls a beta's decider only when
-    :func:`~.obstructions.beta_kills`.  The V_s check shares its suffix
-    layers, ``tables``, over the battery's one search.
+    :func:`~.obstructions.gamma_walk`), ``vs``, in :meth:`verdicts`,
+    :meth:`first_kill` (which builds only the verdict of the first rule
+    whose decider kills) and :meth:`kills` (the deciders alone).
+    ``beta_max``: every class with k - sum(a) below it dies, by a beta or by
+    the V_s check's cost-0 shortcut (2*nu+).  The V_s check shares its
+    suffix layers, ``tables``, and set-ups, ``setups``, over one search.
     """
 
     def __init__(self, record: KnotRecord, cfg: EngineConfig) -> None:
@@ -248,7 +247,10 @@ class ClassBattery:
         self.betas = betas if "s" in cfg.obstructions else []
         self.gamma = "gamma" in cfg.obstructions and bool(record.gamma)
         self.vs = "vs" in cfg.obstructions and self.v is not None
+        self.beta_max = max([beta for _, beta in self.betas]
+                            + ([2 * self.v.nu] if self.vs else []), default=0)
         self.tables: dict = {}  # (suffix, cap) -> that suffix's V_s cost layers
+        self.setups: dict = {}  # (k, cap, n > 1) -> the V_s targets of such classes
 
     def verdicts(self, cls: HomologyClass) -> Iterator[RuleVerdict]:
         """Each rule's verdict on the class, in the fixed order; the instanton check's per c."""
@@ -260,33 +262,35 @@ class ClassBattery:
             for c in gamma_walk(cls.a, self.cfg.gamma_c_sweep):
                 yield RuleVerdict("gamma", gamma_general(cls, c, record.signature, record.gamma))
         if self.vs:
-            yield RuleVerdict("vs", vs_obstruction(cls, self.v, self.tables))
+            yield RuleVerdict("vs", vs_obstruction(cls, self.v, self.tables, self.setups))
 
     def first_kill(self, cls: HomologyClass) -> tuple[str, Verdict] | None:
         """The rule and verdict of the first obstructing :meth:`verdicts` entry, or None."""
         record = self.record
-        kill = _beta_kill(self.betas, cls)
-        if kill is not None:
-            return kill
+        rhs = cls.norm - sum(cls.a)
+        for rule, beta in self.betas:
+            if beta_kills(beta, rhs) and (verdict := beta_adjunction(cls, beta)).obstructed:
+                return rule, verdict
         if self.gamma:
             for c in gamma_walk(cls.a, self.cfg.gamma_c_sweep):
-                verdict = gamma_general(cls, c, record.signature, record.gamma)
-                if verdict.obstructed:
-                    return "gamma", verdict
+                if gamma_kills(cls, c, record.signature, record.gamma):
+                    return "gamma", gamma_general(cls, c, record.signature, record.gamma)
         if self.vs:
-            verdict = vs_obstruction(cls, self.v, self.tables)
+            verdict = vs_obstruction(cls, self.v, self.tables, self.setups)
             if verdict.obstructed:
                 return "vs", verdict
         return None
 
-
-def _beta_kill(betas: Sequence[tuple[str, int]], cls: HomologyClass) -> tuple[str, Verdict] | None:
-    """The first of ``betas`` (rule, beta) that kills the class, with its verdict, or None."""
-    rhs = cls.norm - sum(cls.a)
-    for rule, beta in betas:
-        if beta_kills(beta, rhs) and (verdict := beta_adjunction(cls, beta)).obstructed:
-            return rule, verdict
-    return None
+    def kills(self, cls: HomologyClass) -> bool:
+        """Whether :meth:`first_kill` finds a kill, by the rules' deciders alone."""
+        if beta_kills(self.beta_max, cls.norm - sum(cls.a)):  # a beta or the V_s shortcut
+            return True
+        if self.gamma:
+            record = self.record
+            for c in gamma_walk(cls.a, self.cfg.gamma_c_sweep):
+                if gamma_kills(cls, c, record.signature, record.gamma):
+                    return True
+        return self.vs and vs_kills(cls, self.v, self.tables, self.setups)
 
 
 def _least_sums() -> Iterator[int]:
@@ -346,14 +350,13 @@ def lower_bound(record: KnotRecord, cfg: EngineConfig | None = None) -> LowerBou
     firing friendship are covered by its certificate; any other level k is
     obstructed only if every class of norm k is killed.  Levels below the
     adjunction floor (see the module docstring) are obstructed by the
-    adjunction bounds alone, so the class walk starts at the floor, or past
-    the friend coverage when that is higher.  No level the walk skips is
-    listed until ``certificates`` is first read: not a friend-covered level,
-    nor level 0, nor the classes below the floor.  Classes are
-    checked one at a time and the search stops at the first survivor.  If
-    the cap is reached with everything obstructed, the floor above it
-    included, returns cap + 1 with ``exhausted`` set.  Certificate
-    witnesses are read-only mappings.
+    adjunction bounds, or the V_s check's cost-0 shortcut, alone, so the
+    class walk starts at the floor, or past the friend coverage when that
+    is higher.  The walk only decides (:meth:`ClassBattery.kills`), and stops
+    at the first survivor.  No level is listed until ``certificates`` is
+    first read (:func:`_deferred_certificates`).  If the cap is reached with
+    everything obstructed, the floor above it included, returns cap + 1 with
+    ``exhausted`` set.  Certificate witnesses are read-only mappings.
     """
     cfg = cfg or EngineConfig()
     battery = ClassBattery(record, cfg)
@@ -369,50 +372,46 @@ def lower_bound(record: KnotRecord, cfg: EngineConfig | None = None) -> LowerBou
         if not null.obstructed:
             return LowerBoundSearch(0, False, HomologyClass(()), ())
 
-    beta_max = max((beta for _, beta in battery.betas), default=0)
     floor = cap + 1  # a floor is at least its beta_max, so past the cap it is not computed
-    if beta_max <= cap:
-        floor = min(floor, _adjunction_floor(beta_max))
+    if battery.beta_max <= cap:
+        floor = min(floor, _adjunction_floor(battery.beta_max))
     start = max(1, friend_cap)  # the first level the classes decide
-    walk = max(start, floor)  # levels start .. walk - 1 fall to the adjunction bounds
-    tail: list[LevelCertificate] = []  # the walked levels, complete when the search returns
-    certificates = partial(_deferred_certificates, friend_witness, range(min(friend_cap, cap + 1)),
-                           null, battery.betas, range(start, walk), tail)
+    walk = max(start, floor)  # every class of levels start .. walk - 1 dies below beta_max
+    listing = partial(_deferred_certificates, record, cfg, friend_witness,
+                      range(min(friend_cap, cap + 1)), null, start, walk)
+    kills = battery.kills
     for k in range(walk, cap + 1):
-        kills = []
         for cls in _level(k):
-            kill = battery.first_kill(cls)
-            if kill is None:
-                return LowerBoundSearch(k, False, cls, certificates)
-            kills.append(ClassCertificate(cls, *kill))
-        tail.append(LevelCertificate(k, "classes", classes=tuple(kills)))
-    return LowerBoundSearch(cap + 1, True, None, certificates)
+            if not kills(cls):
+                return LowerBoundSearch(k, False, cls, partial(listing, k))
+    return LowerBoundSearch(cap + 1, True, None, partial(listing, cap + 1))
 
 
-def _deferred_certificates(friend_witness: Mapping | None, friend_levels: range,
-                           null: Verdict | None, betas: Sequence[tuple[str, int]], levels: range,
-                           tail: list[LevelCertificate]) -> tuple[LevelCertificate, ...]:
+def _deferred_certificates(record: KnotRecord, cfg: EngineConfig, friend_witness: Mapping | None,
+                           friend_levels: range, null: Verdict | None, start: int, walk: int,
+                           level: int) -> tuple[LevelCertificate, ...]:
     """A search's certificates as one tuple, listed when they are first read.
 
-    ``friend_levels`` by ``friend_witness``, level 0 by the ``null`` class
-    verdict (if any), the per-class certificates of ``levels``, then ``tail``.
-    Every class of ``levels`` lies below the adjunction floor of ``betas``,
-    so its first kill is :func:`_beta_kill`'s; a class that no adjunction
-    bound kills would break the floor's lemma, and raises RuntimeError.
+    ``friend_levels`` by ``friend_witness``, level 0 by ``null`` (if any), then each class
+    of levels ``start`` .. ``level`` - 1 by a fresh battery's first kill.  A class that the
+    walk (from ``walk`` up) or, below it, the floor's lemma (k - sum(a) < beta_max) kills,
+    and that does not die, raises RuntimeError.
     """
     listed = [LevelCertificate(k, "friend", witness=friend_witness) for k in friend_levels]
     if null is not None:
         listed.append(LevelCertificate(0, "null_class", witness=null.witness))
-    for k in levels:
+    battery = ClassBattery(record, cfg)
+    for k in range(start, level):
         kills = []
         for cls in _level(k):
-            kill = _beta_kill(betas, cls)
-            if kill is None:
-                raise RuntimeError(f"class {cls} of level {k}, below the adjunction floor, "
-                                   "survives every adjunction bound")
+            kill = battery.first_kill(cls)
+            if kill is None or k < walk and not beta_kills(battery.beta_max, k - sum(cls.a)):
+                where = ", below the adjunction floor," if k < walk else ""
+                raise RuntimeError(f"class {cls} of level {k}{where} survives what the search "
+                                   "said kills it")
             kills.append(ClassCertificate(cls, *kill))
         listed.append(LevelCertificate(k, "classes", classes=tuple(kills)))
-    return (*listed, *tail)
+    return tuple(listed)
 
 
 # --- upper bounds -----------------------------------------------------------

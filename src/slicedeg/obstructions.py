@@ -2,8 +2,9 @@
 
 Each operation decides whether a candidate disk homology class (or a whole
 self-intersection level) is ruled out for a given knot, and returns a
-:class:`Verdict` carrying the witness that justifies an obstruction.  All
-checks are necessary conditions for the disk to exist, so "pass" never
+:class:`Verdict` carrying the witness that justifies an obstruction; a
+per-class rule's decider (``*_kills``) answers as a bool and builds none.
+All checks are necessary conditions for the disk to exist, so "pass" never
 means "realizable", only "no conclusion".  Missing invariants never
 obstruct.  All arithmetic is exact.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import and_, lshift, rshift
+from operator import and_, lshift, mul, rshift
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -118,8 +119,26 @@ def _build(head: int, rest: _Layers, top: int) -> _Layers:
     return _Layers(rest.offset + top_mag * head, tuple(layers))
 
 
-def vs_obstruction(cls: HomologyClass, v: VsSequence, tables: dict | None = None) -> Verdict:
-    """Decide the V_s inequality over all odd lambda on cost-layer bitsets of the dot product.
+def vs_obstruction(cls: HomologyClass, v: VsSequence, tables: dict | None = None,
+                   setups: dict | None = None) -> Verdict:
+    """The V_s check, witnessed by :func:`_vs_lambda` (``tables``, ``setups``: see there)."""
+    lam = _vs_lambda(cls, v, tables, setups, False)
+    if lam is None:
+        return PASS
+    j = (cls.norm - sum(map(mul, lam, cls.a))) // 2
+    lhs = sum(map(mul, lam, lam)) - cls.n
+    return Verdict(True, {"rule": "vs", "lambda": tuple(lam), "j": j, "lhs": lhs, "rhs": 8 * v.v(j)})
+
+
+def vs_kills(cls: HomologyClass, v: VsSequence, tables: dict | None = None,
+             setups: dict | None = None) -> bool:
+    """Whether :func:`vs_obstruction` obstructs: its set-up and first coordinate, no witness."""
+    return _vs_lambda(cls, v, tables, setups, True) is not None
+
+
+def _vs_lambda(cls: HomologyClass, v: VsSequence, tables: dict | None, setups: dict | None,
+               decide: bool) -> list[int] | None:
+    """The first violating lambda (only its first coordinate if ``decide``), None if none.
 
     Obstructed iff some odd lambda with 0 <= d = sum(lambda_i a_i) <= k has
 
@@ -133,7 +152,7 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence, tables: dict | None = None
     witness of the loop below (+1 first everywhere) and is returned
     before any layer is built.  As V_j0 > 0 iff 2*nu+ > k - sum(a_i), the
     battery's beta[2nu+] kills such a class first whenever it runs, so the
-    shortcut fires only in V_s-only searches and ``check-class``.
+    shortcut decides only in V_s-only searches and ``check-class``.
 
     Otherwise the inequality sees lambda only through d and the cost
     sum(lambda_i^2 - 1), and a violation needs cost <= 8*V_0 - 1 and
@@ -154,53 +173,60 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence, tables: dict | None = None
     Every odd lambda has lambda^2 - 1 = 8 * T((|lambda| - 1) / 2), so a cost is 8*c for a
     layer c <= top = cap // 8, and violates at j iff c < V_j.  ``masks[c]`` holds bit
     (d - low) / 2 of each target d = k - 2j with c < V_j, low = k - 2*(nu - 1), nu the
-    positive V_j with j <= k/2.  The :class:`_Layers` of a[1:], ..., a[n-1:] are built from
-    the shortest, each from the next, or read from ``tables``, a dict keyed by (suffix, cap)
-    that the engine's battery keeps for one search (None: one for this call).  A prefix with
-    dot product ``dot`` and layer ``spent`` is completed iff bit b of some layer c of its
-    suffix meets bit b + shift of ``masks[spent + c]``, shift = (dot - offset - low) / 2,
-    skipped past the masks (so a huge norm never shifts by k); the last entry reads V_j at
-    its own d instead.  Least costs suffice: a lower layer violates at every j a higher one
-    does, and the rest of a least-cost lambda is least-cost for its own dot product.
+    positive V_j with j <= k/2.  This set-up, the thin ``prefix`` of V and the masks, depends
+    only on (k, cap) and on whether the class has more than one entry (a one-entry class
+    needs no masks), so it is made once per such key in ``setups``.  The :class:`_Layers` of
+    a[1:], ..., a[n-1:] are built from the shortest, each from the next, or read from
+    ``tables``, a dict keyed by (suffix, cap) that the engine's battery keeps for one search
+    (None: a dict for this call, as for ``setups``); deciding reads a[1:]'s alone if kept.
+    A prefix with dot product ``dot`` and layer ``spent`` is completed iff bit b of some layer
+    c of its suffix meets bit b + shift of ``masks[spent + c]``, shift = (dot - offset -
+    low) / 2, skipped past the masks (so a huge norm never shifts by k); the last entry reads
+    V_j at its own d instead.  Least costs suffice: a lower layer violates at every j a higher
+    one does, and the rest of a least-cost lambda is least-cost for its own dot product.
 
-    The witness is built one coordinate at a time by a loop over mag = 1, 3, 5, ... that
-    tries +mag, then -mag, and keeps the first value whose suffix still completes a
-    violation: it is the first violating lambda with cost <= cap of the depth-first
-    enumeration (:func:`~slicedeg.lattice.enumerate_odd_vectors`), and the first violating
-    lambda outright when cap = 8*V_0 - 1.  The first coordinate decides (the class passes
-    iff no lambda_0 completes against a[1:]), so the whole class's layers are never built.
-    Once +1 on every entry left completes, the witness ends in 1s.  A later coordinate past
-    layer top raises ``RuntimeError``, which consistent layers never allow.
+    Each coordinate tries mag = 1, 3, 5, ..., +mag before -mag, and keeps the first value
+    whose suffix still completes a violation: lambda is the first violating lambda with cost
+    <= cap of the depth-first enumeration (:func:`~slicedeg.lattice.enumerate_odd_vectors`),
+    and the first violating lambda outright when cap = 8*V_0 - 1.  The first coordinate
+    decides (the class passes iff no lambda_0 completes against a[1:]), so the whole class's
+    layers are never built, and :func:`vs_kills` stops there.  Once +1 on every entry left
+    completes, lambda ends in 1s.  A later coordinate past layer top raises
+    ``RuntimeError``, which consistent layers never allow.
 
     Work: with M the largest odd magnitude, M^2 <= cap + 1, and top <= min(V_0, F^2 * k / 8),
     a build does one shift-OR per magnitude and per non-empty layer of its suffix (at most
-    top + 1) on ints of about M*sum(a) + 2*nu bits, then O(top) ORs; the witness tries at
-    most M + 1 values per coordinate, each one AND per layer of its suffix.
+    top + 1) on ints of about M*sum(a) + 2*nu bits, then O(top) ORs; a set-up makes top + 1
+    masks; each coordinate tries at most M + 1 values, each one AND per layer of its suffix.
     """
     if cls.n == 0:
         raise ValueError("class must be non-empty")
     k = cls.norm
-    j0 = (k - sum(cls.a)) // 2
-    if v.v(j0):
-        return Verdict(
-            True, {"rule": "vs", "lambda": (1,) * cls.n, "j": j0, "lhs": 0, "rhs": 8 * v.v(j0)}
-        )
+    if v.v((k - sum(cls.a)) // 2):
+        return [1] * cls.n
     if v.is_zero():
-        return PASS
+        return None
     hi, lo = cls.a[0], cls.a[-1]  # B = floor(F^2 * k) - n, F = (hi^2 + hi*lo + lo^2) / (hi*lo)
     cap = min(8 * v.v(0) - 1, (hi * hi + hi * lo + lo * lo) ** 2 * k // (hi * lo) ** 2 - cls.n)
-    top, prefix = cap >> 3, v.prefix(k // 2 + 1)
-    nu = len(prefix)
+    top = cap >> 3
+    setups = {} if setups is None else setups
+    setup = setups.get(key := (k, cap, cls.n > 1))
+    if setup is None:
+        prefix = v.prefix(k // 2 + 1)
+        nu = len(prefix)
+        masks, reach = [], nu  # masks[c] for each layer c of a[1:], if any
+        for c in range(top + 1 if cls.n > 1 else 0):
+            while reach and prefix[reach - 1] <= c:  # reach: the j with c < V_j
+                reach -= 1
+            masks.append(((1 << reach) - 1) << (nu - reach))
+        setup = setups[key] = prefix, nu, masks
+    prefix, nu, masks = setup
     low = k - 2 * nu + 2  # the lowest target d
-    masks, reach = [], nu  # masks[c] for each layer c of a[1:], if any
-    for c in range(top + 1 if cls.n > 1 else 0):
-        while reach and prefix[reach - 1] <= c:  # reach: the j with c < V_j
-            reach -= 1
-        masks.append(((1 << reach) - 1) << (nu - reach))
 
     tables = {} if tables is None else tables
-    rests = [_EMPTY]  # rests[-1 - i] holds the layers of cls.a[i + 1:]
-    for i in range(cls.n - 1, 0, -1):
+    head = tables.get((cls.a[1:], cap)) if decide else None  # deciding reads a[1:] alone
+    rests = [_EMPTY if head is None else head]  # rests[-1 - i] holds the layers of cls.a[i + 1:]
+    for i in range(cls.n - 1 if head is None else 0, 0, -1):
         key = (cls.a[i:], cap)
         layers = tables.get(key)
         if layers is None:
@@ -216,7 +242,7 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence, tables: dict | None = None
             layer = spent + (mag * mag >> 3)
             if layer > top:
                 if not lam:
-                    return PASS
+                    return None
                 raise RuntimeError(f"no witness value completes the suffix layers of {cls}")
             window = masks[layer : layer + len(rest.layers)]
             for sign in (mag, -mag):
@@ -230,15 +256,14 @@ def vs_obstruction(cls: HomologyClass, v: VsSequence, tables: dict | None = None
                     val = sign
                     break
         lam.append(val)
+        if decide:
+            return lam
         dot, spent, left = dot + val * a_i, layer, left - a_i
         j = (k - dot - left) >> 1  # the j that +1 on every entry left reaches at no cost
-        if 0 <= j < nu and spent < prefix[j]:  # the loop would keep +1: the witness ends in 1s
+        if 0 <= j < nu and spent < prefix[j]:  # the loop would keep +1: lambda ends in 1s
             lam += [1] * (cls.n - len(lam))
-            dot += left
             break
-    j = (k - dot) // 2
-    witness = {"rule": "vs", "lambda": tuple(lam), "j": j, "lhs": 8 * spent, "rhs": 8 * v.v(j)}
-    return Verdict(True, witness)
+    return lam
 
 
 def _gamma_kills(energy16: int, g: Fraction | int) -> bool:
@@ -264,12 +289,8 @@ def gamma_walk(a: tuple[int, ...], sweep: bool) -> list[tuple[int, ...]]:
     return walk
 
 
-def gamma_general(
-    cls: HomologyClass,
-    c: Sequence[int],
-    sigma: int,
-    gamma: Mapping[int, Fraction | int],
-) -> Verdict:
+def gamma_general(cls: HomologyClass, c: Sequence[int], sigma: int,
+                  gamma: Mapping[int, Fraction | int]) -> Verdict:
     """Instanton energy obstruction for an arbitrary class.
 
     With kappa = kappa_min(a, c) and index
@@ -277,28 +298,35 @@ def gamma_general(
     i >= 0, the value Gamma_K(i) can be at most 2*kappa.  Unknown
     Gamma_K(i) gives no conclusion.
 
-    Decided in integers: 16*kappa is a sum of per-coordinate minima
-    (:func:`~slicedeg.lattice.kappa16`), 4*i = 16*kappa - k - 2*sigma, and
-    the class dies iff :func:`_gamma_kills` holds of (16*kappa, Gamma_K(i)).
-    For a class, every a_i is non-zero, so eta, a signed monomial times
-    binomials 1 - T^(2*a_i), is never zero, and only a kill computes it,
-    through this module's ``eta``.  Work: O(n) per verdict, plus
-    O(n + b * sum(a)) for eta's b binomial factors on a kill.
+    Decided in integers by :func:`_gamma_test`.  For a class, every a_i is
+    non-zero, so eta, a signed monomial times binomials 1 - T^(2*a_i), is
+    never zero, and only a kill computes it, through this module's ``eta``.
+    Work: O(n), plus O(n + b * sum(a)) for eta's b binomial factors on a kill.
     """
     c = tuple(c)
-    energy16 = kappa16(cls.a, c)
-    index4 = energy16 - cls.norm - 2 * sigma
-    if index4 < 0:
-        return PASS
-    if index4 % 4:
-        return Verdict(False, note=f"non-integral index {Fraction(index4, 4)}")
-    i = index4 // 4
-    value = gamma.get(i)
-    if value is None or not _gamma_kills(energy16, value):
-        return PASS
-    return Verdict(True, {"rule": "gamma", "kappa_min": Fraction(energy16, 16), "i": i,
+    energy16, index4, value = _gamma_test(cls, c, sigma, gamma)
+    if value is None:
+        return Verdict(False, note=f"non-integral index {Fraction(index4, 4)}") if (
+            index4 > 0 and index4 % 4) else PASS
+    return Verdict(True, {"rule": "gamma", "kappa_min": Fraction(energy16, 16), "i": index4 // 4,
                           "eta": str(eta(cls.a, c)), "gamma": value,
                           "bound": Fraction(energy16, 8), "c": c})
+
+
+def gamma_kills(cls: HomologyClass, c: Sequence[int], sigma: int,
+                gamma: Mapping[int, Fraction | int]) -> bool:
+    """Whether :func:`gamma_general` obstructs: its integer test, with no eta and no Fraction."""
+    return _gamma_test(cls, c, sigma, gamma)[2] is not None
+
+
+def _gamma_test(cls: HomologyClass, c: Sequence[int], sigma: int,
+                gamma: Mapping[int, Fraction | int]) -> tuple[int, int, Fraction | int | None]:
+    """(16*kappa, 4*i, Gamma_K(i)), the value None unless it kills the class: iff i is a
+    non-negative integer and :func:`_gamma_kills` holds (:func:`~.lattice.kappa16`)."""
+    energy16 = kappa16(cls.a, c)
+    index4 = energy16 - cls.norm - 2 * sigma
+    value = gamma.get(index4 // 4) if index4 >= 0 and not index4 % 4 else None
+    return energy16, index4, value if value is not None and _gamma_kills(energy16, value) else None
 
 
 def double_twist_gamma(m: int, n: int) -> Fraction:

@@ -50,6 +50,7 @@ from slicedeg.knots import (
 )
 from slicedeg.lattice import HomologyClass, iter_classes, kappa16
 from slicedeg.obstructions import gamma_general, gamma_walk, null_class_check, stau_bound
+from test_obstructions import unit_step_sequences
 
 TREFOIL = KnotRecord(
     "3_1", -2, s_invariants={0: 2}, tau=1, vs_spec=VsSpec("thin"), clasp_plus=1
@@ -338,6 +339,65 @@ class TestFirstKill:
         assert kills > 0
 
 
+# The default battery, the c-sweep, and one rule alone.
+DECIDER_CONFIGS = [
+    EngineConfig(),
+    EngineConfig(gamma_c_sweep=True),
+    EngineConfig(obstructions=frozenset({"vs"})),
+    EngineConfig(obstructions=frozenset({"gamma"})),
+]
+
+
+class TestKills:
+    """The walk's ``kills`` kills exactly the classes ``first_kill`` does."""
+
+    def test_every_bundled_record_and_class_up_to_norm_20(self):
+        # a walk's battery decides and a listing's battery explains, as in a search
+        classes = [cls for k in range(1, 21) for cls in iter_classes(k)]
+        kills = 0
+        for record, _ in BUNDLED:
+            for cfg in DECIDER_CONFIGS:
+                walk, listing = ClassBattery(record, cfg), ClassBattery(record, cfg)
+                for cls in classes:
+                    want = listing.first_kill(cls) is not None
+                    assert walk.kills(cls) == want, (record.name, cfg.obstructions, cls)
+                    kills += want
+        assert 0 < kills < len(BUNDLED) * len(DECIDER_CONFIGS) * len(classes)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        record=st.builds(
+            lambda sigma, s0, values, gamma: KnotRecord(
+                "h", 2 * sigma, s_invariants={0: s0}, vs_spec=VsSpec("explicit", values),
+                gamma=gamma,
+            ),
+            st.integers(-8, 2),
+            st.integers(-4, 16),
+            st.lists(st.integers(1, 60), max_size=6).map(lambda v: tuple(sorted(v, reverse=True))),
+            st.dictionaries(st.integers(0, 60), st.fractions(0, 12, max_denominator=16),
+                            max_size=40),
+        ),
+        k=st.integers(21, 40),
+        cfg=st.sampled_from(DECIDER_CONFIGS),
+        shuffle=st.randoms(use_true_random=False),
+    )
+    def test_random_steep_sequences_and_gamma_maps(self, record, k, cfg, shuffle):
+        walk, listing = ClassBattery(record, cfg), ClassBattery(record, cfg)
+        classes = list(_level(k))
+        shuffle.shuffle(classes)
+        for cls in classes:
+            assert walk.kills(cls) == (listing.first_kill(cls) is not None), cls
+
+    def test_a_survivor_the_walk_killed_fails_the_read(self, monkeypatch):
+        # a forged decider kills the trefoil's survivor (2,) at level 4: the search
+        # exhausts its cap, and the listing finds the class alive
+        monkeypatch.setattr(ClassBattery, "kills", lambda self, cls: True)
+        search = lower_bound(TREFOIL)
+        assert (search.level, search.exhausted) == (5, True)
+        with pytest.raises(RuntimeError, match=r"class \(2\) of level 4 survives"):
+            search.certificates
+
+
 class TestReferenceWalk:
     """``lower_bound`` certificates equal those of the streamed walk."""
 
@@ -355,8 +415,10 @@ class TestReferenceWalk:
 
 
 def floor_of(record: KnotRecord, cfg: EngineConfig) -> int:
-    """The adjunction floor by beta_table: the first level where a class passes every beta."""
-    betas = [beta for _, beta in ClassBattery(record, cfg).betas]
+    """The adjunction floor by beta_table: the first level where a class passes every beta,
+    and 2*nu+ when the V_s check runs (its cost-0 shortcut)."""
+    battery = ClassBattery(record, cfg)
+    betas = [beta for _, beta in battery.betas] + ([2 * battery.v.nu] if battery.vs else [])
     return beta_table([max(betas)])[0].min_k if betas else 0
 
 
@@ -490,12 +552,55 @@ class TestAdjunctionFloor:
         assert search.certificates is search.certificates
 
 
+VS_RULE_SETS = [frozenset({"vs"}), frozenset({"vs", "gamma"})]
+
+
+def vs_record(values: tuple[int, ...]) -> KnotRecord:
+    """An explicit-V_s record with 7_4's signature and Gamma(1), and no adjunction bound."""
+    return KnotRecord("v", -2, vs_spec=VsSpec("explicit", values), gamma={1: Fraction(3, 5)})
+
+
+class TestVsOnlyFloor:
+    """Without "s" the V_s check's cost-0 shortcut sets the floor, beta_max = 2*nu+."""
+
+    def test_every_unit_step_sequence_up_to_norm_16(self):
+        # a class of norm k reads V_j only for j <= k/2, so each sequence cut at 9 entries
+        # stands for every unit-step sequence that begins with it
+        skipped = 0
+        for values in unit_step_sequences(4, 9):
+            record = vs_record(values)
+            for rules in VS_RULE_SETS:
+                cfg = EngineConfig(max_k=16, obstructions=rules)
+                assert ClassBattery(record, cfg).beta_max == 2 * len(values)
+                search, want = lower_bound(record, cfg), reference_lower_bound(record, cfg)
+                assert search_fields(search) == search_fields(want), (values, rules)
+                skipped += min(floor_of(record, cfg), search.level) > 1
+        assert skipped > 300  # not vacuous: the walk starts above level 1
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        values=st.lists(st.integers(1, 60), min_size=1, max_size=8).map(
+            lambda v: tuple(sorted(v, reverse=True))
+        ),
+        cap=st.integers(17, 30),
+        rules=st.sampled_from(VS_RULE_SETS),
+    )
+    def test_steep_sequences_up_to_norm_30(self, values, cap, rules):
+        record, cfg = vs_record(values), EngineConfig(max_k=cap, obstructions=rules)
+        assert search_fields(lower_bound(record, cfg)) == search_fields(
+            reference_lower_bound(record, cfg))
+
+
 class TestTablesSkipTheFloor:
     """A table, or `bound` without --json, lists no class below a record's adjunction floor."""
 
     @staticmethod
     def spy_deciders(monkeypatch) -> list:
-        """(record searched, norm of the class decided) for each later call of a class decider."""
+        """(record searched, norm of the class decided) for each later call of a class decider.
+
+        The walk's deciders are ``ClassBattery.kills`` and the Gamma and V_s deciders it
+        calls; the listing's are the verdict functions.
+        """
         calls = []
         current = [None]
         real_lower_bound = engine.lower_bound
@@ -514,8 +619,12 @@ class TestTablesSkipTheFloor:
             return decide
 
         monkeypatch.setattr(engine, "lower_bound", searching)
-        for decider in ("beta_adjunction", "gamma_general", "vs_obstruction"):
+        for decider in ("gamma_kills", "vs_kills", "beta_adjunction", "gamma_general",
+                        "vs_obstruction"):
             monkeypatch.setattr(engine, decider, deciding(getattr(engine, decider)))
+        real_kills = ClassBattery.kills
+        kills = deciding(lambda cls, battery: real_kills(battery, cls))
+        monkeypatch.setattr(ClassBattery, "kills", lambda self, cls: kills(cls, self))
         return calls
 
     @pytest.mark.parametrize("name", ["knots", "families"])

@@ -36,6 +36,7 @@ from slicedeg.obstructions import (
     gamma_walk,
     null_class_check,
     stau_bound,
+    vs_kills,
     vs_obstruction,
 )
 from slicedeg.staircase import VsSequence, vs_of, vs_thin
@@ -329,25 +330,32 @@ class TestVsObstruction:
             vs_obstruction(HomologyClass((2, 1)), VsSequence((1,)), forged)
 
     def test_search_builds_each_table_once(self, monkeypatch):
+        # the walk decides with vs_kills and the listing explains with vs_obstruction, each
+        # pass on its own battery's dict: one build per (suffix, cap) key in each
         built = self.counting_builds(monkeypatch)
-        dicts = []
-        decide = engine.vs_obstruction
+        dicts = {"vs_kills": [], "vs_obstruction": []}
+        for name, seen in dicts.items():
+            def spy(cls, v, tables=None, setups=None, decide=getattr(engine, name), seen=seen):
+                seen.append(tables)
+                return decide(cls, v, tables, setups)
 
-        def spy(cls, v, tables=None):
-            dicts.append(tables)
-            return decide(cls, v, tables)
-
-        monkeypatch.setattr(engine, "vs_obstruction", spy)
-        builds = 0
+            monkeypatch.setattr(engine, name, spy)
+        builds = dict.fromkeys(dicts, 0)
         for record, cfg in torus_ladder_searches():
             built.clear()
-            dicts.clear()
-            lower_bound(record, cfg)
-            # one dict per search, and one build per (suffix, cap) key in it
-            assert all(tables is dicts[0] for tables in dicts), record.name
-            assert len(built) == (len(dicts[0]) if dicts else 0), record.name
-            builds += len(built)
-        assert builds > 0
+            for seen in dicts.values():
+                seen.clear()
+            search = lower_bound(record, cfg)
+            walked = len(built)
+            search.certificates
+            for name, count in (("vs_kills", walked), ("vs_obstruction", len(built) - walked)):
+                seen = dicts[name]
+                assert all(tables is seen[0] for tables in seen), (record.name, name)
+                assert count == (len(seen[0]) if seen else 0), (record.name, name)
+                builds[name] += count
+            if all(dicts.values()):
+                assert dicts["vs_kills"][0] is not dicts["vs_obstruction"][0], record.name
+        assert all(builds.values()), builds
 
     def test_search_leaves_no_table_behind(self, monkeypatch):
         made = []
@@ -456,6 +464,10 @@ class TestVsLayersAgainstReference:
             ((3, 3, 3, 2, 2), (60, 3), (1, 1, -1, 1, 15)),
             ((4, 3, 2, 2), (30, 8, 1), (1, -1, 1, 15)),
             ((5, 2), (60, 5), (-1, 17)),
+            # lambda_1 = 5 completes only through d = -1 on the suffix (1,): its layers need
+            # -mag, and +1 on the entry left would overshoot d = k (j = -1)
+            ((4, 3, 1), (5,), (3, 5, -1)),
+            ((4, 3, 1), (5, 3, 2, 2, 2, 1, 1, 1, 1), (3, 5, -1)),
         ],
     )
     def test_first_violator_with_a_negative_entry(self, a, values, first):
@@ -473,6 +485,16 @@ class TestVsLayersAgainstReference:
         vd = vs_obstruction(HomologyClass((3, 2, 2, 1, 1)), v, tables)
         assert vd == vs_obstruction(HomologyClass((3, 2, 2, 1, 1)), v)
         assert vd.witness["lambda"] == (1, 1, 1, 5, 7)
+
+    def test_setups_kept_under_a_lower_cap_are_not_reused(self):
+        # under V = (22,) the class (3, 2, 2) of norm 17 has cap 167, so its set-up holds
+        # the targets of layers 0 .. 20; (4, 1), of the same norm, has cap 175, and its first
+        # violator (1, 13) completes its first coordinate only through layer 21 of (1,)
+        v, tables, setups = VsSequence((22,)), {}, {}
+        vs_obstruction(HomologyClass((3, 2, 2)), v, tables, setups)
+        vd = vs_obstruction(HomologyClass((4, 1)), v, tables, setups)
+        assert vd == vs_obstruction(HomologyClass((4, 1)), v)
+        assert vd.witness["lambda"] == (1, 13)
 
     # Layers kept under (suffix, cap) serve every later class with that suffix
     # and cap, whatever its norm; a layer whose bits were placed by the class
@@ -564,6 +586,7 @@ class TestVsShortcutAndCap:
                 vd = vs_obstruction(cls, v)
                 assert vd == reference_vs_obstruction(cls, v)
                 assert vd.witness["lambda"] == (1,) * cls.n and vd.witness["lhs"] == 0
+                assert vs_kills(cls, v)
 
     def test_steep_sequences_up_to_norm_10(self):
         capped = 0

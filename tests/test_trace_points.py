@@ -38,6 +38,10 @@ DECIDERS = {
 }
 
 
+# 7_4 certifies Gamma kills and no V_s kill; 9_1 certifies V_s kills at levels 13-15.
+CERTIFIED_RULES = {"7_4": {"beta", "gamma"}, "9_1": {"beta", "vs"}}
+
+
 @pytest.mark.parametrize("sweep", [False, True])
 def test_engine_wrap_points_fire(sweep):
     tracing = load_tracing()
@@ -45,20 +49,26 @@ def test_engine_wrap_points_fire(sweep):
         module: importlib.import_module(f"slicedeg.{module}") for module, *_ in tracing.WRAP_POINTS
     }
     db = load_knot_db(bundled_database_path("knots"))
-    tracer = tracing.Tracer()
-    with tracer.installed(modules):
-        cfg = EngineConfig(gamma_c_sweep=sweep)
-        report = modules["engine"].bound_report(db.get("7_4"), db, cfg)
-    summary = tracing.summarize(tracer.spans)
-    for name in (*DECIDERS.values(), "obstructions.null_class_check", "staircase.vs_of"):
-        assert summary.get(name, {}).get("calls", 0) >= 1, name
-    certified = Counter(
-        c.rule.partition("[")[0] for level in report.certificates for c in level.classes
-    )
-    for rule, name in DECIDERS.items():
-        assert summary[name].get("kill", 0) == certified[rule], rule
-    # Passing betas are decided without their decider; every c-vector walked reaches its own.
-    assert summary[DECIDERS["beta"]]["calls"] == certified["beta"]
-    assert summary[DECIDERS["gamma"]]["calls"] >= certified["gamma"]
-    # Each gamma kill reads eta once, for its witness, and nothing else reads it.
-    assert summary["lattice.eta"]["calls"] == certified["gamma"]
+    for knot, rules in CERTIFIED_RULES.items():
+        tracer = tracing.Tracer()
+        with tracer.installed(modules):
+            cfg = EngineConfig(gamma_c_sweep=sweep)
+            report = modules["engine"].bound_report(db.get(knot), db, cfg)
+        summary = tracing.summarize(tracer.spans)
+        for name in ("obstructions.null_class_check", "staircase.vs_of"):
+            assert summary.get(name, {}).get("calls", 0) >= 1, (knot, name)
+        certified = Counter(
+            c.rule.partition("[")[0] for level in report.certificates for c in level.classes
+        )
+        assert {rule for rule in DECIDERS if certified[rule]} == rules, knot
+        # The walk decides without the verdict functions; the listing (read by the traced
+        # search's level count) calls each one only for the class it kills.
+        for rule, name in DECIDERS.items():
+            row = summary.get(name, {})
+            assert row.get("kill", 0) == certified[rule], (knot, rule)
+            assert (row.get("calls", 0) >= 1) == (rule in rules), (knot, rule)
+        assert summary[DECIDERS["beta"]]["calls"] == certified["beta"], knot
+        assert summary.get(DECIDERS["gamma"], {}).get("calls", 0) >= certified["gamma"], knot
+        assert summary.get(DECIDERS["vs"], {}).get("calls", 0) == certified["vs"], knot
+        # Each gamma kill reads eta once, for its witness, and nothing else reads it.
+        assert summary.get("lattice.eta", {}).get("calls", 0) == certified["gamma"], knot

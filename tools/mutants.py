@@ -56,6 +56,8 @@ T_OBS = "tests/test_obstructions.py::"
 T_VS = T_OBS + "TestVsLayersAgainstReference::"
 T_MEMO = "tests/test_table_memo.py::"
 T_FLOOR = "tests/test_engine.py::TestAdjunctionFloor::"
+T_VS_FLOOR = "tests/test_engine.py::TestVsOnlyFloor::"
+T_KILLS = "tests/test_engine.py::TestKills::"
 
 MUTANTS = (
     Mutant(
@@ -68,8 +70,8 @@ MUTANTS = (
     Mutant(
         "gamma-negative-index",
         OBS,
-        "    if index4 < 0:\n        return PASS\n",
-        "",
+        "if index4 >= 0 and not index4 % 4 else None",
+        "if not index4 % 4 else None",
         (T_OBS + "TestGammaGeneral::test_class_four_negative_index_passes",),
     ),
     Mutant(
@@ -97,12 +99,28 @@ MUTANTS = (
     Mutant(
         "vs-shortcut-at-zero",
         OBS,
-        "    if v.v(j0):\n",
-        "    if v.v(j0) >= 0:\n",
+        "    if v.v((k - sum(cls.a)) // 2):\n",
+        "    if v.v((k - sum(cls.a)) // 2) >= 0:\n",
         (
             T_OBS + "TestVsObstruction::test_two_survives_v1",
             T_OBS + "TestVsAgainstEnumeration::test_every_class_up_to_norm_14",
         ),
+    ),
+    # The decider and the witness share one walk; without its cost-0 shortcut the layers
+    # still decide every class alike, but a shortcut class builds them.
+    Mutant(
+        "vs-decide-without-shortcut",
+        OBS,
+        "    if v.v((k - sum(cls.a)) // 2):\n        return [1] * cls.n\n",
+        "",
+        (T_OBS + "TestVsShortcutAndCap::test_shortcut_builds_no_table",),
+    ),
+    Mutant(
+        "setup-key-without-cap",
+        OBS,
+        "setup = setups.get(key := (k, cap, cls.n > 1))",
+        "setup = setups.get(key := (k, cls.n > 1))",
+        (T_VS + "test_setups_kept_under_a_lower_cap_are_not_reused",),
     ),
     Mutant(
         "vs-ones-tail-le",
@@ -110,6 +128,20 @@ MUTANTS = (
         "if 0 <= j < nu and spent < prefix[j]:",
         "if 0 <= j < nu and spent <= prefix[j]:",
         (T_VS + "test_every_unit_step_sequence_up_to_norm_20",),
+    ),
+    Mutant(
+        "vs-ones-rule-negative-j",
+        OBS,
+        "if 0 <= j < nu and spent < prefix[j]:",
+        "if j < nu and spent < prefix[j]:",
+        (T_VS + "test_first_violator_with_a_negative_entry",),
+    ),
+    Mutant(
+        "vs-build-plus-only",
+        OBS,
+        "layers[c + up] |= bits << low | bits << high",
+        "layers[c + up] |= bits << high",
+        (T_VS + "test_first_violator_with_a_negative_entry",),
     ),
     Mutant(
         "vs-target-unclamped",
@@ -159,13 +191,13 @@ MUTANTS = (
         OBS,
         (
             "for c in range(top + 1 if cls.n > 1 else 0):",
-            "rests = [_EMPTY]",
+            "rests = [_EMPTY if head is None else head]",
             "shift = (dot + sign * a_i - rest.offset - low) >> 1  # bit b meets mask bit b+shift\n"
             "                if -rest.offset <= shift < nu and",
         ),
         (
             "for c in range(top + 1):",
-            "rests = [_Layers(0, (1 << sum(cls.a),))]",
+            "rests = [_Layers(0, (1 << sum(cls.a),)) if head is None else head]",
             "shift = ((dot + sign * a_i - rest.offset - low) >> 1) - sum(cls.a)\n"
             "                if -rest.offset - sum(cls.a) <= shift < nu and",
         ),
@@ -188,6 +220,34 @@ MUTANTS = (
             T_FLOOR + "test_random_records_match_the_reference_walk",
             "tests/test_engine.py::TestReferenceWalk::test_bundled_databases",
         ),
+    ),
+    Mutant(
+        "vs-floor-off-by-one",
+        ENGINE,
+        "[2 * self.v.nu] if self.vs",
+        "[2 * self.v.nu + 2] if self.vs",
+        (
+            T_VS_FLOOR + "test_every_unit_step_sequence_up_to_norm_16",
+            T_VS_FLOOR + "test_steep_sequences_up_to_norm_30",
+        ),
+    ),
+    Mutant(
+        "kills-skips-vs",
+        ENGINE,
+        "        return self.vs and vs_kills(cls, self.v, self.tables, self.setups)\n",
+        "        return False\n",
+        (
+            T_KILLS + "test_every_bundled_record_and_class_up_to_norm_20",
+            "tests/test_engine.py::TestReferenceWalk::test_bundled_databases",
+        ),
+    ),
+    Mutant(
+        "listing-trusts-walk",
+        ENGINE,
+        "            kill = battery.first_kill(cls)\n",
+        "            kill = battery.first_kill(cls)\n            if kill is None:\n"
+        "                continue\n",
+        (T_KILLS + "test_a_survivor_the_walk_killed_fails_the_read",),
     ),
     Mutant(
         "least-off-by-one",
