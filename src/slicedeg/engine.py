@@ -8,9 +8,8 @@ by killing every candidate class with the per-class battery
 ``betas``, then the instanton check ``gamma``, then the V_s check ``vs``;
 the order decides which rule a certificate names).  The first unobstructed
 level is a sound lower bound because every check is a necessary condition
-for the disk.  Each level stops at its first survivor.  Levels up to
-``DEFAULT_MAX_K`` are listed once per process for every search
-(:func:`_level`); deeper ones stream.  The class walk only decides
+for the disk.  Each level stops at its first survivor, and is streamed: the
+engine keeps no class between searches.  The class walk only decides
 (:meth:`ClassBattery.kills`: no verdict, witness or certificate is built).
 Every level below the answer is listed when the search's ``certificates``
 are first read (``bound --json`` reads them; a table, and ``bound``
@@ -23,6 +22,11 @@ squares, :func:`_least_sums`).  k - sum(a) <= k - least[k], so every class
 of a level below the floor F, the first k with k - least[k] >= beta_max,
 is killed, and such levels are certified without listing a class (F is
 computed once per process for each beta_max).
+
+Above the floor the walk descends by blow-ups: a kill of a by a beta or the
+V_s check kills (a, 1) (the margin k - sum(a) is kept; (lambda, 1) violates
+where lambda does, at the same j), a Gamma kill need not (16*kappa gains 1).
+So past a level killed class by class, it decides (a, 1) only if Gamma killed a.
 
 ``upper_bound`` takes the minimum over the record's direct constructions
 (4 * positive clasp number, 4 * slicing number, explicit witnesses) and
@@ -281,15 +285,15 @@ class ClassBattery:
                 return "vs", verdict
         return None
 
-    def kills(self, cls: HomologyClass) -> bool:
-        """Whether :meth:`first_kill` finds a kill, by the rules' deciders alone."""
+    def kills(self, cls: HomologyClass) -> bool | str:
+        """Whether :meth:`first_kill` finds a kill, by the deciders alone; "gamma" by Gamma's."""
         if beta_kills(self.beta_max, cls.norm - sum(cls.a)):  # a beta or the V_s shortcut
             return True
         if self.gamma:
             record = self.record
             for c in gamma_walk(cls.a, self.cfg.gamma_c_sweep):
                 if gamma_kills(cls, c, record.signature, record.gamma):
-                    return True
+                    return "gamma"
         return self.vs and vs_kills(cls, self.v, self.tables, self.setups)
 
 
@@ -332,17 +336,6 @@ def _friend_coverage(record: KnotRecord, cfg: EngineConfig) -> tuple[int, Mappin
     return best, witness
 
 
-_LEVELS: dict[int, tuple[HomologyClass, ...]] = {}  # k <= DEFAULT_MAX_K
-
-
-def _level(k: int) -> Iterable[HomologyClass]:
-    """Norm-k classes in iter_classes order; kept for k <= DEFAULT_MAX_K."""
-    classes = iter_classes(k)
-    if k <= DEFAULT_MAX_K and k not in _LEVELS:
-        _LEVELS[k] = tuple(classes)
-    return _LEVELS.get(k, classes)
-
-
 def lower_bound(record: KnotRecord, cfg: EngineConfig | None = None) -> LowerBoundSearch:
     """Certified lower bound for sd+ of the record's knot.
 
@@ -352,9 +345,10 @@ def lower_bound(record: KnotRecord, cfg: EngineConfig | None = None) -> LowerBou
     adjunction floor (see the module docstring) are obstructed by the
     adjunction bounds, or the V_s check's cost-0 shortcut, alone, so the
     class walk starts at the floor, or past the friend coverage when that
-    is higher.  The walk only decides (:meth:`ClassBattery.kills`), and stops
-    at the first survivor.  No level is listed until ``certificates`` is
-    first read (:func:`_deferred_certificates`).  If the cap is reached with
+    is higher.  The walk decides (:meth:`ClassBattery.kills`) only what the
+    blow-up descent (module docstring) leaves, and stops at the first
+    survivor.  No level is listed until ``certificates`` is first read
+    (:func:`_deferred_certificates`).  If the cap is reached with
     everything obstructed, the floor above it included, returns cap + 1 with
     ``exhausted`` set.  Certificate witnesses are read-only mappings.
     """
@@ -372,18 +366,21 @@ def lower_bound(record: KnotRecord, cfg: EngineConfig | None = None) -> LowerBou
         if not null.obstructed:
             return LowerBoundSearch(0, False, HomologyClass(()), ())
 
-    floor = cap + 1  # a floor is at least its beta_max, so past the cap it is not computed
-    if battery.beta_max <= cap:
-        floor = min(floor, _adjunction_floor(battery.beta_max))
+    # a floor is at least its beta_max, so past the cap it is not computed
+    floor = _adjunction_floor(battery.beta_max) if battery.beta_max <= cap else cap + 1
     start = max(1, friend_cap)  # the first level the classes decide
     walk = max(start, floor)  # every class of levels start .. walk - 1 dies below beta_max
     listing = partial(_deferred_certificates, record, cfg, friend_witness,
                       range(min(friend_cap, cap + 1)), null, start, walk)
-    kills = battery.kills
+    gamma_only = set() if walk > start else None  # the level below's Gamma-only kills; None: all
     for k in range(walk, cap + 1):
-        for cls in _level(k):
-            if not kills(cls):
-                return LowerBoundSearch(k, False, cls, partial(listing, k))
+        below, gamma_only = gamma_only, set()
+        for cls in iter_classes(k):
+            if below is None or cls.a[-1] != 1 or cls.a[:-1] in below:
+                if not (kill := battery.kills(cls)):
+                    return LowerBoundSearch(k, False, cls, partial(listing, k))
+                if kill == "gamma":
+                    gamma_only.add(cls.a)
     return LowerBoundSearch(cap + 1, True, None, partial(listing, cap + 1))
 
 
@@ -403,7 +400,7 @@ def _deferred_certificates(record: KnotRecord, cfg: EngineConfig, friend_witness
     battery = ClassBattery(record, cfg)
     for k in range(start, level):
         kills = []
-        for cls in _level(k):
+        for cls in iter_classes(k):
             kill = battery.first_kill(cls)
             if kill is None or k < walk and not beta_kills(battery.beta_max, k - sum(cls.a)):
                 where = ", below the adjunction floor," if k < walk else ""

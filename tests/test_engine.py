@@ -36,7 +36,6 @@ from slicedeg.engine import (
     _direct_upper,
     _friend_coverage,
     _jsonable,
-    _level,
 )
 from slicedeg.knots import (
     FriendshipRecord,
@@ -202,31 +201,14 @@ class TestLazyLevels:
         assert built == []
 
 
-# A thin record with slicing number 17: its search walks levels 0..68, past the level table.
+# A thin record with slicing number 17: its search walks levels 0..68.
 DEEP = KnotRecord(
     "d", -34, s_invariants={0: 34}, tau=17, vs_spec=VsSpec("thin"), slicing_number=17
 )
 
 
-class TestLevelTable:
-    def test_levels_are_iter_classes(self):
-        lower_bound(DEEP)  # the levels a search lists
-        for k in range(DEFAULT_MAX_K + 1):
-            assert _level(k) == tuple(iter_classes(k)), k
-            assert _level(k) is _level(k)
-        assert sum(len(_level(k)) for k in range(DEFAULT_MAX_K + 1)) == 3742
-
-    def test_deeper_levels_stream(self):
-        assert lower_bound(DEEP).level == 68
-        assert max(engine._LEVELS) == DEFAULT_MAX_K
-        deeper = _level(DEFAULT_MAX_K + 1)
-        assert not isinstance(deeper, tuple)
-        assert next(iter(deeper)) == HomologyClass((8, 1))
-        assert max(engine._LEVELS) == DEFAULT_MAX_K
-
-
 def reference_lower_bound(record: KnotRecord, cfg: EngineConfig | None = None) -> LowerBoundSearch:
-    """The level walk without the level table.
+    """The level walk without the adjunction floor or the blow-up descent.
 
     Each level is streamed, and each class is certified by its first
     obstructed ``verdicts()`` entry.
@@ -271,6 +253,13 @@ RULE_SETS = [
     frozenset(rules)
     for size in (1, 2, 3)
     for rules in itertools.combinations(("s", "gamma", "vs"), size)
+]
+
+# Every set of obstructions, the empty one included.
+OBSTRUCTION_SUBSETS = [
+    frozenset(rules)
+    for size in range(5)
+    for rules in itertools.combinations(("s", "vs", "gamma", "friend"), size)
 ]
 
 
@@ -321,7 +310,7 @@ class TestFirstKill:
     )
     def test_random_records_up_to_norm_40(self, record, k, rules, sweep):
         battery = ClassBattery(record, EngineConfig(obstructions=rules, gamma_c_sweep=sweep))
-        for cls in _level(k):
+        for cls in iter_classes(k):
             assert battery.first_kill(cls) == first_obstructed(battery, cls), cls
 
     def test_killing_energies_follow_the_level(self):
@@ -360,7 +349,7 @@ class TestKills:
                 walk, listing = ClassBattery(record, cfg), ClassBattery(record, cfg)
                 for cls in classes:
                     want = listing.first_kill(cls) is not None
-                    assert walk.kills(cls) == want, (record.name, cfg.obstructions, cls)
+                    assert bool(walk.kills(cls)) == want, (record.name, cfg.obstructions, cls)
                     kills += want
         assert 0 < kills < len(BUNDLED) * len(DECIDER_CONFIGS) * len(classes)
 
@@ -383,10 +372,10 @@ class TestKills:
     )
     def test_random_steep_sequences_and_gamma_maps(self, record, k, cfg, shuffle):
         walk, listing = ClassBattery(record, cfg), ClassBattery(record, cfg)
-        classes = list(_level(k))
+        classes = list(iter_classes(k))
         shuffle.shuffle(classes)
         for cls in classes:
-            assert walk.kills(cls) == (listing.first_kill(cls) is not None), cls
+            assert bool(walk.kills(cls)) == (listing.first_kill(cls) is not None), cls
 
     def test_a_survivor_the_walk_killed_fails_the_read(self, monkeypatch):
         # a forged decider kills the trefoil's survivor (2,) at level 4: the search
@@ -405,13 +394,90 @@ class TestReferenceWalk:
     def test_bundled_databases(self, sweep):
         for record, db in BUNDLED:
             upper, _ = upper_bound(record, db)
-            cfg = EngineConfig(max_k=DEFAULT_MAX_K if upper is None else upper, gamma_c_sweep=sweep)
-            assert lower_bound(record, cfg) == reference_lower_bound(record, cfg), record.name
+            for rules in OBSTRUCTION_SUBSETS:
+                cfg = EngineConfig(max_k=DEFAULT_MAX_K if upper is None else upper,
+                                   obstructions=rules, gamma_c_sweep=sweep)
+                assert lower_bound(record, cfg) == reference_lower_bound(record, cfg), (
+                    record.name, rules)
 
     def test_deep_thin_record(self):
         search = lower_bound(DEEP)
         assert search == reference_lower_bound(DEEP)
         assert (search.level, len(search.certificates)) == (68, 68)
+
+
+def walk_decisions(monkeypatch, record: KnotRecord, cfg: EngineConfig):
+    """The search, and each class its walk decides with that class's ``kills`` value."""
+    decided = {}
+    real = ClassBattery.kills
+
+    def kills(self, cls):
+        decided[cls.a] = kill = real(self, cls)
+        return kill
+
+    monkeypatch.setattr(ClassBattery, "kills", kills)
+    search = lower_bound(record, cfg)
+    monkeypatch.undo()
+    return search, decided
+
+
+class TestBlowUpDescent:
+    """The walk decides (a, 1) only when the instanton check alone killed a."""
+
+    def test_7_4_decides_the_gamma_only_extension(self, monkeypatch):
+        # level 3 dies below the floor (4), so level 4 skips (1,1,1,1); (2) dies by Gamma
+        # alone, so level 5 decides (2,1), which survives
+        for sweep in (False, True):
+            search, decided = walk_decisions(monkeypatch, SEVEN_FOUR,
+                                             EngineConfig(max_k=8, gamma_c_sweep=sweep))
+            assert (search.level, search.surviving_class.a) == (5, (2, 1))
+            assert decided == {(2,): "gamma", (2, 1): False}
+
+    def test_bundled_records_skip_what_beta_and_vs_kill(self, monkeypatch):
+        carried = skipped = by_vs = 0
+        for record, db in BUNDLED:
+            upper, _ = upper_bound(record, db)
+            for cfg in DECIDER_CONFIGS:
+                cfg = EngineConfig(DEFAULT_MAX_K if upper is None else upper, cfg.obstructions,
+                                   cfg.gamma_c_sweep)
+                search, decided = walk_decisions(monkeypatch, record, cfg)
+                first = min((sum(x * x for x in a) for a in decided), default=None)
+                beta_max = ClassBattery(record, cfg).beta_max
+                for a, kill in decided.items():
+                    k = sum(x * x for x in a)
+                    if a[-1] == 1 and k > first:
+                        assert decided.get(a[:-1]) == "gamma", (record.name, cfg, a)
+                    if kill and k + 1 < search.level:  # the level above is walked whole
+                        assert ((*a, 1) in decided) == (kill == "gamma"), (record.name, cfg, a)
+                        carried += kill == "gamma"
+                        skipped += kill is True
+                        by_vs += kill is True and k - sum(a) >= beta_max
+        assert carried and skipped and by_vs  # not vacuous
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        record=st.builds(
+            lambda sigma, s0, values, gamma, friends: KnotRecord(
+                "h", 2 * sigma, s_invariants={} if s0 is None else {0: s0},
+                vs_spec=VsSpec("explicit", values), gamma=gamma, friends=friends,
+            ),
+            st.integers(-8, 2),
+            st.none() | st.integers(-4, 16),
+            st.lists(st.integers(1, 60), max_size=6).map(lambda v: tuple(sorted(v, reverse=True))),
+            st.dictionaries(st.integers(0, 60), st.fractions(0, 12, max_denominator=16),
+                            max_size=40),
+            st.lists(st.builds(lambda k, s: FriendshipRecord(k, "f", s), st.integers(0, 30),
+                               st.integers(0, 36)), max_size=2).map(tuple),
+        ),
+        cap=st.integers(0, 30),
+        rules=st.sampled_from(OBSTRUCTION_SUBSETS),
+        sweep=st.booleans(),
+    )
+    def test_random_records_match_the_reference_walk(self, record, cap, rules, sweep):
+        # steep V, Gamma maps and friendships, each level walked to the cap
+        cfg = EngineConfig(max_k=cap, obstructions=rules, gamma_c_sweep=sweep)
+        assert search_fields(lower_bound(record, cfg)) == search_fields(
+            reference_lower_bound(record, cfg))
 
 
 def floor_of(record: KnotRecord, cfg: EngineConfig) -> int:
@@ -441,13 +507,6 @@ def synthetic(sigma, s0, tau, nu, friend, gamma) -> KnotRecord:
         gamma=gamma,
         friends=() if friend is None else (FriendshipRecord(friend, "f", friend + 1),),
     )
-
-
-OBSTRUCTION_SUBSETS = [
-    frozenset(rules)
-    for size in range(5)
-    for rules in itertools.combinations(("s", "vs", "gamma", "friend"), size)
-]
 
 
 class TestAdjunctionFloor:
@@ -694,7 +753,7 @@ class TestCSweepReference:
             EngineConfig(obstructions=frozenset({"gamma"}), gamma_c_sweep=True),
         )
         for k in range(1, 25):
-            for cls in _level(k):
+            for cls in iter_classes(k):
                 want = reference_first_killing_c(cls, sigma, gamma)
                 if cls.n <= 8:  # the folded sweep against the literal one
                     literal = itertools.product((0, 1), repeat=cls.n)

@@ -496,6 +496,17 @@ class TestVsLayersAgainstReference:
         assert vd == vs_obstruction(HomologyClass((4, 1)), v)
         assert vd.witness["lambda"] == (1, 13)
 
+    def test_one_battery_decides_a_suffix_kept_at_another_norm(self):
+        # (2, 2, 1), of norm 9, keeps the layers of its suffix (1); (2, 2, 1, 1), of norm 10,
+        # reads them and dies, as a fresh call finds
+        v = VsSequence((2, 1))
+        vs_only = EngineConfig(obstructions=frozenset({"vs"}))
+        battery = ClassBattery(KnotRecord("x", 0, vs_spec=VsSpec("explicit", (2, 1))), vs_only)
+        for a in ((2, 2, 1), (2, 2, 1, 1)):
+            (shared,) = battery.verdicts(HomologyClass(a))
+            assert shared.verdict == vs_obstruction(HomologyClass(a), v), a
+        assert shared.verdict.obstructed
+
     # Layers kept under (suffix, cap) serve every later class with that suffix
     # and cap, whatever its norm; a layer whose bits were placed by the class
     # that built it would answer wrongly for the next one.

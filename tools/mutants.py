@@ -16,7 +16,9 @@ It exits 1 if the unmutated ids fail, if a snippet does not occur exactly
 once (so a refactor must update its mutant and cannot drop it silently),
 or if pytest does not report each of a mutant's ids as failed under it
 (a parametrized id without its ``[param]`` suffix fails when any of its
-cases does).  The repository itself is never edited.
+cases does).  Hypothesis tests run under the ``mutants`` profile
+(``tests/conftest.py``): the same examples, with no shrinking of a failing
+one, which only the report would read.  The repository itself is never edited.
 Every change that adds a decider, a fast path or an equality that a memo key
 relies on adds its mutant.
 """
@@ -58,6 +60,7 @@ T_MEMO = "tests/test_table_memo.py::"
 T_FLOOR = "tests/test_engine.py::TestAdjunctionFloor::"
 T_VS_FLOOR = "tests/test_engine.py::TestVsOnlyFloor::"
 T_KILLS = "tests/test_engine.py::TestKills::"
+T_DESCENT = "tests/test_engine.py::TestBlowUpDescent::"
 
 MUTANTS = (
     Mutant(
@@ -201,7 +204,10 @@ MUTANTS = (
             "shift = ((dot + sign * a_i - rest.offset - low) >> 1) - sum(cls.a)\n"
             "                if -rest.offset - sum(cls.a) <= shift < nu and",
         ),
-        (T_VS + "test_one_battery_decides_shuffled_levels_like_fresh_calls",),
+        (
+            T_VS + "test_one_battery_decides_a_suffix_kept_at_another_norm",
+            T_VS + "test_one_battery_decides_shuffled_levels_like_fresh_calls",
+        ),
     ),
     Mutant(
         "vs-cap-drops-middle-term",
@@ -229,6 +235,29 @@ MUTANTS = (
         (
             T_VS_FLOOR + "test_every_unit_step_sequence_up_to_norm_16",
             T_VS_FLOOR + "test_steep_sequences_up_to_norm_30",
+        ),
+    ),
+    # The blow-up descent carries beta and V_s kills to (a, 1), not instanton kills, and
+    # only from a level killed class by class.
+    Mutant(
+        "descent-skips-gamma-only",
+        ENGINE,
+        "gamma_only.add(cls.a)",
+        "pass",
+        (
+            "tests/test_engine.py::TestLowerBound::test_7_4_gamma_pushes_to_five",
+            "tests/test_engine.py::TestReferenceWalk::test_bundled_databases",
+            T_DESCENT + "test_7_4_decides_the_gamma_only_extension",
+        ),
+    ),
+    Mutant(
+        "descent-at-first-level",
+        ENGINE,
+        "gamma_only = set() if walk > start else None",
+        "gamma_only = set()",
+        (
+            "tests/test_engine.py::TestLowerBound::test_friend_covers_all_lower_levels",
+            "tests/test_engine.py::TestLazyLevels::test_friend_skip_checks_only_the_first_class",
         ),
     ),
     Mutant(
@@ -413,7 +442,8 @@ def _pytest(cwd: Path, ids: list[str]) -> tuple[int, set[str], str]:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *ids],
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+         "--hypothesis-profile=mutants", *ids],
         cwd=cwd, env=env, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
