@@ -329,16 +329,10 @@ def _cmd_table(args, parser: argparse.ArgumentParser) -> int:
     db = _load_db(args)
     rows = _reporting_cycles(args, report_table, db)
     if args.format == "json":
-        payload = [
-            {
-                "name": r.name,
-                "lower": r.lower,
-                "upper": r.upper,
-                "display": r.display,
-                **({"error": r.error} if r.error else {}),
-            }
-            for r in rows
-        ]
+        payload = [r._asdict() for r in rows]
+        for row in payload:
+            if not row["error"]:  # the key is on error rows only
+                del row["error"]
         print(json.dumps(payload, indent=2))
     else:
         print("| knot | sd+ |")

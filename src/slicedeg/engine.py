@@ -13,7 +13,10 @@ engine keeps no class between searches.  The class walk only decides
 (:meth:`ClassBattery.kills`: no verdict, witness or certificate is built).
 Every level below the answer is listed when the search's ``certificates``
 are first read (``bound --json`` reads them; a table, and ``bound``
-without ``--json``, never do), by :func:`_deferred_certificates`.
+without ``--json``, never do), by :func:`_deferred_certificates`, which
+certifies each class by its first obstructed :meth:`ClassBattery.verdicts`
+entry: the battery's rules are written twice, once to explain and once to
+decide.
 
 The walk starts at the adjunction floor.  Let beta_max be the battery's
 margin below which every class dies (:class:`ClassBattery`) and least[k]
@@ -69,6 +72,7 @@ from .knots import INT_KEYED_FIELDS, DatabaseError, KnotDatabase, KnotRecord, fo
 # enumerate_classes stays importable here because bench/tracing.py wraps it at this module.
 from .lattice import HomologyClass, enumerate_classes, iter_classes  # noqa: F401
 from .obstructions import (
+    PASS,
     Verdict,
     beta_adjunction,
     beta_kills,
@@ -230,9 +234,8 @@ class ClassBattery:
     bounds (each stored s_p, 2*tau, 2*nu+) are computed once, here, and
     shared by every class checked.  The enabled rules with data on the
     record run in one fixed order, ``betas``, ``gamma`` (per c of
-    :func:`~.obstructions.gamma_walk`), ``vs``, in :meth:`verdicts`,
-    :meth:`first_kill` (which builds only the verdict of the first rule
-    whose decider kills) and :meth:`kills` (the deciders alone).
+    :func:`~.obstructions.gamma_walk`), ``vs``, in :meth:`verdicts`, which
+    explains, and :meth:`kills`, which decides.
     ``beta_max``: every class with k - sum(a) below it dies, by a beta or by
     the V_s check's cost-0 shortcut (2*nu+).  The V_s check shares its
     suffix layers, ``tables``, and set-ups, ``setups``, over one search.
@@ -257,36 +260,25 @@ class ClassBattery:
         self.setups: dict = {}  # (k, cap, n > 1) -> the V_s targets of such classes
 
     def verdicts(self, cls: HomologyClass) -> Iterator[RuleVerdict]:
-        """Each rule's verdict on the class, in the fixed order; the instanton check's per c."""
+        """Each rule's verdict on the class, in the fixed order; the instanton check's per c.
+
+        Each entry is built when it is read, and a beta's verdict only when the beta
+        kills, so reading up to the first obstructed entry calls ``beta_adjunction`` or
+        ``vs_obstruction``, or builds an eta, only for that kill.
+        """
         record = self.record
         rhs = cls.norm - sum(cls.a)
         for rule, beta in self.betas:
-            yield RuleVerdict(rule, beta_adjunction(cls, beta), beta, rhs)
+            yield RuleVerdict(rule, beta_adjunction(cls, beta) if beta_kills(beta, rhs) else PASS,
+                              beta, rhs)
         if self.gamma:
             for c in gamma_walk(cls.a, self.cfg.gamma_c_sweep):
                 yield RuleVerdict("gamma", gamma_general(cls, c, record.signature, record.gamma))
         if self.vs:
             yield RuleVerdict("vs", vs_obstruction(cls, self.v, self.tables, self.setups))
 
-    def first_kill(self, cls: HomologyClass) -> tuple[str, Verdict] | None:
-        """The rule and verdict of the first obstructing :meth:`verdicts` entry, or None."""
-        record = self.record
-        rhs = cls.norm - sum(cls.a)
-        for rule, beta in self.betas:
-            if beta_kills(beta, rhs) and (verdict := beta_adjunction(cls, beta)).obstructed:
-                return rule, verdict
-        if self.gamma:
-            for c in gamma_walk(cls.a, self.cfg.gamma_c_sweep):
-                if gamma_kills(cls, c, record.signature, record.gamma):
-                    return "gamma", gamma_general(cls, c, record.signature, record.gamma)
-        if self.vs:
-            verdict = vs_obstruction(cls, self.v, self.tables, self.setups)
-            if verdict.obstructed:
-                return "vs", verdict
-        return None
-
     def kills(self, cls: HomologyClass) -> bool | str:
-        """Whether :meth:`first_kill` finds a kill, by the deciders alone; "gamma" by Gamma's."""
+        """Whether a :meth:`verdicts` entry obstructs, by the deciders alone; "gamma" by Gamma's."""
         if beta_kills(self.beta_max, cls.norm - sum(cls.a)):  # a beta or the V_s shortcut
             return True
         if self.gamma:
@@ -390,9 +382,10 @@ def _deferred_certificates(record: KnotRecord, cfg: EngineConfig, friend_witness
     """A search's certificates as one tuple, listed when they are first read.
 
     ``friend_levels`` by ``friend_witness``, level 0 by ``null`` (if any), then each class
-    of levels ``start`` .. ``level`` - 1 by a fresh battery's first kill.  A class that the
-    walk (from ``walk`` up) or, below it, the floor's lemma (k - sum(a) < beta_max) kills,
-    and that does not die, raises RuntimeError.
+    of levels ``start`` .. ``level`` - 1 by a fresh battery's first obstructed
+    :meth:`~ClassBattery.verdicts` entry.  A class that the walk (from ``walk`` up) or,
+    below it, the floor's lemma (k - sum(a) < beta_max) kills, and that does not die,
+    raises RuntimeError.
     """
     listed = [LevelCertificate(k, "friend", witness=friend_witness) for k in friend_levels]
     if null is not None:
@@ -401,12 +394,16 @@ def _deferred_certificates(record: KnotRecord, cfg: EngineConfig, friend_witness
     for k in range(start, level):
         kills = []
         for cls in iter_classes(k):
-            kill = battery.first_kill(cls)
+            for kill in battery.verdicts(cls):
+                if kill.verdict.obstructed:
+                    break
+            else:
+                kill = None
             if kill is None or k < walk and not beta_kills(battery.beta_max, k - sum(cls.a)):
                 where = ", below the adjunction floor," if k < walk else ""
                 raise RuntimeError(f"class {cls} of level {k}{where} survives what the search "
                                    "said kills it")
-            kills.append(ClassCertificate(cls, *kill))
+            kills.append(ClassCertificate(cls, kill.rule, kill.verdict))
         listed.append(LevelCertificate(k, "classes", classes=tuple(kills)))
     return tuple(listed)
 

@@ -260,6 +260,20 @@ class TestTable:
         assert rows["9_5"]["display"] == "[6,8]"
         assert rows["9_5"]["lower"] == 6 and rows["9_5"]["upper"] == 8
 
+    def test_json_bytes_of_a_clean_and_an_error_row(self, capsys, tmp_path):
+        # only the error row has an "error" key
+        db = tmp_path / "db.json"
+        clean = {"name": "u", "signature": 0, "upper_witnesses": [{"k": 1}]}
+        db.write_text(json.dumps([clean] + INCONSISTENT))
+        code, out, _ = run(capsys, "table", "--db", str(db), "--quiet", "--format", "json")
+        assert code == 0
+        assert out == (
+            '[\n  {\n    "name": "u",\n    "lower": 0,\n    "upper": 1,\n    "display": "[0,1]"\n'
+            '  },\n  {\n    "name": "bad",\n    "lower": null,\n    "upper": null,\n'
+            '    "display": "error",\n    "error": "bad: certified lower bound 2 exceeds upper '
+            'bound 1; the record data is inconsistent"\n  }\n]\n'
+        )
+
     def test_families(self, capsys):
         code, out, _ = run(capsys, "table", "--db", FAMILIES, "--quiet")
         assert code == 0

@@ -248,13 +248,6 @@ BUNDLED = [
     for db in (load_knot_db(bundled_database_path(name)) for name in ("knots", "families"))
     for record in db
 ]
-# Every non-empty set of per-class rules.
-RULE_SETS = [
-    frozenset(rules)
-    for size in (1, 2, 3)
-    for rules in itertools.combinations(("s", "gamma", "vs"), size)
-]
-
 # Every set of obstructions, the empty one included.
 OBSTRUCTION_SUBSETS = [
     frozenset(rules)
@@ -270,60 +263,20 @@ def first_obstructed(battery: ClassBattery, cls: HomologyClass):
 
 
 class TestFirstKill:
-    """``first_kill`` names the first obstructed ``verdicts()`` entry, witness included."""
-
-    def test_every_bundled_record_and_class_up_to_norm_20(self):
-        classes = [cls for k in range(1, 21) for cls in iter_classes(k)]
-        killers = set()
-        for record, _ in BUNDLED:
-            for rules in RULE_SETS:
-                for sweep in (False, True):
-                    cfg = EngineConfig(obstructions=rules, gamma_c_sweep=sweep)
-                    battery = ClassBattery(record, cfg)
-                    for cls in classes:
-                        want = first_obstructed(battery, cls)
-                        got = battery.first_kill(cls)
-                        assert got == want, (record.name, rules, sweep, cls)
-                        if want is not None:
-                            killers.add(want[0].partition("[")[0])
-        assert killers == {"beta", "gamma", "vs"}
-
-    @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(
-        record=st.builds(
-            lambda sigma, s0, tau, vs, gamma: KnotRecord(
-                "h", 2 * sigma, s_invariants={0: s0}, tau=tau, vs_spec=vs, gamma=gamma
-            ),
-            st.integers(-8, 2),
-            st.integers(-4, 16),
-            st.none() | st.integers(0, 10),
-            st.sampled_from(
-                [VsSpec("unknown"), VsSpec("thin")]
-                + [VsSpec("explicit", values) for values in ((3, 2, 1), (5,))]
-            ),
-            st.dictionaries(st.integers(0, 60), st.fractions(0, 12, max_denominator=16),
-                            max_size=40),
-        ),
-        k=st.integers(21, 40),
-        rules=st.sampled_from(RULE_SETS),
-        sweep=st.booleans(),
-    )
-    def test_random_records_up_to_norm_40(self, record, k, rules, sweep):
-        battery = ClassBattery(record, EngineConfig(obstructions=rules, gamma_c_sweep=sweep))
-        for cls in iter_classes(k):
-            assert battery.first_kill(cls) == first_obstructed(battery, cls), cls
+    """A class's first kill, its first obstructed ``verdicts()`` entry, needs no earlier call."""
 
     def test_killing_energies_follow_the_level(self):
-        # classes of levels 1..24 in shuffled order: no first kill depends on an earlier call
+        # classes of levels 1..24 in shuffled order: a shared battery kills each as a fresh
+        # one does, so no first kill depends on an earlier call
         record = KnotRecord("g", -2, gamma={0: Fraction(1, 3), 1: Fraction(3, 5), 3: Fraction(2)})
-        rules = frozenset({"gamma"})
-        battery = ClassBattery(record, EngineConfig(obstructions=rules, gamma_c_sweep=True))
+        cfg = EngineConfig(obstructions=frozenset({"gamma"}), gamma_c_sweep=True)
+        shared = ClassBattery(record, cfg)
         classes = [cls for k in range(1, 25) for cls in iter_classes(k)]
         random.Random(18).shuffle(classes)
         kills = 0
         for cls in classes:
-            kill = battery.first_kill(cls)
-            assert kill == first_obstructed(battery, cls), cls
+            kill = first_obstructed(shared, cls)
+            assert kill == first_obstructed(ClassBattery(record, cfg), cls), cls
             kills += kill is not None
         assert kills > 0
 
@@ -338,7 +291,7 @@ DECIDER_CONFIGS = [
 
 
 class TestKills:
-    """The walk's ``kills`` kills exactly the classes ``first_kill`` does."""
+    """The walk's ``kills`` kills exactly the classes a ``verdicts()`` entry obstructs."""
 
     def test_every_bundled_record_and_class_up_to_norm_20(self):
         # a walk's battery decides and a listing's battery explains, as in a search
@@ -348,7 +301,7 @@ class TestKills:
             for cfg in DECIDER_CONFIGS:
                 walk, listing = ClassBattery(record, cfg), ClassBattery(record, cfg)
                 for cls in classes:
-                    want = listing.first_kill(cls) is not None
+                    want = first_obstructed(listing, cls) is not None
                     assert bool(walk.kills(cls)) == want, (record.name, cfg.obstructions, cls)
                     kills += want
         assert 0 < kills < len(BUNDLED) * len(DECIDER_CONFIGS) * len(classes)
@@ -375,7 +328,7 @@ class TestKills:
         classes = list(iter_classes(k))
         shuffle.shuffle(classes)
         for cls in classes:
-            assert bool(walk.kills(cls)) == (listing.first_kill(cls) is not None), cls
+            assert bool(walk.kills(cls)) == (first_obstructed(listing, cls) is not None), cls
 
     def test_a_survivor_the_walk_killed_fails_the_read(self, monkeypatch):
         # a forged decider kills the trefoil's survivor (2,) at level 4: the search
@@ -760,7 +713,7 @@ class TestCSweepReference:
                     assert want == next(
                         (c for c in literal if gamma_general(cls, c, sigma, gamma).obstructed), None
                     )
-                kill = battery.first_kill(cls)
+                kill = first_obstructed(battery, cls)
                 assert (kill[1].witness["c"] if kill else None) == want, cls
 
 

@@ -72,3 +72,21 @@ def test_engine_wrap_points_fire(sweep):
         assert summary.get(DECIDERS["vs"], {}).get("calls", 0) == certified["vs"], knot
         # Each gamma kill reads eta once, for its witness, and nothing else reads it.
         assert summary.get("lattice.eta", {}).get("calls", 0) == certified["gamma"], knot
+    # Every bundled record, each in a fresh database so that no memo hit skips the listing.
+    cfg = EngineConfig(gamma_c_sweep=sweep)
+    for db_name in ("knots", "families"):
+        path = bundled_database_path(db_name)
+        for knot in [record.name for record in load_knot_db(path)]:
+            db = load_knot_db(path)
+            tracer = tracing.Tracer()
+            with tracer.installed(modules):
+                report = modules["engine"].bound_report(db.get(knot), db, cfg)
+            summary = tracing.summarize(tracer.spans)
+            certified = Counter(
+                c.rule.partition("[")[0] for level in report.certificates for c in level.classes
+            )
+            calls = {rule: summary.get(name, {}).get("calls", 0) for rule, name in DECIDERS.items()}
+            assert calls["beta"] == certified["beta"], knot
+            assert calls["vs"] == certified["vs"], knot
+            assert calls["gamma"] >= certified["gamma"], knot
+            assert summary.get("lattice.eta", {}).get("calls", 0) == certified["gamma"], knot

@@ -9,8 +9,9 @@ exactly once (or a tuple of snippets, each once), its replacement (or a
 tuple of them), and the pytest node ids that must each fail once the
 replacements are made.  The gate first runs every named id on the
 unmutated tree; then, for each mutant, it copies ``src/``, ``tests/``,
-``pyproject.toml`` and ``bench/reference.json`` (the payload hashes a test
-reads) to a temporary directory, applies the mutant there and runs its ids
+``pyproject.toml``, ``bench/reference.json`` (the payload hashes a test
+reads) and ``bench/tracing.py`` (the trace points a test installs) to a
+temporary directory, applies the mutant there and runs its ids
 (``pyproject.toml`` puts the copied ``src/`` first on the import path).
 It exits 1 if the unmutated ids fail, if a snippet does not occur exactly
 once (so a refactor must update its mutant and cannot drop it silently),
@@ -273,10 +274,18 @@ MUTANTS = (
     Mutant(
         "listing-trusts-walk",
         ENGINE,
-        "            kill = battery.first_kill(cls)\n",
-        "            kill = battery.first_kill(cls)\n            if kill is None:\n"
-        "                continue\n",
+        "            else:\n                kill = None\n",
+        "            else:\n                continue\n",
         (T_KILLS + "test_a_survivor_the_walk_killed_fails_the_read",),
+    ),
+    # The listing reads verdicts up to the first obstructed one; a beta that does not kill
+    # must build no verdict there, so each beta-certified class costs one beta_adjunction.
+    Mutant(
+        "verdicts-builds-every-beta",
+        ENGINE,
+        "beta_adjunction(cls, beta) if beta_kills(beta, rhs) else PASS",
+        "beta_adjunction(cls, beta)",
+        ("tests/test_trace_points.py::test_engine_wrap_points_fire",),
     ),
     Mutant(
         "least-off-by-one",
@@ -457,7 +466,8 @@ def _copy_tree(dest: Path) -> None:
         shutil.copytree(ROOT / part, dest / part, ignore=ignore)
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
     (dest / "bench").mkdir()
-    shutil.copy2(ROOT / "bench" / "reference.json", dest / "bench" / "reference.json")
+    for name in ("reference.json", "tracing.py"):
+        shutil.copy2(ROOT / "bench" / name, dest / "bench" / name)
 
 
 def run() -> int:
