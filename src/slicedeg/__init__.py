@@ -31,8 +31,8 @@ _EXPORTS = {
     "obstructions": """Verdict beta_adjunction double_twist_gamma friend_rule
         gamma_general null_class_check stau_bound vs_obstruction""",
     "staircase": """NotLSpaceForm OracleDisagreement Staircase VsSequence VsUnavailable
-        WindowTooSmall staircase_from_alexander torsion_coefficients torsion_sequence
-        vs_lspace_formula vs_of vs_staircase_oracle vs_thin""",
+        WindowTooSmall staircase_from_alexander torsion_sequence vs_lspace_formula vs_of
+        vs_staircase_oracle vs_thin""",
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = [*_EXPORTS, *_ORIGIN]

@@ -32,9 +32,9 @@ if TYPE_CHECKING:
     from .engine import (
         ALL_OBSTRUCTIONS,
         ClassBattery,
+        ClassCertificate,
         CyclicRelationWarning,
         EngineConfig,
-        RuleVerdict,
         beta_table,
         bound_report,
         report_table,
@@ -281,28 +281,32 @@ def _cmd_check_class(args, parser: argparse.ArgumentParser) -> int:
     if cls.n == 0:
         raise DataError("the empty class is decided by the level-0 null check, not per-class rules")
 
-    steps = list(ClassBattery(record, EngineConfig()).verdicts(cls))
+    battery = ClassBattery(record, EngineConfig())
+    steps = list(battery.verdicts(cls))
+    betas = dict(battery.betas)
     for rule in ("beta", "gamma", "vs"):
-        lines = [_verdict_line(rv) for rv in steps if rv.rule.partition("[")[0] == rule]
+        lines = [_verdict_line(c, betas) for c in steps if c.rule.partition("[")[0] == rule]
         if not lines and rule != "beta":
             lines = [f"{rule}: no data"]
         for line in lines:
             print(line)
-    obstructed = any(rv.verdict.obstructed for rv in steps)
+    obstructed = any(c.verdict.obstructed for c in steps)
     print("overall: " + ("OBSTRUCTED" if obstructed else "pass"))
     return 0
 
 
-def _verdict_line(rv: RuleVerdict) -> str:
-    vd, w = rv.verdict, rv.verdict.witness
-    if rv.beta is not None:
-        label = f"{rv.rule[:-1]}={rv.beta}]"
+def _verdict_line(c: ClassCertificate, betas: dict[str, int]) -> str:
+    """One rule's line; a beta rule's shows its value (``betas``) against k - sum(a)."""
+    vd, w = c.verdict, c.verdict.witness
+    if c.rule in betas:
+        beta, rhs = betas[c.rule], c.cls.norm - sum(c.cls.a)
+        label = f"{c.rule[:-1]}={beta}]"
         if vd.obstructed:
-            return f"{label}: OBSTRUCTED ({rv.beta} > {rv.rhs})"
-        return f"{label}: pass ({rv.beta} <= {rv.rhs})"
+            return f"{label}: OBSTRUCTED ({beta} > {rhs})"
+        return f"{label}: pass ({beta} <= {rhs})"
     if not vd.obstructed:
-        return f"{rv.rule}: pass{f' ({vd.note})' if vd.note else ''}"
-    if rv.rule == "gamma":
+        return f"{c.rule}: pass{f' ({vd.note})' if vd.note else ''}"
+    if c.rule == "gamma":
         return (
             f"gamma: OBSTRUCTED (Gamma({w['i']}) = {w['gamma']} > {w['bound']}; "
             f"kappa_min = {w['kappa_min']}, eta = {w['eta']})"

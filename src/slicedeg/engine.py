@@ -15,8 +15,8 @@ Every level below the answer is listed when the search's ``certificates``
 are first read (``bound --json`` reads them; a table, and ``bound``
 without ``--json``, never do), by :func:`_deferred_certificates`, which
 certifies each class by its first obstructed :meth:`ClassBattery.verdicts`
-entry: the battery's rules are written twice, once to explain and once to
-decide.
+entry of the walk's battery: the battery's rules are written twice, once to
+explain and once to decide, and a search computes its V_s sequence once.
 
 The walk starts at the adjunction floor.  Let beta_max be the battery's
 margin below which every class dies (:class:`ClassBattery`) and least[k]
@@ -213,19 +213,6 @@ def display_interval(lower: int, upper: int | None) -> str:
 # --- lower bounds -----------------------------------------------------------
 
 
-class RuleVerdict(NamedTuple):
-    """One battery rule's verdict on one class.
-
-    Adjunction rules also carry both sides of their inequality, ``beta``
-    and ``rhs = k - sum(a)``, so a pass can be shown with its margin.
-    """
-
-    rule: str
-    verdict: Verdict
-    beta: int | None = None
-    rhs: int | None = None
-
-
 class ClassBattery:
     """The per-class obstruction battery for one record and configuration.
 
@@ -237,8 +224,9 @@ class ClassBattery:
     :func:`~.obstructions.gamma_walk`), ``vs``, in :meth:`verdicts`, which
     explains, and :meth:`kills`, which decides.
     ``beta_max``: every class with k - sum(a) below it dies, by a beta or by
-    the V_s check's cost-0 shortcut (2*nu+).  The V_s check shares its
-    suffix layers, ``tables``, and set-ups, ``setups``, over one search.
+    the V_s check's cost-0 shortcut (2*nu+).  The V_s check shares its suffix
+    layers, ``tables``, and set-ups, ``setups``, over one pass of a search:
+    the walk's, emptied when it returns, then the listing's.
     """
 
     def __init__(self, record: KnotRecord, cfg: EngineConfig) -> None:
@@ -259,8 +247,8 @@ class ClassBattery:
         self.tables: dict = {}  # (suffix, cap) -> that suffix's V_s cost layers
         self.setups: dict = {}  # (k, cap, n > 1) -> the V_s targets of such classes
 
-    def verdicts(self, cls: HomologyClass) -> Iterator[RuleVerdict]:
-        """Each rule's verdict on the class, in the fixed order; the instanton check's per c.
+    def verdicts(self, cls: HomologyClass) -> Iterator[ClassCertificate]:
+        """Each rule's verdict on the class as a certificate, in the fixed order; Gamma's per c.
 
         Each entry is built when it is read, and a beta's verdict only when the beta
         kills, so reading up to the first obstructed entry calls ``beta_adjunction`` or
@@ -269,13 +257,14 @@ class ClassBattery:
         record = self.record
         rhs = cls.norm - sum(cls.a)
         for rule, beta in self.betas:
-            yield RuleVerdict(rule, beta_adjunction(cls, beta) if beta_kills(beta, rhs) else PASS,
-                              beta, rhs)
+            yield ClassCertificate(cls, rule,
+                                   beta_adjunction(cls, beta) if beta_kills(beta, rhs) else PASS)
         if self.gamma:
             for c in gamma_walk(cls.a, self.cfg.gamma_c_sweep):
-                yield RuleVerdict("gamma", gamma_general(cls, c, record.signature, record.gamma))
+                yield ClassCertificate(cls, "gamma",
+                                       gamma_general(cls, c, record.signature, record.gamma))
         if self.vs:
-            yield RuleVerdict("vs", vs_obstruction(cls, self.v, self.tables, self.setups))
+            yield ClassCertificate(cls, "vs", vs_obstruction(cls, self.v, self.tables, self.setups))
 
     def kills(self, cls: HomologyClass) -> bool | str:
         """Whether a :meth:`verdicts` entry obstructs, by the deciders alone; "gamma" by Gamma's."""
@@ -340,7 +329,8 @@ def lower_bound(record: KnotRecord, cfg: EngineConfig | None = None) -> LowerBou
     is higher.  The walk decides (:meth:`ClassBattery.kills`) only what the
     blow-up descent (module docstring) leaves, and stops at the first
     survivor.  No level is listed until ``certificates`` is first read
-    (:func:`_deferred_certificates`).  If the cap is reached with
+    (:func:`_deferred_certificates`, with this battery, whose V_s scratch
+    the walk drops when it returns).  If the cap is reached with
     everything obstructed, the floor above it included, returns cap + 1 with
     ``exhausted`` set.  Certificate witnesses are read-only mappings.
     """
@@ -362,35 +352,37 @@ def lower_bound(record: KnotRecord, cfg: EngineConfig | None = None) -> LowerBou
     floor = _adjunction_floor(battery.beta_max) if battery.beta_max <= cap else cap + 1
     start = max(1, friend_cap)  # the first level the classes decide
     walk = max(start, floor)  # every class of levels start .. walk - 1 dies below beta_max
-    listing = partial(_deferred_certificates, record, cfg, friend_witness,
+    listing = partial(_deferred_certificates, battery, friend_witness,
                       range(min(friend_cap, cap + 1)), null, start, walk)
     gamma_only = set() if walk > start else None  # the level below's Gamma-only kills; None: all
-    for k in range(walk, cap + 1):
-        below, gamma_only = gamma_only, set()
-        for cls in iter_classes(k):
-            if below is None or cls.a[-1] != 1 or cls.a[:-1] in below:
-                if not (kill := battery.kills(cls)):
-                    return LowerBoundSearch(k, False, cls, partial(listing, k))
-                if kill == "gamma":
-                    gamma_only.add(cls.a)
-    return LowerBoundSearch(cap + 1, True, None, partial(listing, cap + 1))
+    try:
+        for k in range(walk, cap + 1):
+            below, gamma_only = gamma_only, set()
+            for cls in iter_classes(k):
+                if below is None or cls.a[-1] != 1 or cls.a[:-1] in below:
+                    if not (kill := battery.kills(cls)):
+                        return LowerBoundSearch(k, False, cls, partial(listing, k))
+                    if kill == "gamma":
+                        gamma_only.add(cls.a)
+        return LowerBoundSearch(cap + 1, True, None, partial(listing, cap + 1))
+    finally:  # a kept search pins none of the walk's V_s layers; the listing builds its own
+        battery.tables, battery.setups = {}, {}
 
 
-def _deferred_certificates(record: KnotRecord, cfg: EngineConfig, friend_witness: Mapping | None,
+def _deferred_certificates(battery: ClassBattery, friend_witness: Mapping | None,
                            friend_levels: range, null: Verdict | None, start: int, walk: int,
                            level: int) -> tuple[LevelCertificate, ...]:
     """A search's certificates as one tuple, listed when they are first read.
 
     ``friend_levels`` by ``friend_witness``, level 0 by ``null`` (if any), then each class
-    of levels ``start`` .. ``level`` - 1 by a fresh battery's first obstructed
-    :meth:`~ClassBattery.verdicts` entry.  A class that the walk (from ``walk`` up) or,
-    below it, the floor's lemma (k - sum(a) < beta_max) kills, and that does not die,
-    raises RuntimeError.
+    of levels ``start`` .. ``level`` - 1 by the first obstructed
+    :meth:`~ClassBattery.verdicts` entry of the search's ``battery``.  A class that the
+    walk (from ``walk`` up) or, below it, the floor's lemma (k - sum(a) < beta_max)
+    kills, and that does not die, raises RuntimeError.
     """
     listed = [LevelCertificate(k, "friend", witness=friend_witness) for k in friend_levels]
     if null is not None:
         listed.append(LevelCertificate(0, "null_class", witness=null.witness))
-    battery = ClassBattery(record, cfg)
     for k in range(start, level):
         kills = []
         for cls in iter_classes(k):
@@ -403,7 +395,7 @@ def _deferred_certificates(record: KnotRecord, cfg: EngineConfig, friend_witness
                 where = ", below the adjunction floor," if k < walk else ""
                 raise RuntimeError(f"class {cls} of level {k}{where} survives what the search "
                                    "said kills it")
-            kills.append(ClassCertificate(cls, kill.rule, kill.verdict))
+            kills.append(kill)
         listed.append(LevelCertificate(k, "classes", classes=tuple(kills)))
     return tuple(listed)
 

@@ -231,15 +231,6 @@ def staircase_from_alexander(coeffs: Sequence[int]) -> Staircase:
     return Staircase(tuple(support))
 
 
-def torsion_coefficients(coeffs: Sequence[int], s: int) -> int:
-    """Torsion coefficient t_s = sum_{j>=1} j * a_{s+j} of the polynomial."""
-    if s < 0:
-        raise ValueError("s must be non-negative")
-    check_alexander(coeffs)
-    g = _genus(coeffs)
-    return sum(j * coeffs[g + s + j] for j in range(1, g - s + 1)) if s < g else 0
-
-
 def torsion_sequence(coeffs: Sequence[int]) -> VsSequence:
     """Torsion coefficients t_0, t_1, ... in O(g): t_g = 0, t_s - t_(s+1) = sum_{i>s} a_i."""
     check_alexander(coeffs)

@@ -221,6 +221,20 @@ class TestCheckClass:
         assert engine_checked >= 500
 
 
+class TestCheckClassErrors:
+    def test_class_normalized_to_empty_is_data_error(self, capsys):
+        code, out, err = run(capsys, "check-class", "7_4", "0", "--db", KNOTS, "--quiet")
+        assert (code, out) == (1, "")
+        assert err == ("note: class normalized to ()\nerror: the empty class is decided by the "
+                       "level-0 null check, not per-class rules\n")
+
+    def test_bare_parentheses_are_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "check-class", "7_4", "()", "--db", KNOTS, "--quiet")
+        assert exc.value.code == 2
+        assert "error: malformed class '()'; expected a1,a2,..." in capsys.readouterr().err
+
+
 class TestBetaTable:
     def test_rows(self, capsys):
         code, out, _ = run(capsys, "beta-table", "--max", "16", "--db", KNOTS, "--quiet")
@@ -236,6 +250,10 @@ class TestBetaTable:
         code, out, err = run(capsys, "beta-table", "--max", "16")
         assert (code, err) == (0, "")
         assert out == run(capsys, "beta-table", "--max", "16", "--db", KNOTS, "--quiet")[1]
+
+    def test_max_below_two_is_data_error(self, capsys):
+        assert run(capsys, "beta-table", "--max", "1") == (
+            1, "", "error: --max 1 leaves no beta values\n")
 
     def test_given_db_is_still_validated(self, capsys, tmp_path):
         path = tmp_path / "db.json"

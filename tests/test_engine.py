@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slicedeg import cli, engine
+from slicedeg import cli, engine, obstructions
 from slicedeg.engine import (
     ALL_OBSTRUCTIONS,
     DEFAULT_MAX_K,
@@ -530,19 +530,31 @@ class TestAdjunctionFloor:
         with pytest.raises(RuntimeError, match="below the adjunction floor"):
             search.certificates
 
-    def test_listing_keeps_no_battery(self, monkeypatch):
-        batteries = []
-        real = ClassBattery.__init__
+    def test_one_battery_per_search(self, monkeypatch):
+        # the walk's battery explains the listing; a kept search whose certificates are
+        # unread pins none of the V_s layers the walk built, and the read lets the battery go
+        want = reference_lower_bound(DEEP).certificates
+        batteries, built = [], []
+        real_init, real_build = ClassBattery.__init__, obstructions._build
 
         def init(self, record, cfg):
-            real(self, record, cfg)
+            real_init(self, record, cfg)
             batteries.append(weakref.ref(self))
 
+        def build(head, rest, top):
+            layers = real_build(head, rest, top)
+            built.append(weakref.ref(layers))
+            return layers
+
         monkeypatch.setattr(ClassBattery, "__init__", init)
+        monkeypatch.setattr(obstructions, "_build", build)
         search = lower_bound(DEEP)
         gc.collect()
+        assert len(batteries) == 1 and batteries[0]() is not None
+        assert built and not any(ref() for ref in built)
+        assert search.certificates == want
+        gc.collect()
         assert len(batteries) == 1 and batteries[0]() is None
-        assert search.certificates == reference_lower_bound(DEEP).certificates
 
     def test_racing_readers_build_equal_certificates(self):
         want = reference_lower_bound(DEEP).certificates

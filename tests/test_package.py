@@ -32,8 +32,8 @@ EXPORTS = {
     ],
     "staircase": [
         "NotLSpaceForm", "OracleDisagreement", "Staircase", "VsSequence", "VsUnavailable",
-        "WindowTooSmall", "staircase_from_alexander", "torsion_coefficients",
-        "torsion_sequence", "vs_lspace_formula", "vs_of", "vs_staircase_oracle", "vs_thin",
+        "WindowTooSmall", "staircase_from_alexander", "torsion_sequence", "vs_lspace_formula",
+        "vs_of", "vs_staircase_oracle", "vs_thin",
     ],
 }
 SUBMODULES = list(EXPORTS)

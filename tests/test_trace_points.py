@@ -90,3 +90,5 @@ def test_engine_wrap_points_fire(sweep):
             assert calls["vs"] == certified["vs"], knot
             assert calls["gamma"] >= certified["gamma"], knot
             assert summary.get("lattice.eta", {}).get("calls", 0) == certified["gamma"], knot
+            # The walk and the listing share one battery, so one V_s sequence per search.
+            assert summary["staircase.vs_of"]["calls"] == 1, knot

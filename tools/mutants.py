@@ -278,6 +278,15 @@ MUTANTS = (
         "            else:\n                continue\n",
         (T_KILLS + "test_a_survivor_the_walk_killed_fails_the_read",),
     ),
+    # The listing explains with the walk's battery, so the walk must drop its V_s layers when
+    # it returns, or every kept search whose certificates are unread pins them.
+    Mutant(
+        "listing-keeps-walk-layers",
+        ENGINE,
+        "battery.tables, battery.setups = {}, {}",
+        "pass",
+        (T_FLOOR + "test_one_battery_per_search",),
+    ),
     # The listing reads verdicts up to the first obstructed one; a beta that does not kill
     # must build no verdict there, so each beta-certified class costs one beta_adjunction.
     Mutant(
