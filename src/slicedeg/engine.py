@@ -40,8 +40,8 @@ first ``upper_bound``, ``bound_report`` or ``report_table`` call on it,
 and kept on the database.  A record outside the database or shadowing one
 in it, and any record of a database with a cycle (so that it warns only
 about a cycle it depends on), is walked alone over the records it
-references, directly or not.  Each walked record's direct witness is
-formatted as text; a transfer's text waits for the queried record.
+references, directly or not.  Every walked record's bound is kept with its
+finished witness text, written by the relax step that improves it.
 
 The database also keeps its 1024 latest successful lower-bound searches,
 keyed by the search's inputs, its capping upper bound and the configuration
@@ -417,22 +417,17 @@ def _direct_upper(record: KnotRecord) -> tuple[int | None, str | None]:
     return min(candidates, key=lambda c: c[0]) if candidates else (None, None)
 
 
-# Where an upper bound comes from: a direct construction's witness text (None
-# without one), or a transfer as (relation, referenced names), formatted only
-# for the queried record.
-_Source = str | None | tuple[str, tuple[str, ...]]
-
-
 def _upper_fixpoint(
     records: Mapping[str, KnotRecord], roots: Iterable[str]
-) -> tuple[dict[str, tuple[int | None, _Source]], CyclicRelationWarning | None]:
+) -> tuple[dict[str, tuple[int | None, str | None]], CyclicRelationWarning | None]:
     """Upper bounds of ``roots`` and of every record they reference, directly or not.
 
     A depth-first walk with an explicit stack lists those records, each after
     its references, and keeps the first cycle.  One relax sweep over that list
     is final unless the walk met a back edge; only a cycle repeats it until
-    nothing changes.  Returns each bound with its :data:`_Source` and the
-    cycle's warning (None without a cycle), which the public entry point
+    nothing changes.  The relax step that improves a bound writes its witness
+    text, so every bound is kept with its finished text.  Returns those pairs
+    and the cycle's warning (None without a cycle), which the public entry point
     issues so that it names its caller.
     """
 
@@ -465,7 +460,7 @@ def _upper_fixpoint(
                 warning = CyclicRelationWarning(
                     f"concordance/connected-sum references cycle: {cycle}"
                 )
-    best: dict[str, tuple[int | None, _Source]] = {r.name: _direct_upper(r) for r in order}
+    best: dict[str, tuple[int | None, str | None]] = {r.name: _direct_upper(r) for r in order}
     changed = True
     while changed:
         changed = False
@@ -475,7 +470,7 @@ def _upper_fixpoint(
             if to and to in best:
                 via = best[to][0]
                 if via is not None and (current is None or via < current):
-                    best[name] = (via, ("concordant to", (to,)))
+                    best[name] = (via, f"concordant to {to} (<= {via})")
                     current = via
                     changed = True
             if summands:
@@ -483,7 +478,7 @@ def _upper_fixpoint(
                 if all(p is not None for p in parts):
                     total = sum(parts)  # type: ignore[arg-type]
                     if current is None or total < current:
-                        best[name] = (total, ("connected sum", summands))
+                        best[name] = (total, f"connected sum {' + '.join(summands)} (<= {total})")
                         changed = True
         changed = changed and warning is not None  # acyclic: the first sweep is final
     return best, warning
@@ -491,7 +486,7 @@ def _upper_fixpoint(
 
 def _closure(
     db: KnotDatabase,
-) -> tuple[dict[str, tuple[int | None, _Source]], CyclicRelationWarning | None]:
+) -> tuple[dict[str, tuple[int | None, str | None]], CyclicRelationWarning | None]:
     """The upper-bound closure of every record of ``db``.
 
     Read as ``db.derived(_closure)``, so each database computes it once.
@@ -515,11 +510,7 @@ def _upper(
     else:  # outside the db, or shadowing its namesake: merge it in
         records = {**(db.records if db is not None else {}), record.name: record}
         best, warning = _upper_fixpoint(records, [record.name])
-    upper, source = best[record.name]
-    if isinstance(source, tuple):
-        relation, names = source
-        source = f"{relation} {' + '.join(names)} (<= {upper})"
-    return (upper, source), warning
+    return best[record.name], warning
 
 
 def upper_bound(record: KnotRecord, db: KnotDatabase | None = None) -> tuple[int | None, str | None]:

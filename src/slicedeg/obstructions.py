@@ -178,7 +178,8 @@ def _vs_lambda(cls: HomologyClass, v: VsSequence, tables: dict | None, setups: d
     needs no masks), so it is made once per such key in ``setups``.  The :class:`_Layers` of
     a[1:], ..., a[n-1:] are built from the shortest, each from the next, or read from
     ``tables``, a dict keyed by (suffix, cap) that the engine's battery keeps for one search
-    (None: a dict for this call, as for ``setups``); deciding reads a[1:]'s alone if kept.
+    (None: a dict for this call, as for ``setups``); deciding builds or reads every suffix,
+    as explaining does.
     A prefix with dot product ``dot`` and layer ``spent`` is completed iff bit b of some layer
     c of its suffix meets bit b + shift of ``masks[spent + c]``, shift = (dot - offset -
     low) / 2, skipped past the masks (so a huge norm never shifts by k); the last entry reads
@@ -224,9 +225,8 @@ def _vs_lambda(cls: HomologyClass, v: VsSequence, tables: dict | None, setups: d
     low = k - 2 * nu + 2  # the lowest target d
 
     tables = {} if tables is None else tables
-    head = tables.get((cls.a[1:], cap)) if decide else None  # deciding reads a[1:] alone
-    rests = [_EMPTY if head is None else head]  # rests[-1 - i] holds the layers of cls.a[i + 1:]
-    for i in range(cls.n - 1 if head is None else 0, 0, -1):
+    rests = [_EMPTY]  # rests[-1 - i] holds the layers of cls.a[i + 1:]
+    for i in range(cls.n - 1, 0, -1):
         key = (cls.a[i:], cap)
         layers = tables.get(key)
         if layers is None:

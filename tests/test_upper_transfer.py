@@ -172,6 +172,21 @@ class TestAgainstWholeDatabaseSweep:
         for record in db:
             assert bound_report(record, db).upper_witness == want[record.name][1]
 
+    @settings(max_examples=300, deadline=None)
+    @given(any_db(), record_st("query", [f"k{i}" for i in range(8)] + list(DANGLING)))
+    def test_transfer_text_names_its_transfer(self, db, query):
+        # With a cycle the sweep may pick another transfer of equal value than the
+        # file-order reference picks, so each text is checked against its own record.
+        for record in (*db, query):
+            upper, witness = quiet(upper_bound, record, db)
+            if witness is None or not witness.startswith(("concordant to ", "connected sum ")):
+                continue
+            assert witness in (
+                f"concordant to {record.concordant_to} (<= {upper})",
+                f"connected sum {' + '.join(record.connected_sum_of or ())} (<= {upper})",
+            )
+            assert quiet(bound_report, record, db).upper_witness == witness
+
 
 class TestOwnRecordAndCopy:
     """The db's own record reads the db's closure; an equal copy walks a merged mapping."""

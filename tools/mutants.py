@@ -195,13 +195,13 @@ MUTANTS = (
         OBS,
         (
             "for c in range(top + 1 if cls.n > 1 else 0):",
-            "rests = [_EMPTY if head is None else head]",
+            "rests = [_EMPTY]",
             "shift = (dot + sign * a_i - rest.offset - low) >> 1  # bit b meets mask bit b+shift\n"
             "                if -rest.offset <= shift < nu and",
         ),
         (
             "for c in range(top + 1):",
-            "rests = [_Layers(0, (1 << sum(cls.a),)) if head is None else head]",
+            "rests = [_Layers(0, (1 << sum(cls.a),))]",
             "shift = ((dot + sign * a_i - rest.offset - low) >> 1) - sum(cls.a)\n"
             "                if -rest.offset - sum(cls.a) <= shift < nu and",
         ),
